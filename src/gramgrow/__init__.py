@@ -28,7 +28,7 @@ from .fs import (
 from .grammar import Grammar, Lexicon, ParaphraseMap, Rule, rule_subsumes, super_rule
 from .model import ModelConfig, load_model
 from .refine import RefineParams, refine_grammar
-from .scoring import TripleStore, decompose, judge, lookup, score_tree, train
+from .scoring import TripleStore, decompose, judge, score_tree, train
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "expand",
     "judge",
     "load_model",
-    "lookup",
     "parse",
     "parse_fs",
     "print_fs",

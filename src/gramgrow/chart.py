@@ -340,7 +340,7 @@ class ChartParser:
             inactive.end,
             arity,
             nfound + 1,
-            _dedup(survivors),
+            tuple(dict.fromkeys(survivors)),
             children + (inactive.id,),
         )
 
@@ -362,8 +362,7 @@ class ChartParser:
             self.chart.created, start, end, rule_id, arity, nfound, instances, children, token
         )
         self.chart.edges.append(edge)
-        is_super = rule_id is not None and rule_id.startswith("*super-")
-        if edge.is_inactive and is_super:
+        if edge.is_inactive and rule_id is not None and rule_id.startswith("*super-"):
             self.criticise(edge)
         if not edge.bad:
             if edge.is_inactive:
@@ -402,11 +401,7 @@ class ChartParser:
             return self._mark_bad(edge, "redundant")
         if self.model is not None:
             verdict = criticise_rhs(
-                rhs,
-                self.model,
-                self.grammar.registry,
-                lp_on=self.flags.lp,
-                types_on=self.flags.types,
+                rhs, self.model, self.grammar.registry, lp=self.flags.lp, types=self.flags.types
             )
             if verdict is not True:
                 return self._mark_bad(edge, ";".join(verdict.reasons))
@@ -506,7 +501,7 @@ class ChartParser:
                     narrowed.append(u)
         if not narrowed:
             return
-        narrowed = _dedup(narrowed)
+        narrowed = tuple(dict.fromkeys(narrowed))
         node_cat = simplify(Category([_part(inst, LHS) for inst in narrowed]))
         rule_id = edge.built_rule.id if edge.built_rule is not None else edge.rule_id
         child_iters = []
@@ -555,14 +550,6 @@ class ChartParser:
         for tree in trees:
             visit(tree)
         return retained
-
-
-def _dedup(instances):
-    out = []
-    for inst in instances:
-        if inst not in out:
-            out.append(inst)
-    return tuple(out)
 
 
 def harvest_local_trees(chart):

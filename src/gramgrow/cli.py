@@ -21,7 +21,7 @@ from .evaluate import (
     plausibility,
     undergen,
 )
-from .fs import FSError, FeatureRegistry
+from .fs import FSError, FeatureRegistry, MalformedSyntax
 from .grammar import Grammar, Lexicon, ParaphraseMap, UnknownTerminal
 from .model import load_model
 from .refine import RefineParams, refine_grammar
@@ -320,9 +320,7 @@ def run_repl(session, lines=None):
         try:
             if _dispatch(session, line):
                 return EXIT_OK
-        except (FSError, UnknownTerminal) as err:
-            session.say("error: %s" % err)
-        except OSError as err:
+        except (FSError, OSError) as err:
             session.say("error: %s" % err)
     return EXIT_OK
 
@@ -347,15 +345,21 @@ def _dispatch(session, line):
     if line == "flags":
         session.show_flags()
         return False
-    words = shlex.split(line)
+    try:
+        words = shlex.split(line)
+    except ValueError as err:
+        raise MalformedSyntax(str(err)) from None
     cmd = words[0]
     if cmd == "set" and len(words) == 3 and words[2] in ("on", "off"):
         session.set_flag(words[1], words[2] == "on")
         return False
     if cmd == "limits" and len(words) == 3:
-        n = None if words[1] in ("off", "0") else int(words[1])
-        m = None if words[2] in ("off", "0") else int(words[2])
-        session.limits = ParserLimits(n, m)
+        try:
+            n = None if words[1] in ("off", "0") else int(words[1])
+            m = None if words[2] in ("off", "0") else int(words[2])
+            session.limits = ParserLimits(n, m)
+        except ValueError as err:
+            raise MalformedSyntax(str(err)) from None
         return False
     loaders = {
         "load-features": session.load_features,
@@ -376,13 +380,9 @@ def _dispatch(session, line):
         session.refine()
         return False
     if cmd == "eval":
-        ns = _eval_args().parse_args(words[1:])
-        report = cmd_eval(
-            session, ns.test, ns.plausible,
-            ns.random[0] if ns.random else 0,
-            ns.random[1] if ns.random else 6,
-            ns.k, ns.seed, ns.out,
-        )
+        ap = _eval_args()
+        ap.add_argument("--seed", type=int)
+        report = _run_eval(session, ap.parse_args(words[1:]))
         session.say(_summary(report).rstrip("\n"))
         return False
     if cmd == "parse" and len(words) >= 2:
@@ -399,15 +399,25 @@ def _dispatch(session, line):
     return False
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise MalformedSyntax(message)  # a bad REPL line must not end the session
+
+
 def _eval_args():
-    ap = argparse.ArgumentParser(prog="eval", add_help=False)
+    """The eval options, shared by the REPL command and the eval subcommand."""
+    ap = _ArgumentParser(prog="eval", add_help=False)
     ap.add_argument("--test")
     ap.add_argument("--plausible")
     ap.add_argument("--random", nargs=2, type=int, metavar=("COUNT", "LENGTH"))
     ap.add_argument("--k", type=int, default=10)
-    ap.add_argument("--seed", type=int)
     ap.add_argument("--out")
     return ap
+
+
+def _run_eval(session, ns):
+    count, length = ns.random or (0, 6)
+    return cmd_eval(session, ns.test, ns.plausible, count, length, ns.k, ns.seed, ns.out)
 
 
 def main(argv=None):
@@ -418,7 +428,7 @@ def main(argv=None):
     repl = sub.add_parser("repl", help="interactive session")
     repl.add_argument("--bundle", help="load a shipped resource bundle (demo, claws)")
     repl.add_argument("--script", help="read commands from a file instead of stdin")
-    ev = sub.add_parser("eval", help="batch evaluation")
+    ev = sub.add_parser("eval", help="batch evaluation", parents=[_eval_args()])
     ev.add_argument("--bundle")
     ev.add_argument("--features")
     ev.add_argument("--grammar")
@@ -426,25 +436,14 @@ def main(argv=None):
     ev.add_argument("--model")
     ev.add_argument("--labels")
     ev.add_argument("--learnt")
-    ev.add_argument("--test")
-    ev.add_argument("--plausible")
-    ev.add_argument("--random", nargs=2, type=int, metavar=("COUNT", "LENGTH"))
-    ev.add_argument("--k", type=int, default=10)
     ev.add_argument("--limits", nargs=2, type=int, metavar=("N", "M"))
-    ev.add_argument("--out", required=False)
     ns = ap.parse_args(argv)
 
     session = Session(trace=ns.trace, seed=ns.seed)
     try:
         if ns.command == "eval":
             _load_for_eval(session, ns)
-            report = cmd_eval(
-                session, ns.test, ns.plausible,
-                ns.random[0] if ns.random else 0,
-                ns.random[1] if ns.random else 6,
-                ns.k, ns.seed, ns.out,
-            )
-            sys.stdout.write(_summary(report))
+            sys.stdout.write(_summary(_run_eval(session, ns)))
             return EXIT_OK
         if ns.command in (None, "repl"):
             bundle = getattr(ns, "bundle", None)
@@ -455,10 +454,7 @@ def main(argv=None):
             return run_repl(session, lines)
         ap.print_usage()
         return EXIT_USAGE
-    except (FSError, UnknownTerminal) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_RESOURCE
-    except OSError as err:
+    except (FSError, OSError) as err:  # UnknownTerminal is an FSError
         print("error: %s" % err, file=sys.stderr)
         return EXIT_RESOURCE
     except Exception as err:  # invariant violation

@@ -121,23 +121,6 @@ def _candidate_bars(d, cfg, include_same_bar):
     return bars, None
 
 
-def construct_unary(d, cfg, rule_id="*unary?"):
-    """Non-recursive unary rule: LHS is the daughter raised one bar level."""
-    return construct_unary_cat(_as_cat(d), cfg, rule_id)
-
-
-def construct_binary(d1, d2, cfg, rule_id="*binary?"):
-    """Binary rule whose LHS disjoins each major daughter at its own and its
-    raised bar level."""
-    return construct_binary_cat(_as_cat(d1), _as_cat(d2), cfg, rule_id)
-
-
-def _as_cat(d):
-    from .fs import Category
-
-    return d if not isinstance(d, FS) else Category((d,))
-
-
 def construct_unary_cat(c, cfg, rule_id="*unary?"):
     instances = []
     reasons = []
@@ -150,7 +133,7 @@ def construct_unary_cat(c, cfg, rule_id="*unary?"):
             instances.append(_instance(cfg, b, 0, [d]))
     if not instances:
         return Rejection(reasons[0] if reasons else Rejection.NO_HEAD)
-    return Rule(rule_id, 1, _dedup(instances), LEARNT)
+    return Rule(rule_id, 1, tuple(dict.fromkeys(instances)), LEARNT)
 
 
 def construct_binary_cat(c1, c2, cfg, rule_id="*binary?"):
@@ -169,7 +152,7 @@ def construct_binary_cat(c1, c2, cfg, rule_id="*binary?"):
                     instances.append(_instance(cfg, b, head_pos, daughters))
     if not any_candidate:
         return Rejection(Rejection.NO_HEAD)
-    return Rule(rule_id, 2, _dedup(instances), LEARNT)
+    return Rule(rule_id, 2, tuple(dict.fromkeys(instances)), LEARNT)
 
 
 def _instance(cfg, bar, head_pos, daughters):
@@ -187,10 +170,3 @@ def _instance(cfg, bar, head_pos, daughters):
     root.feats[LHS] = _project_node(head_src, bar, cfg)
     return FS.from_mutable(root)
 
-
-def _dedup(instances):
-    out = []
-    for inst in instances:
-        if inst not in out:
-            out.append(inst)
-    return tuple(out)

@@ -155,18 +155,22 @@ class FS:
     def from_mutable(cls, root):
         index = {}
         order = []
+        on_path = set()
 
         def visit(node):
             node = node.find()
+            if id(node) in on_path:
+                raise _Bottom()  # cyclic
             if id(node) in index:
                 return
             index[id(node)] = len(order)
             order.append(node)
+            on_path.add(id(node))
             for feat in sorted(node.feats):
                 visit(node.feats[feat])
+            on_path.discard(id(node))
 
         visit(root)
-        _check_acyclic(root)
         nodes = []
         for node in order:
             payload = node.atom if node.atom is not None else node.vset
@@ -214,26 +218,27 @@ class FS:
         return None
 
     def _sub_fs(self, idx):
+        # stored feats are in feature order, so numbering by first visit is
+        # the canonical numbering of the sub-structure
         if self._subs is None:
             self._subs = {}
         hit = self._subs.get(idx)
-        if hit is not None:
-            return hit
-        node = self.to_mutable()
-        reach = {0: node}
-        stack = [0]
-        seen = set()
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            for feat, child in self._nodes[i][1]:
-                reach[child] = reach[i].feats[feat]
-                stack.append(child)
-        got = FS.from_mutable(reach[idx])
-        self._subs[idx] = got
-        return got
+        if hit is None:
+            index = {}
+
+            def visit(i):
+                if i not in index:
+                    index[i] = len(index)
+                    for _, child in self._nodes[i][1]:
+                        visit(child)
+
+            visit(idx)
+            hit = FS(tuple(
+                (self._nodes[i][0], tuple((f, index[c]) for f, c in self._nodes[i][1]))
+                for i in index
+            ))
+            self._subs[idx] = hit
+        return hit
 
     def root_atoms(self):
         """Root features with atomic or value-set payloads, for cheap
@@ -250,20 +255,6 @@ class FS:
     def is_empty(self):
         return self is _EMPTY_FS or self._nodes == _EMPTY_FS._nodes
 
-    def walk_leaves(self):
-        """Yield (path tuple, payload) for every node with a payload."""
-        seenpaths = []
-
-        def rec(idx, path):
-            payload, feats = self._nodes[idx]
-            if payload is not None:
-                seenpaths.append((path, payload))
-            for feat, child in feats:
-                rec(child, path + (feat,))
-
-        rec(0, ())
-        return seenpaths
-
     def __eq__(self, other):
         return isinstance(other, FS) and self._nodes == other._nodes
 
@@ -275,25 +266,6 @@ class FS:
 
 
 _EMPTY_FS = FS(((None, ()),))
-
-
-def _check_acyclic(root):
-    on_path = set()
-    done = set()
-
-    def rec(node):
-        node = node.find()
-        if id(node) in done:
-            return
-        if id(node) in on_path:
-            raise _Bottom()
-        on_path.add(id(node))
-        for child in node.feats.values():
-            rec(child)
-        on_path.discard(id(node))
-        done.add(id(node))
-
-    rec(root)
 
 
 class Category:
@@ -576,9 +548,11 @@ def expand_fs(fs, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
         on_cap(total)
     out = []
     for combo in itertools.product(*choice_lists):
-        root = fs.to_mutable()
-        _assign_vsets(root, fs, sites, combo)
-        out.append(FS.from_mutable(root))
+        # payload nodes have no feats, so the numbering stays canonical
+        nodes = list(fs._nodes)
+        for idx, value in zip(sites, combo):
+            nodes[idx] = (value, ())
+        out.append(FS(tuple(nodes)))
         if cap is not None and len(out) >= cap:
             break
     return out
@@ -592,25 +566,6 @@ def _feature_of(fs, idx):
     return ""
 
 
-def _assign_vsets(root, fs, sites, combo):
-    # rebuild the idx -> mutable-node correspondence
-    reach = {0: root}
-    stack = [0]
-    seen = set()
-    while stack:
-        i = stack.pop()
-        if i in seen:
-            continue
-        seen.add(i)
-        for feat, child in fs._nodes[i][1]:
-            reach[child] = reach[i].feats[feat].find()
-            stack.append(child)
-    for idx, value in zip(sites, combo):
-        node = reach[idx].find()
-        node.vset = None
-        node.atom = value
-
-
 def expand(c, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
     """Category expansion: disjunct order first, then internal disjunctions."""
     out = []
@@ -620,24 +575,6 @@ def expand(c, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
         if cap is not None and len(out) >= cap:
             break
     return out
-
-
-def denotation(c, registry=None, cap=DEFAULT_EXPANSION_CAP):
-    """Maximally general representatives of expand(c), for denotational
-    comparison of categories."""
-    exps = expand(c, registry, cap)
-    kept = []
-    for i, d in enumerate(exps):
-        drop = False
-        for j, e in enumerate(exps):
-            if i == j:
-                continue
-            if subsumes(e, d) and not (subsumes(d, e) and i < j):
-                drop = True
-                break
-        if not drop and d not in kept:
-            kept.append(d)
-    return kept
 
 
 # -- concrete syntax ---------------------------------------------------------
@@ -691,15 +628,18 @@ class _Parser:
         if kind == "bottom":
             self.take()
             return BOTTOM
-        if kind == "lbrace":
-            self.take()
-            disjuncts = [self._scoped_fs()]
-            while self.peek()[0] == "comma":
+        try:
+            if kind == "lbrace":
                 self.take()
-                disjuncts.append(self._scoped_fs())
-            self.take("rbrace")
-            return Category([FS.from_mutable(d) for d in disjuncts])
-        return Category([FS.from_mutable(self._scoped_fs())])
+                disjuncts = [self._scoped_fs()]
+                while self.peek()[0] == "comma":
+                    self.take()
+                    disjuncts.append(self._scoped_fs())
+                self.take("rbrace")
+                return Category([FS.from_mutable(d) for d in disjuncts])
+            return Category([FS.from_mutable(self._scoped_fs())])
+        except _Bottom:
+            raise MalformedSyntax("a tag is bound to clashing or cyclic values") from None
 
     def _scoped_fs(self):
         if self.shared_tags is None:
@@ -782,12 +722,6 @@ def parse_fs(text, registry=None, pattern=False, tags=None):
     cat = parser.category()
     if parser.i != len(tokens):
         raise MalformedSyntax("trailing input after category: %r" % (tokens[parser.i][1],))
-    return _normalize_singleton_tags(cat)
-
-
-def _normalize_singleton_tags(cat):
-    # a tag bound at a single path is meaningless; the graph form already
-    # erases it (an unshared node), so nothing to do beyond freezing
     return cat
 
 
@@ -879,7 +813,6 @@ def print_parts(fs, part_features, registry=None):
 
 def _shared_nodes(fs):
     counts = {}
-    stack = [0]
     # count incoming references along all feature edges
     for i, (_, feats) in enumerate(fs._nodes):
         for _, child in feats:

@@ -75,10 +75,6 @@ class Rule:
         self.support = support
 
     @property
-    def is_super(self):
-        return self.origin in (SUPER_UNARY, SUPER_BINARY)
-
-    @property
     def lhs(self):
         return simplify(Category([inst.get(LHS) or FS.empty() for inst in self.instances]))
 
@@ -159,8 +155,12 @@ class Grammar:
         self._by_id[rule.id] = rule
 
     def next_learnt_id(self, arity):
-        self._learn_counter += 1
-        return "*%s%d" % ("unary" if arity == 1 else "binary", self._learn_counter)
+        """A fresh id; ids of rules loaded from a learnt file are skipped."""
+        while True:
+            self._learn_counter += 1
+            rule_id = "*%s%d" % ("unary" if arity == 1 else "binary", self._learn_counter)
+            if rule_id not in self._by_id:
+                return rule_id
 
     def add_learnt(self, rule, support=None):
         """Retain rule unless some existing non-super rule subsumes it."""
@@ -219,18 +219,14 @@ class Grammar:
 
 
 def format_rule(rule, registry=None):
-    if len(rule.instances) == 1:
-        feats = [LHS] + [slot(i) for i in range(1, rule.arity + 1)]
-        parts = fsmod.print_parts(rule.instances[0], feats, registry)
-        texts = [parts[f] for f in feats]
-        if not any(t.startswith("#") for t in texts):
-            return "rule %s : %s -> %s" % (rule.id, texts[0], " ".join(texts[1:]))
-    # disjunctive (or degenerate) rules: print category-wise with one running
-    # tag numbering, since the whole line is a single tag scope on re-load
-    printer = fsmod._Printer(registry)
-    lhs_text = printer.cat_text(rule.lhs)
-    rhs_texts = [printer.cat_text(rule.rhs(i)) for i in range(1, rule.arity + 1)]
-    return "rule %s : %s -> %s" % (rule.id, lhs_text, " ".join(rhs_texts))
+    """One 'LHS -> RHS...' alternative per instance, separated by '|'; each
+    alternative is its own tag scope."""
+    feats = [LHS] + [slot(i) for i in range(1, rule.arity + 1)]
+    alternatives = []
+    for inst in rule.instances:
+        parts = fsmod.print_parts(inst, feats, registry)
+        alternatives.append("%s -> %s" % (parts[LHS], " ".join(parts[f] for f in feats[1:])))
+    return "rule %s : %s" % (rule.id, " | ".join(alternatives))
 
 
 def parse_rule_line(line, registry, origin=ORIGINAL):
@@ -240,7 +236,20 @@ def parse_rule_line(line, registry, origin=ORIGINAL):
     name = head.strip()
     if not name:
         raise MalformedSyntax("rule needs a name: %r" % line)
-    left, arrow, right = body.partition("->")
+    parsed = [_parse_alternative(text, registry, line) for text in body.split("|")]
+    if len(parsed) == 1 and parsed[0][2] is None:
+        # disjunctive rules have no cross-position sharing in the text format
+        lhs, rhs, _ = parsed[0]
+        return make_rule(name, lhs, rhs, origin)
+    wrappers = tuple(wrapper for _, _, wrapper in parsed)
+    if any(w is None for w in wrappers) or len({len(rhs) for _, rhs, _ in parsed}) > 1:
+        raise MalformedSyntax("rule alternatives need one arity and no disjunction: %r" % line)
+    return Rule(name, len(parsed[0][1]), wrappers, origin)
+
+
+def _parse_alternative(text, registry, line):
+    """(LHS, RHS categories, wrapper instance or None if any is disjunctive)."""
+    left, arrow, right = text.partition("->")
     if not arrow:
         raise MalformedSyntax("rule needs '->': %r" % line)
     left = left.strip()
@@ -249,18 +258,16 @@ def parse_rule_line(line, registry, origin=ORIGINAL):
     rhs, rhs_texts = _parse_cat_sequence(right.strip(), registry, tags)
     if not rhs:
         raise MalformedSyntax("rule needs at least one RHS category: %r" % line)
-    if len(lhs) == 1 and all(len(c) == 1 for c in rhs):
-        # reparse the whole line as one wrapper structure so that tag sharing
-        # between positions lands in a single graph
-        wrapper = "[%s %s, %s]" % (
-            LHS,
-            left,
-            ", ".join("%s %s" % (slot(i), t) for i, t in enumerate(rhs_texts, start=1)),
-        )
-        composite = parse_fs(wrapper, None).disjuncts[0]
-        return Rule(name, len(rhs), (composite,), origin)
-    # disjunctive rules have no cross-position sharing in the text format
-    return make_rule(name, lhs, rhs, origin)
+    if len(lhs) != 1 or any(len(c) != 1 for c in rhs):
+        return lhs, rhs, None
+    # reparse the alternative as one wrapper structure so that tag sharing
+    # between positions lands in a single graph
+    wrapper = "[%s %s, %s]" % (
+        LHS,
+        left,
+        ", ".join("%s %s" % (slot(i), t) for i, t in enumerate(rhs_texts, start=1)),
+    )
+    return lhs, rhs, parse_fs(wrapper, None).disjuncts[0]
 
 
 def _parse_cat_sequence(text, registry, tags):

@@ -191,10 +191,6 @@ class TypeMap:
         return min(best)[1]
 
 
-def typ_lookup(tm, d):
-    return tm.lookup(d)
-
-
 def type_check(rhs, tm, registry=None, cap=64):
     """Daughters co-occur if some expansion pair's types apply in either
     direction, or either type is undefined."""
@@ -221,63 +217,14 @@ def _expansions(c, registry, cap):
     return expand(c, registry, cap, on_cap=lambda n: None)
 
 
-# -- head feature convention ---------------------------------------------------
-
-
-def hfc_check(rule, cfg):
-    """A rule obeys the HFC if some LHS disjunct shares all head features with
-    some daughter and carries no non-head feature besides BAR."""
-    head_ok = lambda feat: feat not in cfg.nonhead or feat == cfg.bar_feature
-    for inst in rule.instances:
-        lhs = inst.get(LHS_FEAT) or FS.empty()
-        if not all(head_ok(f) for f in lhs.root_features):
-            continue
-        for i in range(1, rule.arity + 1):
-            d = inst.get(SLOT_FMT % i)
-            if not isinstance(d, FS):
-                continue
-            if _agrees_on_head_features(lhs, d, cfg):
-                return True
-    return False
-
-
-LHS_FEAT = "*LHS*"
-SLOT_FMT = "*R%d*"
-
-
-def _agrees_on_head_features(lhs, d, cfg):
-    feats = set(lhs.root_features) | set(d.root_features)
-    for f in feats:
-        if f in cfg.nonhead:  # BAR included: exempt from agreement
-            continue
-        a = lhs.get(f, "\0missing")
-        b = d.get(f, "\0missing")
-        if a == "\0missing" or b == "\0missing":
-            if a != b:
-                return False
-            continue
-        if not _value_equal(a, b):
-            return False
-    return True
-
-
-def _value_equal(a, b):
-    if isinstance(a, FS) and isinstance(b, FS):
-        return a == b
-    return a == b
-
-
 # -- the conjoined critic -------------------------------------------------------
 
 
 class ModelConfig:
-    def __init__(self, lp_rules, typemap, xbar, lp_on=True, types_on=True, hfc_on=True):
+    def __init__(self, lp_rules, typemap, xbar):
         self.lp_rules = lp_rules
         self.typemap = typemap
         self.xbar = xbar
-        self.lp_on = lp_on
-        self.types_on = types_on
-        self.hfc_on = hfc_on
 
 
 class Reject:
@@ -296,19 +243,15 @@ class Reject:
 ACCEPT = True
 
 
-def criticise_rhs(rhs, model, registry=None, lp_on=None, types_on=None):
+def criticise_rhs(rhs, model, registry=None, lp=True, types=True):
     """Conjunction of the enabled principle checks over an instantiated RHS.
 
-    The flag arguments override the model's own switches (the model object
-    stays read-only and shareable).  Returns True or a Reject listing every
-    failed principle.
+    Returns True or a Reject listing every failed principle.
     """
-    lp_on = model.lp_on if lp_on is None else lp_on
-    types_on = model.types_on if types_on is None else types_on
     reasons = []
-    if lp_on and not lp_check(rhs, model.lp_rules):
+    if lp and not lp_check(rhs, model.lp_rules):
         reasons.append("lp:" + ",".join(violated_lp(rhs, model.lp_rules)))
-    if types_on and not type_check(rhs, model.typemap, registry):
+    if types and not type_check(rhs, model.typemap, registry):
         reasons.append("type")
     if reasons:
         return Reject(reasons)

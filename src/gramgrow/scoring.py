@@ -10,6 +10,8 @@ are similarities, not probabilities.
 
 from __future__ import annotations
 
+import itertools
+
 from .fs import Category, FS, MalformedSyntax, expand, print_fs, unify, unify_cat
 from .grammar import strip_comment
 
@@ -97,9 +99,9 @@ class TripleStore:
                     params = dict(zip(words[1::2], words[2::2]))
                     delta = float(params.get("delta", DEFAULT_DELTA))
                     omega = float(params.get("omega", DEFAULT_OMEGA))
-                    if not delta < omega:
-                        raise MalformedSyntax("triple files need delta < omega")
-                    store = cls(delta, omega)
+                    if not 0 < delta < omega <= 1:
+                        raise MalformedSyntax("triple files need 0 < delta < omega <= 1")
+                    store.delta, store.omega = delta, omega
                 elif line.startswith("triple "):
                     body = line[7:].strip()
                     cats, freq = _parse_triple_body(body, registry)
@@ -136,10 +138,6 @@ def _compatible(t_fs, c):
     if isinstance(c, FS):
         return unify(t_fs, c) is not None
     return not unify_cat(Category((t_fs,)), c).is_bottom
-
-
-def lookup(store, a, b):
-    return store.lookup(a, b)
 
 
 # -- decomposition ----------------------------------------------------------
@@ -220,7 +218,7 @@ def score_local(store, mother, daughters, registry=None, cap=64, on_cap=None):
     if cap is not None and total > cap:
         silent(total)  # the max runs over the enumerated prefix only
     for m in m_exps:
-        for combo in _product(d_exps):
+        for combo in itertools.product(*d_exps):
             factors = []
             for (cat, sub), d in zip(daughters, combo):
                 f = store.lookup(m, d)
@@ -236,12 +234,6 @@ def score_local(store, mother, daughters, registry=None, cap=64, on_cap=None):
 
 def _as_cat(c):
     return Category((c,)) if isinstance(c, FS) else c
-
-
-def _product(lists):
-    import itertools
-
-    return itertools.product(*lists)
 
 
 def score_tree(store, tree, registry=None, cap=64):

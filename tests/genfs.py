@@ -2,7 +2,7 @@
 
 import random
 
-from gramgrow.fs import Category, FS, FeatureRegistry, _MNode, unify
+from gramgrow.fs import Category, FS, FeatureRegistry, _MNode, expand, subsumes, unify
 
 GEN_REGISTRY = FeatureRegistry.from_text(
     """
@@ -65,3 +65,21 @@ def random_extension(rng, base, tries=8):
 def random_category(rng, max_disjuncts=3, depth=1):
     n = rng.randint(1, max_disjuncts)
     return Category([random_fs(rng, depth=depth) for _ in range(n)])
+
+
+def denotation(c, registry=None, cap=64):
+    """Maximally general representatives of expand(c), for denotational
+    comparison of categories."""
+    exps = expand(c, registry, cap)
+    kept = []
+    for i, d in enumerate(exps):
+        drop = False
+        for j, e in enumerate(exps):
+            if i == j:
+                continue
+            if subsumes(e, d) and not (subsumes(d, e) and i < j):
+                drop = True
+                break
+        if not drop and d not in kept:
+            kept.append(d)
+    return kept

@@ -27,7 +27,7 @@ from gramgrow.grammar import Grammar, SupportRecord, parse_rule_line
 from gramgrow.model import load_model, match, parse_pattern
 from gramgrow.refine import RefineParams, refine_grammar
 from gramgrow.resources import data_path, load_demo
-from gramgrow.scoring import TripleStore, geo_mean, lookup, score_tree, train, train_local_trees
+from gramgrow.scoring import TripleStore, geo_mean, score_tree, train, train_local_trees
 
 from genfs import GEN_REGISTRY, random_category, random_extension, random_fs
 
@@ -288,9 +288,9 @@ def test_criterion_9_lookup_oracle():
     ]:
         store.add(a(m), a(d), f)
     c = lambda label: Category((a(label),))
-    assert lookup(store, c("S"), c("NP")) == 2 / 9
-    assert lookup(store, c("VP"), c("NP")) == 1 / 9
-    assert lookup(store, c("S"), c("PP")) == store.delta
+    assert store.lookup(c("S"), c("NP")) == 2 / 9
+    assert store.lookup(c("VP"), c("NP")) == 1 / 9
+    assert store.lookup(c("S"), c("PP")) == store.delta
 
     labels = ["S", "NP", "VP", "V", "DET", "N", "PP"]
     rng = random.Random(73)

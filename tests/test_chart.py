@@ -355,7 +355,7 @@ def test_super_rules_subsume_everything_learnt(demo):
 
 def test_hfc_holds_for_every_rule_learnt_under_hfc(demo):
     registry, grammar, lexicon, _, model = demo
-    from gramgrow.model import hfc_check
+    from hfc import hfc_check
 
     res = parse(
         "Sam chases the cat down the road".split(),

@@ -98,6 +98,35 @@ def test_repl_byte_identical_across_runs():
     assert outputs[0] == outputs[1]
 
 
+def _survives(line):
+    session, out = fresh_session()
+    code = run_script(session, [line, "Sam chases the cat", "quit"])
+    text = out.getvalue()
+    return code == EXIT_OK and "error:" in text and "1 parse(s)" in text
+
+
+def test_unbalanced_quote_keeps_session_alive():
+    assert _survives("Sam don't chases")
+
+
+def test_bad_limits_keep_session_alive():
+    assert _survives("limits x 3")
+
+
+def test_nonpositive_limits_keep_session_alive():
+    assert _survives("limits -1 3")
+
+
+def test_bad_eval_option_keeps_session_alive():
+    assert _survives("eval --bogus")
+
+
+def test_cyclic_tag_in_lexicon_keeps_session_alive(tmp_path):
+    lexicon = tmp_path / "cyclic.lexicon"
+    lexicon.write_text("lex Sam : [N #1 = [N #1]]\n")
+    assert _survives("load-lexicon %s" % lexicon)
+
+
 def test_set_sbl_requires_triples():
     session, out = fresh_session()
     run_script(session, ["set sbl on", "quit"])

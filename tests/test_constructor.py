@@ -4,12 +4,12 @@ from gramgrow.constructor import (
     Rejection,
     XBarConfig,
     bar_of,
-    construct_binary,
-    construct_unary,
+    construct_binary_cat,
+    construct_unary_cat,
     is_minor,
     project,
 )
-from gramgrow.fs import FSError, equal, parse_fs
+from gramgrow.fs import Category, FSError, equal, parse_fs
 from gramgrow.resources import load_demo
 
 
@@ -26,6 +26,10 @@ def lex(demo):
 
 CFG = XBarConfig(max_bar=3)
 CFG_HFC = CFG.with_hfc(True)
+
+
+def one(d):
+    return Category((d,))
 
 
 def test_bar_of_and_minor(demo, lex):
@@ -65,7 +69,7 @@ def test_project_rejects_out_of_range(demo, lex):
 
 
 def test_construct_unary_raises_bar(demo, lex):
-    rule = construct_unary(lex["happy"], XBarConfig(max_bar=2), "*unary1")
+    rule = construct_unary_cat(one(lex["happy"]), XBarConfig(max_bar=2), "*unary1")
     assert not isinstance(rule, Rejection)
     assert rule.arity == 1
     lhs = rule.lhs
@@ -75,19 +79,19 @@ def test_construct_unary_raises_bar(demo, lex):
 
 
 def test_construct_unary_boundary(demo, lex):
-    got = construct_unary(lex["Sam"], XBarConfig(max_bar=2), "*unary2")
+    got = construct_unary_cat(one(lex["Sam"]), XBarConfig(max_bar=2), "*unary2")
     assert isinstance(got, Rejection) and got.reason == Rejection.MAX_BAR
 
 
 def test_construct_unary_no_bar(demo, lex):
-    got = construct_unary(lex["the"], CFG, "*unary3")
+    got = construct_unary_cat(one(lex["the"]), CFG, "*unary3")
     assert isinstance(got, Rejection) and got.reason == Rejection.NO_BAR
 
 
 def test_construct_unary_minor():
     registry, lexicon, _ = __claws()
     det = lexicon.lexical_categories("AT")[0]
-    got = construct_unary(det, XBarConfig(max_bar=3), "*unary4")
+    got = construct_unary_cat(one(det), XBarConfig(max_bar=3), "*unary4")
     assert isinstance(got, Rejection) and got.reason == Rejection.MINOR
 
 
@@ -99,7 +103,7 @@ def __claws():
 
 def test_construct_binary_worked_example(demo, lex):
     registry, _, _, labels = demo
-    rule = construct_binary(lex["happy"], lex["cat"], XBarConfig(max_bar=2), "*binary1")
+    rule = construct_binary_cat(one(lex["happy"]), one(lex["cat"]), XBarConfig(max_bar=2), "*binary1")
     assert not isinstance(rule, Rejection)
     got = {labels.paraphrase(d) for d in rule.lhs.disjuncts}
     assert got == {"AP", "NP", "Adj", "N1"}
@@ -117,18 +121,18 @@ def test_construct_binary_worked_example(demo, lex):
 
 def test_construct_binary_minor_daughter_skipped(demo, lex):
     registry, _, _, labels = demo
-    rule = construct_binary(lex["the"], lex["cat"], XBarConfig(max_bar=2), "*binary2")
+    rule = construct_binary_cat(one(lex["the"]), one(lex["cat"]), XBarConfig(max_bar=2), "*binary2")
     assert not isinstance(rule, Rejection)
     assert {labels.paraphrase(d) for d in rule.lhs.disjuncts} == {"N1", "NP"}
 
 
 def test_construct_binary_two_minor_daughters(demo, lex):
-    got = construct_binary(lex["the"], lex["the"], CFG, "*binary3")
+    got = construct_binary_cat(one(lex["the"]), one(lex["the"]), CFG, "*binary3")
     assert isinstance(got, Rejection) and got.reason == Rejection.NO_HEAD
 
 
 def test_construct_binary_hfc_lhs_is_pure_head(demo, lex):
-    rule = construct_binary(lex["happy"], lex["cat"], XBarConfig(max_bar=2, hfc=True), "*b4")
+    rule = construct_binary_cat(one(lex["happy"]), one(lex["cat"]), XBarConfig(max_bar=2, hfc=True), "*b4")
     for d in rule.lhs.disjuncts:
         assert d.get("NTYPE") is None
         for feat in d.root_features:
@@ -139,6 +143,6 @@ def test_construct_binary_disjunctive_daughter(demo):
     registry, _, _, labels = demo
     c1 = parse_fs("[N -, V +, BAR 0, DET -]", registry)
     c2 = parse_fs("{[N -, V -, BAR 2, DET -], [N +, V -, BAR 3, DET -]}", registry)
-    rule = construct_binary(c1, c2, CFG, "*b5")
+    rule = construct_binary_cat(c1, c2, CFG, "*b5")
     labels_got = {labels.paraphrase(d) for d in rule.lhs.disjuncts}
     assert labels_got == {"V0", "VP", "PP", "P3", "N3"}

@@ -12,7 +12,6 @@ from gramgrow.fs import (
     MalformedSyntax,
     UndeclaredFeature,
     UndeclaredValue,
-    denotation,
     equal,
     equal_cat,
     expand,
@@ -25,7 +24,7 @@ from gramgrow.fs import (
     unify_cat,
 )
 
-from genfs import GEN_REGISTRY, random_category, random_extension, random_fs
+from genfs import GEN_REGISTRY, denotation, random_category, random_extension, random_fs
 
 REG = FeatureRegistry.from_text(
     """
@@ -84,6 +83,13 @@ def test_parse_errors():
         cat("[N +")
     with pytest.raises(MalformedSyntax):
         cat("[N + V -]")
+
+
+def test_parse_cyclic_or_clashing_tag_is_malformed():
+    with pytest.raises(MalformedSyntax):
+        parse_fs("[CAT #1 = [CAT #1]]")
+    with pytest.raises(MalformedSyntax):
+        cat("[PER #1 = 3, PERSON #1 = 2]")
 
 
 def test_print_parse_fixpoint():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from gramgrow.fs import equal_cat, parse_fs, print_fs
+from gramgrow.chart import SessionFlags, parse
+from gramgrow.fs import MalformedSyntax, equal_cat, parse_fs, print_fs
 from gramgrow.grammar import (
     Grammar,
     SupportRecord,
@@ -12,7 +13,8 @@ from gramgrow.grammar import (
     rule_subsumes,
     super_rule,
 )
-from gramgrow.resources import load_claws, load_demo
+from gramgrow.model import load_model
+from gramgrow.resources import data_path, load_claws, load_demo
 
 from genfs import GEN_REGISTRY, random_category
 
@@ -159,6 +161,51 @@ def test_grammar_save_load_round_trip(tmp_path, demo):
         assert equal_cat(a.lhs, b.lhs)
         for i in range(1, a.arity + 1):
             assert equal_cat(a.rhs(i), b.rhs(i))
+
+
+def _learn_into(grammar, lexicon, sentence, hfc=False):
+    model = load_model(data_path("demo.model"), grammar.registry)
+    flags = SessionFlags(learning=True, hfc=hfc)
+    return parse(sentence.split(), grammar, lexicon, model, flags=flags)
+
+
+def test_save_learnt_is_lossless(tmp_path, demo):
+    registry, _, lexicon, _ = demo
+    g = Grammar(registry)
+    g.load_rules(__demo_grammar_path())
+    _learn_into(g, lexicon, "Sam chases the cat down the road", hfc=True)
+    assert any(len(rule.instances) > 1 for rule in g.learnt)
+    first, second = tmp_path / "first.rules", tmp_path / "second.rules"
+    g.save_learnt(first)
+    g2 = Grammar(registry)
+    g2.load_rules(first, origin="learnt")
+    g2.save_learnt(second)
+    assert first.read_bytes() == second.read_bytes()
+    assert [r.id for r in g2.learnt] == [r.id for r in g.learnt]
+    for a, b in zip(g.learnt, g2.learnt):
+        assert set(a.instances) == set(b.instances)
+
+
+def test_rule_alternatives_share_one_arity(demo):
+    registry = demo[0]
+    with pytest.raises(MalformedSyntax):
+        parse_rule_line("rule r : [BAR 2] -> [BAR 1] | [BAR 2] -> [BAR 1] [BAR 0]", registry)
+
+
+def test_learning_after_reload_gives_fresh_ids(tmp_path, demo):
+    registry, _, lexicon, _ = demo
+    g = Grammar(registry)
+    g.load_rules(__demo_grammar_path())
+    _learn_into(g, lexicon, "Sam chases the happy cat")
+    saved = tmp_path / "learnt.rules"
+    g.save_learnt(saved)
+    g2 = Grammar(registry)
+    g2.load_rules(__demo_grammar_path())
+    g2.load_rules(saved, origin="learnt")
+    res = _learn_into(g2, lexicon, "Sam chases the cat down the road")
+    assert res.learnt
+    for rule in res.learnt:
+        assert rule.support.mother == rule.id
 
 
 def test_format_rule_round_trip_random():

@@ -6,7 +6,6 @@ from gramgrow.fs import Category, parse_fs
 from gramgrow.model import (
     apply_type,
     criticise_rhs,
-    hfc_check,
     load_model,
     lp_check,
     match,
@@ -16,6 +15,8 @@ from gramgrow.model import (
 )
 from gramgrow.grammar import parse_rule_line
 from gramgrow.resources import data_path, load_demo
+
+from hfc import hfc_check
 
 
 @pytest.fixture(scope="module")
@@ -169,10 +170,13 @@ def test_type_check_permissive_when_undefined(demo):
 
 def test_hfc_check_on_projected_rule(demo):
     registry, _, lexicon, _, model = demo
-    from gramgrow.constructor import construct_binary
+    from gramgrow.constructor import construct_binary_cat
 
-    rule = construct_binary(
-        lex1(lexicon, "happy"), lex1(lexicon, "cat"), model.xbar.with_hfc(True), "*b1"
+    rule = construct_binary_cat(
+        Category((lex1(lexicon, "happy"),)),
+        Category((lex1(lexicon, "cat"),)),
+        model.xbar.with_hfc(True),
+        "*b1",
     )
     assert hfc_check(rule, model.xbar)
 
@@ -195,38 +199,30 @@ def _pairs(lexicon):
 
 def test_criticise_rhs_all_off_accepts_everything(demo):
     registry, _, lexicon, _, model = demo
-    from gramgrow.model import ModelConfig
-
-    off = ModelConfig(model.lp_rules, model.typemap, model.xbar, lp_on=False, types_on=False)
     for a, b in _pairs(lexicon):
         rhs = [Category((lex1(lexicon, a),)), Category((lex1(lexicon, b),))]
-        assert criticise_rhs(rhs, off, registry) is True
+        assert criticise_rhs(rhs, model, registry, lp=False, types=False) is True
 
 
 def test_criticise_rhs_matches_conjunction_oracle(demo):
     registry, _, lexicon, _, model = demo
-    from gramgrow.model import ModelConfig
-
     for lp_on, types_on in itertools.product((False, True), repeat=2):
-        cfg = ModelConfig(model.lp_rules, model.typemap, model.xbar, lp_on, types_on)
         for a, b in _pairs(lexicon):
             rhs = [Category((lex1(lexicon, a),)), Category((lex1(lexicon, b),))]
             expect = (not lp_on or lp_check(rhs, model.lp_rules)) and (
                 not types_on or type_check(rhs, model.typemap, registry)
             )
-            assert (criticise_rhs(rhs, cfg, registry) is True) == expect
+            assert (criticise_rhs(rhs, model, registry, lp_on, types_on) is True) == expect
 
 
 def test_adding_principles_never_grows_accepted_set(demo):
     registry, _, lexicon, _, model = demo
-    from gramgrow.model import ModelConfig
 
     def accepted(lp_on, types_on):
-        cfg = ModelConfig(model.lp_rules, model.typemap, model.xbar, lp_on, types_on)
         out = set()
         for a, b in _pairs(lexicon):
             rhs = [Category((lex1(lexicon, a),)), Category((lex1(lexicon, b),))]
-            if criticise_rhs(rhs, cfg, registry) is True:
+            if criticise_rhs(rhs, model, registry, lp_on, types_on) is True:
                 out.add((a, b))
         return out
 

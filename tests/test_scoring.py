@@ -10,7 +10,6 @@ from gramgrow.scoring import (
     decompose,
     geo_mean,
     judge,
-    lookup,
     score_tree,
     train,
 )
@@ -101,19 +100,19 @@ def test_train_twice_doubles(six_triple_store):
 
 def test_lookup_oracle_fractions(six_triple_store):
     st = six_triple_store
-    assert lookup(st, acat("S"), acat("NP")) == 2 / 9
-    assert lookup(st, acat("VP"), acat("NP")) == 1 / 9
-    assert lookup(st, acat("S"), acat("PP")) == st.delta
+    assert st.lookup(acat("S"), acat("NP")) == 2 / 9
+    assert st.lookup(acat("VP"), acat("NP")) == 1 / 9
+    assert st.lookup(acat("S"), acat("PP")) == st.delta
 
 
 def test_lookup_empty_category_matches_everything(six_triple_store):
     empty = Category((FS.empty(),))
-    assert lookup(six_triple_store, empty, empty) == 1.0
+    assert six_triple_store.lookup(empty, empty) == 1.0
 
 
 def test_lookup_empty_store_is_delta():
     store = TripleStore(delta=0.004, omega=0.2)
-    assert lookup(store, acat("S"), acat("NP")) == 0.004
+    assert store.lookup(acat("S"), acat("NP")) == 0.004
 
 
 def test_lookup_monotone_under_specialization():
@@ -123,8 +122,8 @@ def test_lookup_monotone_under_specialization():
         parse_fs("[CAT NP, PLU -]", reg).disjuncts[0], parse_fs("[CAT S]", reg).disjuncts[0]
     )
     store.add(parse_fs("[CAT NP, PLU +]", reg).disjuncts[0], parse_fs("[CAT S]", reg).disjuncts[0])
-    loose = lookup(store, parse_fs("[CAT NP]", reg), parse_fs("[]", reg))
-    tight = lookup(store, parse_fs("[CAT NP, PLU -]", reg), parse_fs("[]", reg))
+    loose = store.lookup(parse_fs("[CAT NP]", reg), parse_fs("[]", reg))
+    tight = store.lookup(parse_fs("[CAT NP, PLU -]", reg), parse_fs("[]", reg))
     assert tight <= loose
 
 
@@ -154,7 +153,7 @@ def test_score_interior_tree(six_triple_store):
 def test_score_disjunctive_node_is_max(six_triple_store):
     both = Category((afs("S"), afs("NP")))
     t = ParseTree(both, rule_id="x", children=[leaf("VP")])
-    want = max(lookup(six_triple_store, acat("S"), acat("VP")), six_triple_store.delta)
+    want = max(six_triple_store.lookup(acat("S"), acat("VP")), six_triple_store.delta)
     assert math.isclose(score_tree(six_triple_store, t, ATOM_REG), want)
 
 
@@ -254,7 +253,23 @@ def test_store_save_load_round_trip(tmp_path, six_triple_store):
     assert back.total == six_triple_store.total
     assert back.delta == six_triple_store.delta
     assert len(back.triples) == 6
-    assert lookup(back, acat("S"), acat("NP")) == 2 / 9
+    assert back.lookup(acat("S"), acat("NP")) == 2 / 9
+
+
+def test_store_load_keeps_triples_before_params(tmp_path):
+    path = tmp_path / "triples.txt"
+    path.write_text(
+        "triple [CAT S] [CAT NP] 2\n"
+        "params delta 0.01 omega 0.5\n"
+        "triple [CAT S] [CAT VP] 3\n"
+    )
+    back = TripleStore.load(path, ATOM_REG)
+    assert back.total == 5 and len(back.triples) == 2
+    assert (back.delta, back.omega) == (0.01, 0.5)
+    assert back.lookup(acat("S"), acat("NP")) == 2 / 5
+    path.write_text("triple [CAT S] [CAT NP] 2\nparams delta 0.5 omega 0.5\n")
+    with pytest.raises(ValueError):
+        TripleStore.load(path, ATOM_REG)
 
 
 def test_lookup_bookkeeping_reconstructs_frequencies(six_triple_store):
@@ -262,7 +277,7 @@ def test_lookup_bookkeeping_reconstructs_frequencies(six_triple_store):
     # recovers exactly its own frequency share
     st = six_triple_store
     for t in st.triples:
-        got = lookup(st, Category((t.mother,)), Category((t.daughter,)))
+        got = st.lookup(Category((t.mother,)), Category((t.daughter,)))
         assert math.isclose(got * st.total, t.freq)
 
 
