@@ -14,8 +14,8 @@ import itertools
 from collections import deque
 
 from .constructor import Rejection, construct_binary_cat, construct_unary_cat
-from .fs import Category, EMPTY_CAT, FS, clashes, fs_from_pairs, simplify, unify, unify_cat
-from .grammar import LHS, SupportRecord, UnknownTerminal, slot, super_rule
+from .fs import Category, EMPTY_CAT, FS, clashes, unify, unify_cat
+from .grammar import LHS, SupportRecord, UnknownTerminal, cat_at, slot, super_rule
 from .model import criticise_rhs
 from . import scoring
 
@@ -112,14 +112,13 @@ class Edge:
             if self.is_lexical:
                 self._cat = Category(self.instances)
             else:
-                self._cat = simplify(Category([_part(inst, LHS) for inst in self.instances]))
+                self._cat = cat_at(self.instances, LHS)
         return self._cat
 
     def slot_cat(self, i):
         hit = self._slot_cats.get(i)
         if hit is None:
-            hit = simplify(Category([_part(inst, slot(i)) for inst in self.instances]))
-            self._slot_cats[i] = hit
+            hit = self._slot_cats[i] = cat_at(self.instances, slot(i))
         return hit
 
     def replace_instances(self, instances):
@@ -130,11 +129,6 @@ class Edge:
     def __repr__(self):
         kind = "lex" if self.is_lexical else ("inactive" if self.is_inactive else "active")
         return "Edge(%d %s %d..%d %s)" % (self.id, kind, self.start, self.end, self.rule_id)
-
-
-def _part(inst, feat):
-    v = inst.get(feat)
-    return v if isinstance(v, FS) else FS.empty()
 
 
 class Chart:
@@ -329,7 +323,7 @@ class ChartParser:
             for d in disjuncts:
                 if isinstance(slot_fs, FS) and clashes(slot_fs, d):
                     continue
-                u = unify(inst, fs_from_pairs([(feat, d)]))
+                u = unify(inst, d, at=feat)
                 if u is not None:
                     survivors.append(u)
         if not survivors:
@@ -433,10 +427,10 @@ class ChartParser:
                 continue
             for inst in rule.instances:
                 for combo in itertools.product(*[c.disjuncts for c in rhs]):
-                    wrapper = fs_from_pairs(
-                        [(slot(i), d) for i, d in enumerate(combo, start=1)]
-                    )
-                    if unify(inst, wrapper) is not None:
+                    u = inst
+                    for i, d in enumerate(combo, start=1):
+                        u = u and unify(u, d, at=slot(i))
+                    if u is not None:
                         return True
         return False
 
@@ -496,17 +490,17 @@ class ChartParser:
         narrowed = []
         for inst in edge.instances:
             for f in forced.disjuncts:
-                u = unify(inst, fs_from_pairs([(LHS, f)]))
+                u = unify(inst, f, at=LHS)
                 if u is not None:
                     narrowed.append(u)
         if not narrowed:
             return
         narrowed = tuple(dict.fromkeys(narrowed))
-        node_cat = simplify(Category([_part(inst, LHS) for inst in narrowed]))
+        node_cat = cat_at(narrowed, LHS)
         rule_id = edge.built_rule.id if edge.built_rule is not None else edge.rule_id
         child_iters = []
         for i, cid in enumerate(edge.children, start=1):
-            child_forced = simplify(Category([_part(inst, slot(i)) for inst in narrowed]))
+            child_forced = cat_at(narrowed, slot(i))
             child_iters.append(list(self._edge_trees(self.chart.edge(cid), child_forced)))
         for combo in itertools.product(*child_iters):
             yield ParseTree(node_cat, rule_id=rule_id, children=combo)
@@ -540,8 +534,9 @@ class ChartParser:
                 for c in node.children
             )
             support = SupportRecord(rid, daughters)
-            if self.grammar.add_learnt(rule, support):
-                retained.append(rule)
+            stored = self.grammar.add_learnt(rule, support)
+            if stored is not None:
+                retained.append(stored)
             else:
                 subsumer = self.grammar.subsumer_of(rule)
                 if subsumer is not None:

@@ -186,16 +186,12 @@ class Session:
         setattr(self.flags, attr, value)
 
     def learn_corpus(self, path):
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                self.say("> %s" % line)
-                try:
-                    self.parse_sentence(line)
-                except UnknownTerminal as err:
-                    self.say("error: %s" % err)
+        for line in _read_lines(path):
+            self.say("> %s" % line)
+            try:
+                self.parse_sentence(line)
+            except UnknownTerminal as err:
+                self.say("error: %s" % err)
 
     def train_corpus(self, path):
         if self.store is None:
@@ -204,15 +200,11 @@ class Session:
         self.flags.learning = False
         self.flags.training = True
         try:
-            with open(path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        self.parse_sentence(line, quiet=True)
-                    except UnknownTerminal as err:
-                        self.say("warning: %s" % err)
+            for line in _read_lines(path):
+                try:
+                    self.parse_sentence(line, quiet=True)
+                except UnknownTerminal as err:
+                    self.say("warning: %s" % err)
         finally:
             self.flags.learning, self.flags.training = was
         self.say("%d triple(s), total frequency %d" % (len(self.store.triples), self.store.total))
@@ -345,22 +337,6 @@ def _dispatch(session, line):
     if line == "flags":
         session.show_flags()
         return False
-    try:
-        words = shlex.split(line)
-    except ValueError as err:
-        raise MalformedSyntax(str(err)) from None
-    cmd = words[0]
-    if cmd == "set" and len(words) == 3 and words[2] in ("on", "off"):
-        session.set_flag(words[1], words[2] == "on")
-        return False
-    if cmd == "limits" and len(words) == 3:
-        try:
-            n = None if words[1] in ("off", "0") else int(words[1])
-            m = None if words[2] in ("off", "0") else int(words[2])
-            session.limits = ParserLimits(n, m)
-        except ValueError as err:
-            raise MalformedSyntax(str(err)) from None
-        return False
     loaders = {
         "load-features": session.load_features,
         "load-grammar": session.load_grammar,
@@ -373,30 +349,56 @@ def _dispatch(session, line):
         "train-corpus": session.train_corpus,
         "save-learnt": session.save_learnt,
     }
-    if cmd in loaders and len(words) == 2:
-        loaders[cmd](words[1])
-        return False
-    if cmd == "refine-grammar" or line == "!(refine-grammar)":
+    # the first word names the command; only a command's arguments are
+    # shlex-split, so a bare sentence may hold an apostrophe
+    cmd = line.split()[0]
+    if cmd == "set":
+        words = _words(line)
+        if len(words) == 3 and words[2] in ("on", "off"):
+            session.set_flag(words[1], words[2] == "on")
+            return False
+    elif cmd == "limits":
+        words = _words(line)
+        if len(words) == 3:
+            try:
+                n = None if words[1] in ("off", "0") else int(words[1])
+                m = None if words[2] in ("off", "0") else int(words[2])
+                session.limits = ParserLimits(n, m)
+            except ValueError as err:
+                raise MalformedSyntax(str(err)) from None
+            return False
+    elif cmd in loaders:
+        words = _words(line)
+        if len(words) == 2:
+            loaders[cmd](words[1])
+            return False
+    elif cmd in ("refine-grammar", "!(refine-grammar)"):
         session.refine()
         return False
-    if cmd == "eval":
+    elif cmd == "eval":
         ap = _eval_args()
         ap.add_argument("--seed", type=int)
-        report = _run_eval(session, ap.parse_args(words[1:]))
+        report = _run_eval(session, ap.parse_args(_words(line)[1:]))
         session.say(_summary(report).rstrip("\n"))
         return False
-    if cmd == "parse" and len(words) >= 2:
-        session.parse_sentence(" ".join(words[1:]))
-        return False
-    if cmd in loaders or cmd in ("set", "limits", "parse"):
-        session.say(USAGE)
-        return False
-    # bare sentence
-    if session.ready():
+    elif cmd == "parse":
+        words = _words(line)
+        if len(words) >= 2:
+            session.parse_sentence(" ".join(words[1:]))
+            return False
+    elif session.ready():
+        # a bare sentence, split on whitespace as learn-corpus does
         session.parse_sentence(line)
-    else:
-        session.say(USAGE)
+        return False
+    session.say(USAGE)
     return False
+
+
+def _words(line):
+    try:
+        return shlex.split(line)
+    except ValueError as err:
+        raise MalformedSyntax(str(err)) from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -8,8 +8,8 @@ feature convention is compiled in.
 
 from __future__ import annotations
 
-from .fs import FS, FSError, _MNode
-from .grammar import LHS, LEARNT, Rule, slot
+from .fs import FSError, _Graph
+from .grammar import LHS, LEARNT, Rule, bar_of, slot
 
 DEFAULT_NONHEAD = frozenset({"NTYPE", "CASE", "CONJ", "NULL", "BAR"})
 
@@ -59,17 +59,6 @@ class Rejection:
         return "Rejection(%s)" % self.reason
 
 
-def bar_of(d, cfg):
-    """Bar level of a daughter; a disjoined BAR counts as its highest level."""
-    v = d.get(cfg.bar_feature)
-    if isinstance(v, str) and v.isdigit():
-        return int(v)
-    if isinstance(v, frozenset):
-        levels = [int(x) for x in v if x.isdigit()]
-        return max(levels) if levels else None
-    return None
-
-
 def is_minor(d, cfg):
     v = d.get(cfg.minor_feature)
     if v is None:
@@ -87,31 +76,30 @@ def project(d, bar, cfg):
         raise FSError("cannot project a minor category")
     if not 0 <= bar <= cfg.max_bar:
         raise FSError("bar level %d out of range" % bar)
-    root = d.to_mutable()
-    return FS.from_mutable(_project_node(root, bar, cfg))
+    graph = _Graph()
+    return graph.freeze(_project_node(graph, graph.load(d), bar, cfg))
 
 
-def _project_node(src, bar, cfg):
-    """Projection as a mutable node; with HFC on the head-feature values are
-    the daughter's own nodes (shared), otherwise `src` must be a private copy
-    that can be reshaped in place."""
-    node = _MNode()
-    for feat, child in src.feats.items():
+def _project_node(graph, src, bar, cfg):
+    """Projection of the node src as a new node of the graph; with HFC on
+    the head-feature values are src's own nodes (shared), otherwise src must
+    be a private copy."""
+    node = graph.add()
+    feats = graph.feats[node]
+    for feat, child in graph.feats[src].items():
         if feat == cfg.bar_feature:
             continue
         if cfg.hfc and feat in cfg.nonhead:
             continue
-        node.feats[feat] = child
-    level = _MNode()
-    level.atom = str(bar)
-    node.feats[cfg.bar_feature] = level
+        feats[feat] = child
+    feats[cfg.bar_feature] = graph.add(str(bar))
     return node
 
 
 def _candidate_bars(d, cfg, include_same_bar):
     if is_minor(d, cfg):
         return None, Rejection.MINOR
-    bar = bar_of(d, cfg)
+    bar = bar_of(d, cfg.bar_feature)
     if bar is None:
         return None, Rejection.NO_BAR
     bars = [bar, bar + 1] if include_same_bar else [bar + 1]
@@ -159,14 +147,15 @@ def _instance(cfg, bar, head_pos, daughters):
     """One rule instance: wrapper with the projection of daughters[head_pos]
     at `bar` as LHS.  With HFC the projection shares the head daughter's
     feature values."""
-    root = _MNode()
-    muts = [d.to_mutable() for d in daughters]
-    for i, m in enumerate(muts, start=1):
-        root.feats[slot(i)] = m
+    graph = _Graph()
+    root = graph.add()
+    roots = [graph.load(d) for d in daughters]
+    for i, r in enumerate(roots, start=1):
+        graph.feats[root][slot(i)] = r
     if cfg.hfc:
-        head_src = muts[head_pos]
+        head_src = roots[head_pos]
     else:
-        head_src = daughters[head_pos].to_mutable()  # private copy: no sharing
-    root.feats[LHS] = _project_node(head_src, bar, cfg)
-    return FS.from_mutable(root)
+        head_src = graph.load(daughters[head_pos])  # private copy: no sharing
+    graph.feats[root][LHS] = _project_node(graph, head_src, bar, cfg)
+    return graph.freeze(root)
 

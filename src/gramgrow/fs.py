@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import warnings
 
 
 class FSError(ValueError):
@@ -102,32 +103,107 @@ class FeatureRegistry:
             return cls.from_text(f.read())
 
 
-class _MNode:
-    """Mutable node used while building or unifying."""
-
-    __slots__ = ("atom", "vset", "feats", "link")
-
-    def __init__(self, atom=None, vset=None):
-        self.atom = atom
-        self.vset = vset
-        self.feats = {}
-        self.link = None  # union-find forwarding
-
-    def find(self):
-        node = self
-        while node.link is not None:
-            node = node.link
-        # path compression
-        walk = self
-        while walk.link is not None:
-            nxt = walk.link
-            walk.link = node
-            walk = nxt
-        return node
-
-
 class _Bottom(Exception):
     pass
+
+
+class _Graph:
+    """Scratch graph for building and unifying structures.
+
+    A node is an id with a payload (None, an atom or a frozenset of atoms), a
+    feature dict (feature -> node id) and a union-find link; merged nodes
+    forward to their representative, and only `freeze` copies out.
+    """
+
+    __slots__ = ("payload", "feats", "link")
+
+    def __init__(self):
+        self.payload = []
+        self.feats = []
+        self.link = []
+
+    def add(self, payload=None):
+        self.payload.append(payload)
+        self.feats.append({})
+        self.link.append(len(self.link))
+        return len(self.link) - 1
+
+    def load(self, fs):
+        """Copy a frozen structure in; returns the id of its root."""
+        base = len(self.link)
+        self.payload.extend(payload for payload, _ in fs._nodes)
+        self.feats.extend({f: base + c for f, c in feats} for _, feats in fs._nodes)
+        self.link.extend(range(base, len(self.payload)))
+        return base
+
+    def find(self, i):
+        link = self.link
+        root = i
+        while link[root] != root:
+            root = link[root]
+        while link[i] != root:  # path compression
+            link[i], i = root, link[i]
+        return root
+
+    def merge(self, i, j):
+        """Unify the nodes i and j in place; _Bottom on a clash."""
+        payload, feats, link = self.payload, self.feats, self.link
+        pending = [(i, j)]
+        while pending:
+            a, b = pending.pop()
+            a, b = self.find(a), self.find(b)
+            if a == b:
+                continue
+            link[b] = a
+            pa, pb = payload[a], payload[b]
+            if pb is not None:
+                if pa is None:
+                    payload[a] = pb
+                elif isinstance(pa, str):
+                    if (pa != pb) if isinstance(pb, str) else (pa not in pb):
+                        raise _Bottom()
+                elif isinstance(pb, str):
+                    if pb not in pa:
+                        raise _Bottom()
+                    payload[a] = pb
+                else:
+                    inter = pa & pb
+                    if not inter:
+                        raise _Bottom()
+                    payload[a] = next(iter(inter)) if len(inter) == 1 else inter
+            fa, fb = feats[a], feats[b]
+            if payload[a] is not None and (fa or fb):
+                raise _Bottom()
+            for feat, child in fb.items():
+                if feat in fa:
+                    pending.append((fa[feat], child))
+                else:
+                    fa[feat] = child
+
+    def freeze(self, root):
+        """The FS under root, numbered by first visit in a DFS that takes
+        features alphabetically; _Bottom if the graph is cyclic."""
+        payload, feats, find = self.payload, self.feats, self.find
+        index = {}
+        nodes = []
+        on_path = set()
+
+        def visit(i):
+            i = find(i)
+            n = index.get(i)
+            if n is not None:
+                if i in on_path:
+                    raise _Bottom()  # cyclic
+                return n
+            n = index[i] = len(nodes)
+            nodes.append(None)
+            on_path.add(i)
+            nodes[n] = (payload[i], tuple([(f, visit(c)) for f, c in sorted(feats[i].items())]))
+            on_path.discard(i)
+            return n
+
+        visit(root)
+        return FS(tuple(nodes))
 
 
 class FS:
@@ -151,48 +227,6 @@ class FS:
     def empty():
         return _EMPTY_FS
 
-    @classmethod
-    def from_mutable(cls, root):
-        index = {}
-        order = []
-        on_path = set()
-
-        def visit(node):
-            node = node.find()
-            if id(node) in on_path:
-                raise _Bottom()  # cyclic
-            if id(node) in index:
-                return
-            index[id(node)] = len(order)
-            order.append(node)
-            on_path.add(id(node))
-            for feat in sorted(node.feats):
-                visit(node.feats[feat])
-            on_path.discard(id(node))
-
-        visit(root)
-        nodes = []
-        for node in order:
-            payload = node.atom if node.atom is not None else node.vset
-            feats = tuple(sorted((f, index[id(c.find())]) for f, c in node.feats.items()))
-            nodes.append((payload, feats))
-        return cls(tuple(nodes))
-
-    def to_mutable(self):
-        made = [None] * len(self._nodes)
-        for i in range(len(self._nodes) - 1, -1, -1):
-            payload, feats = self._nodes[i]
-            node = _MNode()
-            if isinstance(payload, str):
-                node.atom = payload
-            elif payload is not None:
-                node.vset = payload
-            made[i] = node
-        for i, (_, feats) in enumerate(self._nodes):
-            for feat, child in feats:
-                made[i].feats[feat] = made[child]
-        return made[0]
-
     # -- structure accessors -------------------------------------------------
 
     @property
@@ -209,8 +243,6 @@ class FS:
 
     def _value_at(self, idx):
         payload, feats = self._nodes[idx]
-        if isinstance(payload, str):
-            return payload
         if payload is not None:
             return payload
         if feats:
@@ -251,9 +283,6 @@ class FS:
                     out[feat] = payload
             self._rootmap = out
         return self._rootmap
-
-    def is_empty(self):
-        return self is _EMPTY_FS or self._nodes == _EMPTY_FS._nodes
 
     def __eq__(self, other):
         return isinstance(other, FS) and self._nodes == other._nodes
@@ -301,23 +330,12 @@ EMPTY_CAT = Category((_EMPTY_FS,))
 
 
 def fs_from_pairs(pairs):
-    """Build a flat FS from (feature, value) pairs; values may be atoms,
-    iterables of atoms, or FS."""
-    root = _MNode()
+    """Build a structure whose root features hold the given FS values."""
+    graph = _Graph()
+    root = graph.add()
     for feature, value in pairs:
-        node = _MNode()
-        if isinstance(value, FS):
-            node = value.to_mutable()
-        elif isinstance(value, str):
-            node.atom = value
-        elif value is not None:
-            vs = frozenset(value)
-            if len(vs) == 1:
-                node.atom = next(iter(vs))
-            else:
-                node.vset = vs
-        root.feats[feature.upper()] = node
-    return FS.from_mutable(root)
+        graph.feats[root][feature.upper()] = graph.load(value)
+    return graph.freeze(root)
 
 
 # -- subsumption -----------------------------------------------------------
@@ -383,47 +401,6 @@ def equal_cat(c, c2):
 # -- unification -----------------------------------------------------------
 
 
-def _merge(a, b, pending):
-    a = a.find()
-    b = b.find()
-    if a is b:
-        return
-    b.link = a
-    # payload combination
-    if b.atom is not None:
-        if a.atom is not None:
-            if a.atom != b.atom:
-                raise _Bottom()
-        elif a.vset is not None:
-            if b.atom not in a.vset:
-                raise _Bottom()
-            a.atom, a.vset = b.atom, None
-        else:
-            a.atom = b.atom
-    elif b.vset is not None:
-        if a.atom is not None:
-            if a.atom not in b.vset:
-                raise _Bottom()
-        elif a.vset is not None:
-            inter = a.vset & b.vset
-            if not inter:
-                raise _Bottom()
-            if len(inter) == 1:
-                a.atom, a.vset = next(iter(inter)), None
-            else:
-                a.vset = inter
-        else:
-            a.vset = b.vset
-    if (a.atom is not None or a.vset is not None) and (a.feats or b.feats):
-        raise _Bottom()
-    for feat, child in b.feats.items():
-        if feat in a.feats:
-            pending.append((a.feats[feat], child))
-        else:
-            a.feats[feat] = child
-    b.feats = {}
-
-
 def clashes(d, d2):
     """Cheap sound incompatibility test on root-level payloads (a True result
     guarantees unification failure; False guarantees nothing)."""
@@ -449,19 +426,22 @@ def clashes(d, d2):
     return False
 
 
-def unify(d, d2):
+def unify(d, d2, at=None):
     """Least upper bound of two feature structures, or None on inconsistency
-    (including a would-be cyclic result)."""
-    if clashes(d, d2):
+    (including a would-be cyclic result).  With `at`, d2 is unified into the
+    value of d's root feature `at` (attached there if d lacks it)."""
+    if at is None and clashes(d, d2):
         return None
-    r1 = d.to_mutable()
-    r2 = d2.to_mutable()
-    pending = [(r1, r2)]
+    graph = _Graph()
+    root = graph.load(d)
+    other = graph.load(d2)
+    if at is not None:
+        wrapper = graph.add()
+        graph.feats[wrapper][at] = other
+        other = wrapper
     try:
-        while pending:
-            a, b = pending.pop()
-            _merge(a, b, pending)
-        return FS.from_mutable(r1)
+        graph.merge(root, other)
+        return graph.freeze(root)
     except _Bottom:
         return None
 
@@ -603,15 +583,16 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens, registry, pattern, tags):
-        self.tokens = tokens
+    def __init__(self, text, registry, pattern, shared):
+        self.tokens = _tokenize(text)
         self.i = 0
         self.registry = registry
         self.pattern = pattern
-        # tag text -> _MNode; an externally supplied dict widens the scope to
-        # a whole rule line, otherwise each disjunct is its own scope
-        self.shared_tags = tags
-        self.tags = tags if tags is not None else {}
+        self.graph = _Graph()
+        # tag text -> node id; shared: one scope for the whole text, otherwise
+        # each disjunct is its own scope
+        self.shared = shared
+        self.tags = {}
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
@@ -624,31 +605,33 @@ class _Parser:
         return tok
 
     def category(self):
+        """The next category, frozen at once, and its disjuncts' node ids."""
         kind, _ = self.peek()
         if kind == "bottom":
             self.take()
-            return BOTTOM
+            return BOTTOM, ()
         try:
             if kind == "lbrace":
                 self.take()
-                disjuncts = [self._scoped_fs()]
+                roots = [self._scoped_fs()]
                 while self.peek()[0] == "comma":
                     self.take()
-                    disjuncts.append(self._scoped_fs())
+                    roots.append(self._scoped_fs())
                 self.take("rbrace")
-                return Category([FS.from_mutable(d) for d in disjuncts])
-            return Category([FS.from_mutable(self._scoped_fs())])
+            else:
+                roots = [self._scoped_fs()]
+            return Category([self.graph.freeze(r) for r in roots]), roots
         except _Bottom:
             raise MalformedSyntax("a tag is bound to clashing or cyclic values") from None
 
     def _scoped_fs(self):
-        if self.shared_tags is None:
+        if not self.shared:
             self.tags = {}
         return self.fs()
 
     def fs(self):
         self.take("lbrack")
-        root = _MNode()
+        root = self.graph.add()
         if self.peek()[0] == "rbrack":
             self.take()
             return root
@@ -656,9 +639,9 @@ class _Parser:
             feat = self.take("atom")[1].upper()
             if self.registry is not None:
                 self.registry.check(feat)
-            if feat in root.feats:
+            if feat in self.graph.feats[root]:
                 raise MalformedSyntax("duplicate feature %r" % feat)
-            root.feats[feat] = self.value(feat)
+            self.graph.feats[root][feat] = self.value(feat)
             if self.peek()[0] == "comma":
                 self.take()
                 continue
@@ -675,9 +658,7 @@ class _Parser:
                 raise UndeclaredValue("wildcard only allowed in patterns")
             if self.registry is not None:
                 self.registry.check(feat, value)
-            node = _MNode()
-            node.atom = value
-            return node
+            return self.graph.add(value)
         if kind == "lbrace":
             self.take()
             values = [self.take("atom")[1].upper()]
@@ -688,41 +669,66 @@ class _Parser:
             if self.registry is not None:
                 for v in values:
                     self.registry.check(feat, v)
-            node = _MNode()
             vs = frozenset(values)
             if len(vs) == 1:
-                import warnings
-
                 warnings.warn("singleton value disjunction collapsed to %r" % values[0])
-                node.atom = next(iter(vs))
-            else:
-                node.vset = vs
-            return node
+                return self.graph.add(values[0])
+            return self.graph.add(vs)
         if kind == "lbrack":
             return self.fs()
         if kind == "tag":
             self.take()
-            node = self.tags.setdefault(text, _MNode())
+            node = self.tags.get(text)
+            if node is None:
+                node = self.tags[text] = self.graph.add()
             if self.peek()[0] == "eq":
                 self.take()
-                content = self.value(feat)
-                pending = [(node, content)]
-                while pending:
-                    a, b = pending.pop()
-                    _merge(a, b, pending)
+                self.graph.merge(node, self.value(feat))
             return node
         raise MalformedSyntax("expected a value, got %r" % (text,))
 
 
-def parse_fs(text, registry=None, pattern=False, tags=None):
-    """Parse a category literal.  A shared `tags` dict extends tag scope over
-    several calls (used for whole rule lines)."""
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, registry, pattern, tags)
-    cat = parser.category()
-    if parser.i != len(tokens):
-        raise MalformedSyntax("trailing input after category: %r" % (tokens[parser.i][1],))
+def parse_fs(text, registry=None, pattern=False):
+    """Parse one category literal; each disjunct is its own tag scope."""
+    parser = _Parser(text, registry, pattern, shared=False)
+    cat, _ = parser.category()
+    if parser.i != len(parser.tokens):
+        raise MalformedSyntax("trailing input after category: %r" % (parser.peek()[1],))
     return cat
+
+
+def parse_cats(text, registry=None, joint=None):
+    """Parse a sequence of categories, each frozen as soon as it is parsed.
+
+    `text` may also be a list of strings, read one after the other as one
+    sequence; the categories then come back as one list per string.  With
+    `joint`, an iterable of feature names for the categories in order (names
+    past the last category are unused), the whole input is one tag scope,
+    and the result is (categories, the structure [joint[0] c0, joint[1] c1,
+    ...] frozen last from the same graph), with None for that structure when
+    a category is not a single disjunct.
+    """
+    parser = _Parser("", registry, False, shared=joint is not None)
+    groups = []
+    roots = []
+    for piece in [text] if isinstance(text, str) else text:
+        parser.tokens, parser.i = _tokenize(piece), 0
+        groups.append([])
+        while parser.i < len(parser.tokens):
+            cat, ids = parser.category()
+            groups[-1].append(cat)
+            roots.append(ids)
+    cats = groups[0] if isinstance(text, str) else groups
+    if joint is None:
+        return cats
+    if any(len(ids) != 1 for ids in roots):
+        return cats, None
+    graph = parser.graph
+    top = graph.add()
+    graph.feats[top].update(zip(joint, (ids[0] for ids in roots)))
+    # a cycle runs through a tag of the category that closed it, and that
+    # category's freeze has already raised
+    return cats, graph.freeze(top)
 
 
 class _Printer:

@@ -9,6 +9,7 @@ left-hand side for free.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from . import fs as fsmod
@@ -19,6 +20,7 @@ from .fs import (
     FSError,
     MalformedSyntax,
     fs_from_pairs,
+    parse_cats,
     parse_fs,
     simplify,
     subsumes_cat,
@@ -39,10 +41,12 @@ SUPER_BINARY = "super-binary"
 _COMMENT = re.compile(r"#(?!\d)")
 
 
-def strip_comment(line):
-    """Drop a '#' comment; '#<digits>' is a reentrancy tag, not a comment."""
-    m = _COMMENT.search(line)
-    return line[: m.start()] if m else line
+def data_lines(path):
+    """The non-blank lines of a resource file, stripped and without '#'
+    comments; '#<digits>' is a reentrancy tag, not a comment."""
+    with open(path, encoding="utf-8") as f:
+        lines = [_COMMENT.split(line, 1)[0].strip() for line in f]
+    return [line for line in lines if line]
 
 
 class GrammarError(FSError):
@@ -70,20 +74,23 @@ class Rule:
             raise GrammarError("learnt rules are unary or binary")
         self.id = rule_id
         self.arity = arity
-        self.instances = tuple(instances)  # tuple of wrapper FS
+        self.instances = tuple(instances)  # tuple of wrapper FS, never reassigned
         self.origin = origin
         self.support = support
+        self._cats = {}
 
     @property
     def lhs(self):
-        return simplify(Category([inst.get(LHS) or FS.empty() for inst in self.instances]))
+        return self._cat(LHS)
 
     def rhs(self, i):
-        out = []
-        for inst in self.instances:
-            v = inst.get(slot(i))
-            out.append(v if isinstance(v, FS) else FS.empty())
-        return simplify(Category(out))
+        return self._cat(slot(i))
+
+    def _cat(self, feat):
+        hit = self._cats.get(feat)
+        if hit is None:
+            hit = self._cats[feat] = cat_at(self.instances, feat)
+        return hit
 
     @property
     def rhs_cats(self):
@@ -91,6 +98,13 @@ class Rule:
 
     def __repr__(self):
         return "Rule(%s)" % self.id
+
+
+def cat_at(instances, feat):
+    """The category at one rule position: the simplified disjunction of the
+    instances' values there (an unconstrained value reads as [])."""
+    values = [inst.get(feat) for inst in instances]
+    return simplify(Category([v if isinstance(v, FS) else FS.empty() for v in values]))
 
 
 def make_rule(rule_id, lhs_cat, rhs_cats, origin=ORIGINAL, support=None):
@@ -112,8 +126,7 @@ def make_rule(rule_id, lhs_cat, rhs_cats, origin=ORIGINAL, support=None):
 def super_rule(arity):
     origin = SUPER_UNARY if arity == 1 else SUPER_BINARY
     cats = [EMPTY_CAT] * arity
-    rule = make_rule("*super-%s*" % ("unary" if arity == 1 else "binary"), EMPTY_CAT, cats, origin)
-    return rule
+    return make_rule("*super-%s*" % ("unary" if arity == 1 else "binary"), EMPTY_CAT, cats, origin)
 
 
 def rule_subsumes(r, s):
@@ -163,10 +176,11 @@ class Grammar:
                 return rule_id
 
     def add_learnt(self, rule, support=None):
-        """Retain rule unless some existing non-super rule subsumes it."""
+        """Retain rule unless some existing non-super rule subsumes it.
+        Returns the rule as stored (renamed if its id is taken), or None."""
         for existing in self.rules:
             if rule_subsumes(existing, rule):
-                return False
+                return None
         if rule.id in self._by_id:
             base = rule.id
             n = 2
@@ -179,7 +193,7 @@ class Grammar:
             rule.support = support
         self.learnt.append(rule)
         self._by_id[rule.id] = rule
-        return True
+        return rule
 
     def remove_learnt(self, rule_id):
         rule = self._by_id.pop(rule_id)
@@ -205,17 +219,13 @@ class Grammar:
                 f.write(format_rule(rule, self.registry) + "\n")
 
     def load_rules(self, path, origin=ORIGINAL):
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = strip_comment(line).strip()
-                if not line:
-                    continue
-                rule = parse_rule_line(line, self.registry, origin)
-                if origin == ORIGINAL:
-                    self.add_original(rule)
-                else:
-                    self.learnt.append(rule)
-                    self._by_id[rule.id] = rule
+        for line in data_lines(path):
+            rule = parse_rule_line(line, self.registry, origin)
+            if origin == ORIGINAL:
+                self.add_original(rule)
+            else:
+                self.learnt.append(rule)
+                self._by_id[rule.id] = rule
 
 
 def format_rule(rule, registry=None):
@@ -252,34 +262,13 @@ def _parse_alternative(text, registry, line):
     left, arrow, right = text.partition("->")
     if not arrow:
         raise MalformedSyntax("rule needs '->': %r" % line)
-    left = left.strip()
-    tags = {}
-    lhs = parse_fs(left, registry, tags=tags)  # validates against the registry
-    rhs, rhs_texts = _parse_cat_sequence(right.strip(), registry, tags)
+    positions = itertools.chain([LHS], map(slot, itertools.count(1)))
+    (lhs, rhs), wrapper = parse_cats([left, right], registry, joint=positions)
+    if len(lhs) != 1:
+        raise MalformedSyntax("rule needs one LHS category: %r" % line)
     if not rhs:
         raise MalformedSyntax("rule needs at least one RHS category: %r" % line)
-    if len(lhs) != 1 or any(len(c) != 1 for c in rhs):
-        return lhs, rhs, None
-    # reparse the alternative as one wrapper structure so that tag sharing
-    # between positions lands in a single graph
-    wrapper = "[%s %s, %s]" % (
-        LHS,
-        left,
-        ", ".join("%s %s" % (slot(i), t) for i, t in enumerate(rhs_texts, start=1)),
-    )
-    return lhs, rhs, parse_fs(wrapper, None).disjuncts[0]
-
-
-def _parse_cat_sequence(text, registry, tags):
-    tokens = fsmod._tokenize(text)
-    parser = fsmod._Parser(tokens, registry, False, tags)
-    cats = []
-    texts = []
-    while parser.i < len(tokens):
-        start = parser.i
-        cats.append(parser.category())
-        texts.append(" ".join(tok for _, tok in tokens[start : parser.i]))
-    return cats, texts
+    return lhs[0], rhs, wrapper
 
 
 class Lexicon:
@@ -314,18 +303,14 @@ class Lexicon:
     @classmethod
     def load(cls, path, registry):
         lex = cls(registry)
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = strip_comment(line).strip()
-                if not line:
-                    continue
-                if not line.startswith("lex "):
-                    raise MalformedSyntax("lexicon lines start with 'lex': %r" % line)
-                head, _, body = line[4:].partition(":")
-                terminal = head.strip()
-                cat = parse_fs(body.strip(), registry)
-                for d in cat.disjuncts:
-                    lex.add(terminal, d)
+        for line in data_lines(path):
+            if not line.startswith("lex "):
+                raise MalformedSyntax("lexicon lines start with 'lex': %r" % line)
+            head, _, body = line[4:].partition(":")
+            terminal = head.strip()
+            cat = parse_fs(body.strip(), registry)
+            for d in cat.disjuncts:
+                lex.add(terminal, d)
         return lex
 
 
@@ -356,7 +341,7 @@ class ParaphraseMap:
             if not fsmod.subsumes(entry.pattern, d):
                 continue
             name = entry.name
-            bar = _bar_level(d, self.bar_feature)
+            bar = bar_of(d, self.bar_feature)
             if entry.bar_suffix and bar is not None:
                 name = "%s%d" % (name, bar)
             if promote and entry.phrasal and bar is not None and bar > 1:
@@ -383,33 +368,30 @@ class ParaphraseMap:
     @classmethod
     def load(cls, path, registry):
         entries = []
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = strip_comment(line).strip()
-                if not line:
-                    continue
-                if not line.startswith("label "):
-                    raise MalformedSyntax("label lines start with 'label': %r" % line)
-                body, _, right = line[6:].partition("->")
-                if not right:
-                    raise MalformedSyntax("label line needs '->': %r" % line)
-                pattern = parse_fs(body.strip(), registry, pattern=True)
-                if len(pattern) != 1:
-                    raise MalformedSyntax("label patterns are non-disjunctive: %r" % line)
-                words = right.strip().split()
-                name = words[0]
-                bar_suffix = "bar" in words[1:]
-                phrasal = None
-                if "phrasal" in words[1:]:
-                    at = words.index("phrasal")
-                    if at + 1 >= len(words):
-                        raise MalformedSyntax("'phrasal' needs a name: %r" % line)
-                    phrasal = words[at + 1]
-                entries.append(ParaphraseEntry(pattern.disjuncts[0], name, bar_suffix, phrasal))
+        for line in data_lines(path):
+            if not line.startswith("label "):
+                raise MalformedSyntax("label lines start with 'label': %r" % line)
+            body, _, right = line[6:].partition("->")
+            if not right:
+                raise MalformedSyntax("label line needs '->': %r" % line)
+            pattern = parse_fs(body.strip(), registry, pattern=True)
+            if len(pattern) != 1:
+                raise MalformedSyntax("label patterns are non-disjunctive: %r" % line)
+            words = right.strip().split()
+            name = words[0]
+            bar_suffix = "bar" in words[1:]
+            phrasal = None
+            if "phrasal" in words[1:]:
+                at = words.index("phrasal")
+                if at + 1 >= len(words):
+                    raise MalformedSyntax("'phrasal' needs a name: %r" % line)
+                phrasal = words[at + 1]
+            entries.append(ParaphraseEntry(pattern.disjuncts[0], name, bar_suffix, phrasal))
         return cls(entries)
 
 
-def _bar_level(d, bar_feature="BAR"):
+def bar_of(d, bar_feature="BAR"):
+    """Bar level of a structure; a disjoined BAR counts as its highest level."""
     v = d.get(bar_feature)
     if isinstance(v, str):
         return int(v) if v.isdigit() else None

@@ -7,7 +7,7 @@ unless it can prove the daughters implausible.
 from __future__ import annotations
 
 from .fs import Category, FS, MalformedSyntax, WILDCARD, expand, parse_fs, subsumes
-from .grammar import strip_comment
+from .grammar import data_lines
 
 E = "e"
 T = "t"
@@ -268,32 +268,28 @@ def load_model(path, registry, max_bar=None, hfc=False):
     lp_rules = []
     rows = []
     nonhead = DEFAULT_NONHEAD
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = strip_comment(line).strip()
-            if not line:
-                continue
-            if line.startswith("lp "):
-                head, _, body = line[3:].partition(":")
-                left, sep, right = body.partition("<")
-                if not sep:
-                    raise MalformedSyntax("lp line needs '<': %r" % line)
-                lp_rules.append(
-                    LPRule(
-                        head.strip(),
-                        parse_pattern(left, registry),
-                        parse_pattern(right, registry),
-                    )
+    for line in data_lines(path):
+        if line.startswith("lp "):
+            head, _, body = line[3:].partition(":")
+            left, sep, right = body.partition("<")
+            if not sep:
+                raise MalformedSyntax("lp line needs '<': %r" % line)
+            lp_rules.append(
+                LPRule(
+                    head.strip(),
+                    parse_pattern(left, registry),
+                    parse_pattern(right, registry),
                 )
-            elif line.startswith("type "):
-                body, _, typetext = line[5:].rpartition(":")
-                if not body:
-                    raise MalformedSyntax("type line needs ':': %r" % line)
-                rows.append((parse_pattern(body, registry), parse_type(typetext)))
-            elif line.startswith("nonhead "):
-                nonhead = frozenset(w.upper() for w in line[8:].split())
-            else:
-                raise MalformedSyntax("unknown model line: %r" % line)
+            )
+        elif line.startswith("type "):
+            body, _, typetext = line[5:].rpartition(":")
+            if not body:
+                raise MalformedSyntax("type line needs ':': %r" % line)
+            rows.append((parse_pattern(body, registry), parse_type(typetext)))
+        elif line.startswith("nonhead "):
+            nonhead = frozenset(w.upper() for w in line[8:].split())
+        else:
+            raise MalformedSyntax("unknown model line: %r" % line)
     if max_bar is None and registry.has_feature("BAR"):
         max_bar = max(int(v) for v in registry.values_of("BAR") if v.isdigit())
     xbar = XBarConfig(max_bar if max_bar is not None else 1, nonhead=nonhead, hfc=hfc)

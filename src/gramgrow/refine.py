@@ -3,7 +3,7 @@ low-score pruning, and structural-support retraction."""
 
 from __future__ import annotations
 
-from .fs import Category, expand, fs_from_pairs, print_fs, unify
+from .fs import Category, expand, print_fs, unify
 from .grammar import LHS, Rule, SupportRecord
 from .scoring import geo_mean
 
@@ -46,7 +46,7 @@ def refine_lhs(store, rule, registry=None):
     winner = winners[0]
     instances = []
     for inst in rule.instances:
-        u = unify(inst, fs_from_pairs([(LHS, winner)]))
+        u = unify(inst, winner, at=LHS)
         if u is not None:
             instances.append(u)
     refined = Rule(rule.id, rule.arity, tuple(instances), rule.origin, rule.support)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 
-from .fs import Category, FS, MalformedSyntax, expand, print_fs, unify, unify_cat
-from .grammar import strip_comment
+from .fs import Category, FS, MalformedSyntax, expand, parse_cats, print_fs, unify, unify_cat
+from .grammar import data_lines
 
 DEFAULT_DELTA = 0.001
 DEFAULT_OMEGA = 0.35
@@ -89,45 +89,34 @@ class TripleStore:
     @classmethod
     def load(cls, path, registry):
         store = cls()
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = strip_comment(line).strip()
-                if not line:
-                    continue
-                if line.startswith("params "):
-                    words = line.split()
-                    params = dict(zip(words[1::2], words[2::2]))
-                    delta = float(params.get("delta", DEFAULT_DELTA))
-                    omega = float(params.get("omega", DEFAULT_OMEGA))
-                    if not 0 < delta < omega <= 1:
-                        raise MalformedSyntax("triple files need 0 < delta < omega <= 1")
-                    store.delta, store.omega = delta, omega
-                elif line.startswith("triple "):
-                    body = line[7:].strip()
-                    cats, freq = _parse_triple_body(body, registry)
-                    store.add(cats[0], cats[1], freq)
-                else:
-                    raise MalformedSyntax("unknown triple line: %r" % line)
+        for line in data_lines(path):
+            if line.startswith("params "):
+                words = line.split()
+                params = dict(zip(words[1::2], words[2::2]))
+                delta = float(params.get("delta", DEFAULT_DELTA))
+                omega = float(params.get("omega", DEFAULT_OMEGA))
+                if not 0 < delta < omega <= 1:
+                    raise MalformedSyntax("triple files need 0 < delta < omega <= 1")
+                store.delta, store.omega = delta, omega
+            elif line.startswith("triple "):
+                body = line[7:].strip()
+                cats, freq = _parse_triple_body(body, registry)
+                store.add(cats[0], cats[1], freq)
+            else:
+                raise MalformedSyntax("unknown triple line: %r" % line)
         return store
 
 
 def _parse_triple_body(body, registry):
-    from . import fs as fsmod
-
-    tokens = fsmod._tokenize(body)
-    parser = fsmod._Parser(tokens, registry, False, None)
-    cats = [parser.category(), parser.category()]
-    if parser.i != len(tokens) - 1:
-        raise MalformedSyntax("triple line needs two categories and a count: %r" % body)
-    kind, text = tokens[parser.i]
-    if kind != "atom" or not text.isdigit():
+    words = body.rsplit(None, 1)
+    if len(words) != 2 or not words[1].isdigit():
         raise MalformedSyntax("triple count must be an integer: %r" % body)
-    fss = []
-    for c in cats:
-        if len(c) != 1:
-            raise MalformedSyntax("triple categories are non-disjunctive: %r" % body)
-        fss.append(c.disjuncts[0])
-    return fss, int(text)
+    cats = parse_cats(words[0], registry)
+    if len(cats) != 2:
+        raise MalformedSyntax("triple line needs two categories and a count: %r" % body)
+    if any(len(c) != 1 for c in cats):
+        raise MalformedSyntax("triple categories are non-disjunctive: %r" % body)
+    return [c.disjuncts[0] for c in cats], int(words[1])
 
 
 def _cache_key(c):
@@ -205,10 +194,8 @@ def score_local(store, mother, daughters, registry=None, cap=64, on_cap=None):
     daughters contribute lookup times their subtree score.  A disjunctive
     node scores as the maximum over its non-disjunctive expansions.
     """
-    if isinstance(mother, FS):
-        mother = Category((mother,))
     silent = on_cap if on_cap is not None else (lambda n: None)
-    m_exps = expand(mother, registry, cap, silent)
+    m_exps = expand(_as_cat(mother), registry, cap, silent)
     d_exps = [expand(_as_cat(c), registry, cap, silent) for c, _ in daughters]
     best = 0.0
     seen = 0

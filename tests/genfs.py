@@ -2,7 +2,7 @@
 
 import random
 
-from gramgrow.fs import Category, FS, FeatureRegistry, _MNode, expand, subsumes, unify
+from gramgrow.fs import Category, FeatureRegistry, _Graph, expand, subsumes, unify
 
 GEN_REGISTRY = FeatureRegistry.from_text(
     """
@@ -19,10 +19,12 @@ _VALUES = {"A": ("1", "2", "3"), "B": ("1", "2"), "C": ("1", "2", "3", "4"), "D"
 
 def random_fs(rng, depth=2, share=True):
     """A random acyclic feature structure, sometimes with shared nodes."""
+    graph = _Graph()
     pool = []
 
     def build(level):
-        node = _MNode()
+        node = graph.add()
+        feats = graph.feats[node]
         for feat in _FEATURES:
             roll = rng.random()
             if roll < 0.45:
@@ -30,27 +32,18 @@ def random_fs(rng, depth=2, share=True):
             if roll < 0.75 or level >= depth:
                 vals = _VALUES[feat]
                 if rng.random() < 0.25 and len(vals) > 2:
-                    node.feats[feat] = _leaf(frozenset(rng.sample(vals, 2)))
+                    feats[feat] = graph.add(frozenset(rng.sample(vals, 2)))
                 else:
-                    node.feats[feat] = _leaf(rng.choice(vals))
+                    feats[feat] = graph.add(rng.choice(vals))
             elif share and pool and rng.random() < 0.4:
-                node.feats[feat] = rng.choice(pool)
+                feats[feat] = rng.choice(pool)
             else:
                 child = build(level + 1)
                 pool.append(child)
-                node.feats[feat] = child
+                feats[feat] = child
         return node
 
-    return FS.from_mutable(build(0))
-
-
-def _leaf(value):
-    node = _MNode()
-    if isinstance(value, str):
-        node.atom = value
-    else:
-        node.vset = value
-    return node
+    return graph.freeze(build(0))
 
 
 def random_extension(rng, base, tries=8):

@@ -1,6 +1,7 @@
 import io
 
 from gramgrow.cli import EXIT_OK, Session, cmd_eval, main, run_repl
+from gramgrow.resources import data_path
 
 
 def fresh_session():
@@ -107,6 +108,21 @@ def _survives(line):
 
 def test_unbalanced_quote_keeps_session_alive():
     assert _survives("Sam don't chases")
+
+
+def test_sentence_with_apostrophe_parses(tmp_path):
+    with open(data_path("demo.lexicon"), encoding="utf-8") as f:
+        entries = f.read()
+    lexicon = tmp_path / "apostrophe.lexicon"
+    lexicon.write_text(entries + "lex Sam's : [N +, V -, BAR 2, DET -, PER 3, PLU -, PRD -, NTYPE NAME]\n")
+    session, out = fresh_session()
+    run_script(session, ["load-lexicon %s" % lexicon, "Sam's chases the cat", "quit"])
+    text = out.getvalue()
+    assert "error:" not in text and "1 parse(s)" in text
+
+
+def test_command_with_unbalanced_quote_keeps_session_alive():
+    assert _survives('load-lexicon "x')
 
 
 def test_bad_limits_keep_session_alive():

@@ -3,13 +3,13 @@ import pytest
 from gramgrow.constructor import (
     Rejection,
     XBarConfig,
-    bar_of,
     construct_binary_cat,
     construct_unary_cat,
     is_minor,
     project,
 )
 from gramgrow.fs import Category, FSError, equal, parse_fs
+from gramgrow.grammar import bar_of
 from gramgrow.resources import load_demo
 
 
@@ -33,8 +33,8 @@ def one(d):
 
 
 def test_bar_of_and_minor(demo, lex):
-    assert bar_of(lex["happy"], CFG) == 1
-    assert bar_of(lex["the"], CFG) is None
+    assert bar_of(lex["happy"], CFG.bar_feature) == 1
+    assert bar_of(lex["the"], CFG.bar_feature) is None
     assert not is_minor(lex["the"], CFG)  # demo has no MINOR feature at all
     registry, _, lexicon, _ = load_demo()[0], None, None, None
 
@@ -42,7 +42,7 @@ def test_bar_of_and_minor(demo, lex):
 def test_bar_of_value_set(demo):
     registry = demo[0]
     d = parse_fs("[N +, BAR {1,2}]", registry).disjuncts[0]
-    assert bar_of(d, CFG) == 2
+    assert bar_of(d, CFG.bar_feature) == 2
 
 
 def test_project_replaces_bar(demo, lex):

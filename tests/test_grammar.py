@@ -3,14 +3,16 @@ import random
 import pytest
 
 from gramgrow.chart import SessionFlags, parse
-from gramgrow.fs import MalformedSyntax, equal_cat, parse_fs, print_fs
+from gramgrow.fs import MalformedSyntax, equal_cat, parse_cats, parse_fs, print_fs
 from gramgrow.grammar import (
+    LHS,
     Grammar,
     SupportRecord,
     format_rule,
     make_rule,
     parse_rule_line,
     rule_subsumes,
+    slot,
     super_rule,
 )
 from gramgrow.model import load_model
@@ -130,6 +132,63 @@ def test_add_learnt_renames_duplicate_id(demo):
     assert g.add_learnt(r1)
     assert g.add_learnt(r2)
     assert len({r.id for r in g.learnt}) == 2
+
+
+def test_add_learnt_returns_the_stored_rule(demo):
+    registry = demo[0]
+    g = Grammar(registry)
+    r1 = parse_rule_line("rule *u1 : [N +, BAR 2] -> [N +, BAR 1]", registry, origin="learnt")
+    r2 = parse_rule_line("rule *u1 : [N -, V +, BAR 2] -> [N -, V +, BAR 1]", registry, origin="learnt")
+    support = SupportRecord("*u1", (SupportRecord.LEXICAL,))
+    assert g.add_learnt(r1) is r1
+    stored = g.add_learnt(r2, support)
+    assert stored.id == "*u1_2" and stored.support is support
+    assert g.learnt[-1] is stored and g.rule("*u1_2") is stored
+    assert g.add_learnt(r2) is None  # now subsumed by the stored copy
+
+
+def test_parse_cats_joint_shares_tags_across_positions():
+    # each category is frozen as soon as it is parsed, so a tag bound later
+    # in the sequence does not reach back into an earlier category; the joint
+    # structure is frozen last and sees every binding
+    cases = [
+        (
+            "[CAT #1] [CAT #1 = n] [X #1]",
+            ["[CAT []]", "[CAT N]", "[X N]"],
+            "[*LHS* [CAT #1=N], *R1* [CAT #1], *R2* [X #1]]",
+        ),
+        (
+            "[CAT #1, Y #2 = {a, b}] [CAT #2] [X #1 = [Z #2]]",
+            ["[CAT [], Y {A, B}]", "[CAT {A, B}]", "[X [Z {A, B}]]"],
+            "[*LHS* [CAT #1=[Z #2={A, B}], Y #2], *R1* [CAT #2], *R2* [X #1]]",
+        ),
+        ("{[A 1], [B #1]} [C #1 = 2]", ["{[A 1], [B []]}", "[C 2]"], None),
+    ]
+    for text, cats, joint in cases:
+        got, wrapper = parse_cats(text, joint=[LHS, slot(1), slot(2)])
+        assert [print_fs(c) for c in got] == cats
+        assert (wrapper if wrapper is None else print_fs(wrapper)) == joint
+    rule = parse_rule_line("rule r : [CAT #1] -> [CAT #1 = n] [X #1]", None)
+    assert print_fs(rule.instances[0]) == cases[0][2]
+    # without a joint structure every disjunct is its own tag scope
+    assert [print_fs(c) for c in parse_cats("[CAT #1 = n] [X #1]")] == ["[CAT N]", "[X []]"]
+
+
+def test_rule_line_parses_each_category_once():
+    # one singleton-disjunction warning per written value: no category of
+    # the line is parsed a second time
+    with pytest.warns(UserWarning) as caught:
+        parse_rule_line("rule r : [A {x}] -> [B #1] [C {y}]", None)
+    assert len(caught) == 2
+    (lhs, rhs), wrapper = parse_cats(["[A #1]", "[B #1 = x] [C 2]"], joint=[LHS, slot(1), slot(2)])
+    assert [len(lhs), len(rhs)] == [1, 2]
+    assert print_fs(wrapper) == "[*LHS* [A #1=X], *R1* [B #1], *R2* [C 2]]"
+
+
+def test_rule_needs_one_lhs_category():
+    for line in ("rule r : [A 1] [B 1] -> [C 1]", "rule r : -> [C 1]", "rule r : [A 1] ->"):
+        with pytest.raises(MalformedSyntax):
+            parse_rule_line(line, None)
 
 
 def __demo_grammar_path():
