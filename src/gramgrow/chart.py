@@ -222,6 +222,7 @@ class ChartParser:
         if self.flags.binary_super:
             self.supers.append(super_rule(2))
         self.seeded = False
+        self.spanning = []  # (edge, its category forced by the root), in creation order
         self.parses_found = 0
         self.resource_bounded = False
         self.cap_hits = 0
@@ -236,7 +237,7 @@ class ChartParser:
         try:
             self._init_lexical(tokens)
             self._run()
-            if self.flags.learning and not self._spanning_edges():
+            if self.flags.learning and not self.spanning:
                 self.seed_super()
                 self._run()
         except _Bounded as stop:
@@ -377,8 +378,11 @@ class ChartParser:
         return edge
 
     def _note_parse(self, edge):
+        # no edge is marked bad after this, so the spanning list stays valid
         if edge.start == 0 and edge.end == self.chart.n:
-            if not unify_cat(edge.cat(), self.root).is_bottom:
+            forced = unify_cat(edge.cat(), self.root)
+            if not forced.is_bottom:
+                self.spanning.append((edge, forced))
                 self.parses_found += edge.derivations
                 if (
                     self.limits.max_parses is not None
@@ -459,22 +463,11 @@ class ChartParser:
 
     # -- extraction ------------------------------------------------------------
 
-    def _spanning_edges(self):
-        out = []
-        for edge in self.chart.edges:
-            if not edge.is_inactive or edge.bad:
-                continue
-            if edge.start == 0 and edge.end == self.chart.n:
-                if not unify_cat(edge.cat(), self.root).is_bottom:
-                    out.append(edge)
-        return out
-
     def extract_trees(self, k=None):
         """Up to k parse trees over spanning, root-compatible edges, in edge
         creation order then found-child order."""
         trees = []
-        for edge in self._spanning_edges():
-            forced = unify_cat(edge.cat(), self.root)
+        for edge, forced in self.spanning:
             for tree in self._edge_trees(edge, forced):
                 trees.append(tree)
                 if k is not None and len(trees) >= k:

@@ -9,37 +9,22 @@ feature convention is compiled in.
 from __future__ import annotations
 
 from .fs import FSError, _Graph
-from .grammar import LHS, LEARNT, Rule, bar_of, slot
+from .grammar import BAR, LHS, LEARNT, Rule, bar_of, slot
 
-DEFAULT_NONHEAD = frozenset({"NTYPE", "CASE", "CONJ", "NULL", "BAR"})
+MINOR = "MINOR"
+NONE = "NONE"  # the MINOR value of a major category
+
+DEFAULT_NONHEAD = frozenset({"NTYPE", "CASE", "CONJ", "NULL", BAR})
 
 
 class XBarConfig:
-    def __init__(
-        self,
-        max_bar,
-        bar_feature="BAR",
-        minor_feature="MINOR",
-        minor_none="NONE",
-        nonhead=DEFAULT_NONHEAD,
-        hfc=False,
-    ):
+    def __init__(self, max_bar, nonhead=DEFAULT_NONHEAD, hfc=False):
         self.max_bar = max_bar
-        self.bar_feature = bar_feature
-        self.minor_feature = minor_feature
-        self.minor_none = minor_none
-        self.nonhead = frozenset(nonhead) | {bar_feature}
+        self.nonhead = frozenset(nonhead) | {BAR}
         self.hfc = hfc
 
     def with_hfc(self, hfc):
-        return XBarConfig(
-            self.max_bar,
-            self.bar_feature,
-            self.minor_feature,
-            self.minor_none,
-            self.nonhead,
-            hfc,
-        )
+        return XBarConfig(self.max_bar, self.nonhead, hfc)
 
 
 class Rejection:
@@ -59,20 +44,20 @@ class Rejection:
         return "Rejection(%s)" % self.reason
 
 
-def is_minor(d, cfg):
-    v = d.get(cfg.minor_feature)
+def is_minor(d):
+    v = d.get(MINOR)
     if v is None:
         return False
     if isinstance(v, str):
-        return v != cfg.minor_none
+        return v != NONE
     if isinstance(v, frozenset):
-        return cfg.minor_none not in v
+        return NONE not in v
     return True
 
 
 def project(d, bar, cfg):
     """Image of a major daughter at the given bar level."""
-    if is_minor(d, cfg):
+    if is_minor(d):
         raise FSError("cannot project a minor category")
     if not 0 <= bar <= cfg.max_bar:
         raise FSError("bar level %d out of range" % bar)
@@ -87,19 +72,19 @@ def _project_node(graph, src, bar, cfg):
     node = graph.add()
     feats = graph.feats[node]
     for feat, child in graph.feats[src].items():
-        if feat == cfg.bar_feature:
+        if feat == BAR:
             continue
         if cfg.hfc and feat in cfg.nonhead:
             continue
         feats[feat] = child
-    feats[cfg.bar_feature] = graph.add(str(bar))
+    feats[BAR] = graph.add((str(bar),))
     return node
 
 
 def _candidate_bars(d, cfg, include_same_bar):
-    if is_minor(d, cfg):
+    if is_minor(d):
         return None, Rejection.MINOR
-    bar = bar_of(d, cfg.bar_feature)
+    bar = bar_of(d)
     if bar is None:
         return None, Rejection.NO_BAR
     bars = [bar, bar + 1] if include_same_bar else [bar + 1]

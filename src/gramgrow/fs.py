@@ -103,6 +103,38 @@ class FeatureRegistry:
             return cls.from_text(f.read())
 
 
+# Atoms are interned once per process, not per feature or registry: a tag can
+# join nodes reached through different features, so a bit must name the same
+# atom everywhere.  Bits follow first sight, so output never reads bit order.
+_BITS = {}  # atom -> one-bit mask
+_ATOMS = []  # bit position -> atom
+
+
+def _mask(atoms):
+    """The payload for the given atoms: None for none, else a bitmask."""
+    mask = 0
+    for atom in atoms:
+        bit = _BITS.get(atom)
+        if bit is None:
+            bit = _BITS[atom] = 1 << len(_ATOMS)
+            _ATOMS.append(atom)
+        mask |= bit
+    return mask or None
+
+
+def _atoms(mask):
+    """The atoms of a payload mask, in bit order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(_ATOMS[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+_WILD = _mask((WILDCARD,))
+
+
 class _Bottom(Exception):
     pass
 
@@ -110,9 +142,9 @@ class _Bottom(Exception):
 class _Graph:
     """Scratch graph for building and unifying structures.
 
-    A node is an id with a payload (None, an atom or a frozenset of atoms), a
-    feature dict (feature -> node id) and a union-find link; merged nodes
-    forward to their representative, and only `freeze` copies out.
+    A node is an id with a payload (None or an atom bitmask), a feature dict
+    (feature -> node id) and a union-find link; merged nodes forward to their
+    representative, and only `freeze` copies out.
     """
 
     __slots__ = ("payload", "feats", "link")
@@ -122,8 +154,8 @@ class _Graph:
         self.feats = []
         self.link = []
 
-    def add(self, payload=None):
-        self.payload.append(payload)
+    def add(self, atoms=()):
+        self.payload.append(_mask(atoms))
         self.feats.append({})
         self.link.append(len(self.link))
         return len(self.link) - 1
@@ -157,20 +189,11 @@ class _Graph:
             link[b] = a
             pa, pb = payload[a], payload[b]
             if pb is not None:
-                if pa is None:
-                    payload[a] = pb
-                elif isinstance(pa, str):
-                    if (pa != pb) if isinstance(pb, str) else (pa not in pb):
+                if pa is not None:
+                    pb &= pa
+                    if not pb:
                         raise _Bottom()
-                elif isinstance(pb, str):
-                    if pb not in pa:
-                        raise _Bottom()
-                    payload[a] = pb
-                else:
-                    inter = pa & pb
-                    if not inter:
-                        raise _Bottom()
-                    payload[a] = next(iter(inter)) if len(inter) == 1 else inter
+                payload[a] = pb
             fa, fb = feats[a], feats[b]
             if payload[a] is not None and (fa or fb):
                 raise _Bottom()
@@ -211,8 +234,8 @@ class FS:
 
     Nodes are numbered canonically (first visit in a DFS that orders features
     alphabetically), node 0 is the root.  Each node is (payload, feats) where
-    payload is None, an atom, or a frozenset of atoms (value disjunction), and
-    feats is a tuple of (feature, child index) pairs.
+    payload is None or an atom bitmask (one bit: an atom; more: a value
+    disjunction), and feats is a tuple of (feature, child index) pairs.
     """
 
     __slots__ = ("_nodes", "_hash", "_subs", "_rootmap")
@@ -244,7 +267,8 @@ class FS:
     def _value_at(self, idx):
         payload, feats = self._nodes[idx]
         if payload is not None:
-            return payload
+            atoms = _atoms(payload)
+            return atoms[0] if len(atoms) == 1 else frozenset(atoms)
         if feats:
             return self._sub_fs(idx)
         return None
@@ -273,7 +297,7 @@ class FS:
         return hit
 
     def root_atoms(self):
-        """Root features with atomic or value-set payloads, for cheap
+        """Root features with atom payloads (masks), for cheap
         incompatibility checks."""
         if self._rootmap is None:
             out = {}
@@ -351,18 +375,8 @@ def subsumes(d, d2):
         mapping[i] = j
         payload, feats = d._nodes[i]
         payload2, feats2 = d2._nodes[j]
-        if isinstance(payload, str):
-            if payload != payload2:
-                return False
-        elif payload is not None:  # value set
-            if isinstance(payload2, str):
-                if payload2 not in payload:
-                    return False
-            elif payload2 is not None:
-                if not payload2 <= payload:
-                    return False
-            else:
-                return False
+        if payload is not None and (payload2 is None or payload2 & ~payload):
+            return False
         f2 = dict(feats2)
         for feat, child in feats:
             if feat not in f2:
@@ -398,6 +412,36 @@ def equal_cat(c, c2):
     return subsumes_cat(c, c2) and subsumes_cat(c2, c)
 
 
+def matches(p, d, presence):
+    """Pattern match, path by path: a value of p must share an atom with d's
+    value there, and the wildcard accepts any value.  presence=True: every
+    feature of p must be present in d; presence=False: absent ones pass."""
+
+    def rec(i, j):
+        payload, feats = p._nodes[i]
+        payload2, feats2 = d._nodes[j]
+        if payload is not None:
+            if payload == _WILD:
+                return True
+            return bool(payload & payload2) if payload2 is not None else not feats2
+        if not feats:
+            return True
+        if payload2 is not None:
+            return False
+        if not feats2:
+            return not presence
+        f2 = dict(feats2)
+        for feat, child in feats:
+            if feat not in f2:
+                if presence:
+                    return False
+            elif not rec(child, f2[feat]):
+                return False
+        return True
+
+    return rec(0, 0)
+
+
 # -- unification -----------------------------------------------------------
 
 
@@ -410,18 +454,7 @@ def clashes(d, d2):
         a, b = b, a
     for feat, pa in a.items():
         pb = b.get(feat)
-        if pb is None:
-            continue
-        if isinstance(pa, str):
-            if isinstance(pb, str):
-                if pa != pb:
-                    return True
-            elif pa not in pb:
-                return True
-        elif isinstance(pb, str):
-            if pb not in pa:
-                return True
-        elif not (pa & pb):
+        if pb is not None and not pa & pb:
             return True
     return False
 
@@ -491,7 +524,7 @@ def _vset_nodes(fs, registry):
             return
         seen.add(idx)
         payload, feats = fs._nodes[idx]
-        if payload is not None and not isinstance(payload, str):
+        if payload is not None and payload & (payload - 1):  # two bits or more
             order.append(idx)
         for feat, child in sorted(feats, key=lambda fc: key(fc[0])):
             rec(child)
@@ -511,14 +544,14 @@ def expand_fs(fs, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
         return [fs]
     choice_lists = []
     for idx in sites:
-        vals = fs._nodes[idx][0]
+        vals = _atoms(fs._nodes[idx][0])
         if registry is not None:
             # deterministic order: declared value order where known
             feat = _feature_of(fs, idx)
             vals = sorted(vals, key=lambda v: registry.value_key(feat, v))
         else:
             vals = sorted(vals)
-        choice_lists.append(vals)
+        choice_lists.append([_BITS[v] for v in vals])
     total = 1
     for vals in choice_lists:
         total *= len(vals)
@@ -658,7 +691,7 @@ class _Parser:
                 raise UndeclaredValue("wildcard only allowed in patterns")
             if self.registry is not None:
                 self.registry.check(feat, value)
-            return self.graph.add(value)
+            return self.graph.add((value,))
         if kind == "lbrace":
             self.take()
             values = [self.take("atom")[1].upper()]
@@ -669,11 +702,9 @@ class _Parser:
             if self.registry is not None:
                 for v in values:
                     self.registry.check(feat, v)
-            vs = frozenset(values)
-            if len(vs) == 1:
+            if len(set(values)) == 1:
                 warnings.warn("singleton value disjunction collapsed to %r" % values[0])
-                return self.graph.add(values[0])
-            return self.graph.add(vs)
+            return self.graph.add(values)
         if kind == "lbrack":
             return self.fs()
         if kind == "tag":
@@ -763,11 +794,9 @@ class _Printer:
                 if payload is None and not feats:
                     return
                 out.append("=")
-            if isinstance(payload, str):
-                out.append(payload)
-            elif payload is not None:
-                vals = sorted(payload, key=lambda v: self._vkey(feat_ctx, v))
-                out.append("{" + ", ".join(vals) + "}")
+            if payload is not None:
+                vals = sorted(_atoms(payload), key=lambda v: self._vkey(feat_ctx, v))
+                out.append(vals[0] if len(vals) == 1 else "{" + ", ".join(vals) + "}")
             else:
                 out.append("[")
                 first = True

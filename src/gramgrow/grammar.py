@@ -27,6 +27,7 @@ from .fs import (
 )
 
 LHS = "*LHS*"
+BAR = "BAR"
 
 
 def slot(i):
@@ -147,8 +148,8 @@ class Grammar:
         self.learnt = []
         self._by_id = {}
         self._learn_counter = 0
-        if max_bar is None and registry.has_feature("BAR"):
-            max_bar = max(int(v) for v in registry.values_of("BAR"))
+        if max_bar is None and registry.has_feature(BAR):
+            max_bar = max(int(v) for v in registry.values_of(BAR))
         self.max_bar = 1 if max_bar is None else max_bar
 
     def __contains__(self, rule_id):
@@ -331,9 +332,8 @@ class ParaphraseEntry:
 class ParaphraseMap:
     """Ordered (pattern, atomic label) pairs for display and normalization."""
 
-    def __init__(self, entries=(), bar_feature="BAR"):
+    def __init__(self, entries=()):
         self.entries = list(entries)
-        self.bar_feature = bar_feature
 
     def paraphrase(self, d, promote=True):
         """Atomic label for a feature structure; "X" when nothing matches."""
@@ -341,7 +341,7 @@ class ParaphraseMap:
             if not fsmod.subsumes(entry.pattern, d):
                 continue
             name = entry.name
-            bar = bar_of(d, self.bar_feature)
+            bar = bar_of(d)
             if entry.bar_suffix and bar is not None:
                 name = "%s%d" % (name, bar)
             if promote and entry.phrasal and bar is not None and bar > 1:
@@ -390,9 +390,9 @@ class ParaphraseMap:
         return cls(entries)
 
 
-def bar_of(d, bar_feature="BAR"):
+def bar_of(d):
     """Bar level of a structure; a disjoined BAR counts as its highest level."""
-    v = d.get(bar_feature)
+    v = d.get(BAR)
     if isinstance(v, str):
         return int(v) if v.isdigit() else None
     if isinstance(v, frozenset):

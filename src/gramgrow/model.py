@@ -6,8 +6,8 @@ unless it can prove the daughters implausible.
 
 from __future__ import annotations
 
-from .fs import Category, FS, MalformedSyntax, WILDCARD, expand, parse_fs, subsumes
-from .grammar import data_lines
+from .fs import Category, FS, MalformedSyntax, expand, matches, parse_fs, subsumes
+from .grammar import BAR, data_lines
 
 E = "e"
 T = "t"
@@ -38,54 +38,18 @@ def parse_pattern(text, registry):
     return Pattern(cat.disjuncts[0], negated, raw)
 
 
-def _value_compatible(pval, dval, presence):
-    if pval == WILDCARD:
-        return True
-    if isinstance(pval, str):
-        if isinstance(dval, str):
-            return pval == dval
-        if isinstance(dval, frozenset):
-            return pval in dval
-        return dval is None  # unconstrained shared node
-    if isinstance(pval, frozenset):
-        if isinstance(dval, str):
-            return dval in pval
-        if isinstance(dval, frozenset):
-            return bool(pval & dval)
-        return dval is None
-    if isinstance(pval, FS):
-        if isinstance(dval, FS):
-            return _fs_matches(pval, dval, presence)
-        return dval is None and not presence
-    return True
-
-
-def _fs_matches(pfs, d, presence):
-    """presence=True: every pattern feature must be present in d and
-    compatible.  presence=False: mere unifiability (absent features allowed)."""
-    for feat in pfs.root_features:
-        dval = d.get(feat, "\0missing")
-        if dval == "\0missing":
-            if presence:
-                return False
-            continue
-        if not _value_compatible(pfs.get(feat), dval, presence):
-            return False
-    return True
-
-
 def match(p, c):
     """LP-style pattern match: pattern features must be PRESENT in the
     category; a negated pattern matches when the positive part does not."""
     disjuncts = c.disjuncts if isinstance(c, Category) else (c,)
-    positive = any(_fs_matches(p.fs, d, presence=True) for d in disjuncts)
+    positive = any(matches(p.fs, d, presence=True) for d in disjuncts)
     return not positive if p.negated else positive
 
 
 def compatible(p, c):
     """TYP-style match: unifiability (absent features are no obstacle)."""
     disjuncts = c.disjuncts if isinstance(c, Category) else (c,)
-    return any(_fs_matches(p.fs, d, presence=False) for d in disjuncts)
+    return any(matches(p.fs, d, presence=False) for d in disjuncts)
 
 
 class LPRule:
@@ -191,13 +155,13 @@ class TypeMap:
         return min(best)[1]
 
 
-def type_check(rhs, tm, registry=None, cap=64):
+def type_check(rhs, tm, registry=None):
     """Daughters co-occur if some expansion pair's types apply in either
     direction, or either type is undefined."""
     if len(rhs) < 2:
         return True
-    first = _expansions(rhs[0], registry, cap)
-    second = _expansions(rhs[1], registry, cap)
+    first = _expansions(rhs[0], registry)
+    second = _expansions(rhs[1], registry)
     for e1 in first:
         t1 = tm.lookup(e1)
         if t1 is None:
@@ -211,10 +175,10 @@ def type_check(rhs, tm, registry=None, cap=64):
     return False
 
 
-def _expansions(c, registry, cap):
+def _expansions(c, registry):
     if isinstance(c, FS):
         c = Category((c,))
-    return expand(c, registry, cap, on_cap=lambda n: None)
+    return expand(c, registry, on_cap=lambda n: None)
 
 
 # -- the conjoined critic -------------------------------------------------------
@@ -249,8 +213,9 @@ def criticise_rhs(rhs, model, registry=None, lp=True, types=True):
     Returns True or a Reject listing every failed principle.
     """
     reasons = []
-    if lp and not lp_check(rhs, model.lp_rules):
-        reasons.append("lp:" + ",".join(violated_lp(rhs, model.lp_rules)))
+    violated = violated_lp(rhs, model.lp_rules) if lp else ()
+    if violated:
+        reasons.append("lp:" + ",".join(violated))
     if types and not type_check(rhs, model.typemap, registry):
         reasons.append("type")
     if reasons:
@@ -261,7 +226,7 @@ def criticise_rhs(rhs, model, registry=None, lp=True, types=True):
 # -- model files -----------------------------------------------------------------
 
 
-def load_model(path, registry, max_bar=None, hfc=False):
+def load_model(path, registry):
     """Model file: 'lp NAME : P < P', 'type P : TYPE', 'nonhead F1 F2 ...'."""
     from .constructor import DEFAULT_NONHEAD, XBarConfig
 
@@ -290,7 +255,8 @@ def load_model(path, registry, max_bar=None, hfc=False):
             nonhead = frozenset(w.upper() for w in line[8:].split())
         else:
             raise MalformedSyntax("unknown model line: %r" % line)
-    if max_bar is None and registry.has_feature("BAR"):
-        max_bar = max(int(v) for v in registry.values_of("BAR") if v.isdigit())
-    xbar = XBarConfig(max_bar if max_bar is not None else 1, nonhead=nonhead, hfc=hfc)
+    max_bar = 1
+    if registry.has_feature(BAR):
+        max_bar = max(int(v) for v in registry.values_of(BAR) if v.isdigit())
+    xbar = XBarConfig(max_bar, nonhead=nonhead)
     return ModelConfig(lp_rules, TypeMap(rows), xbar)

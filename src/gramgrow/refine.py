@@ -15,12 +15,12 @@ class RefineParams:
         self.prune_threshold = prune_threshold  # None: use the store's delta
 
 
-def candidate_scores(store, rule, registry=None, cap=64):
+def candidate_scores(store, rule, registry=None):
     """Each non-disjunctive LHS image scored flat: the geometric mean of
     lookup(L, rhs_i) over the RHS positions."""
     rhs = [rule.rhs(i) for i in range(1, rule.arity + 1)]
     out = []
-    for lhs in expand(rule.lhs, registry, cap, on_cap=lambda n: None):
+    for lhs in expand(rule.lhs, registry, on_cap=lambda n: None):
         score = geo_mean([store.lookup(Category((lhs,)), r) for r in rhs])
         out.append((lhs, score))
     return out
@@ -95,7 +95,7 @@ def refine_grammar(store, grammar, params=None, registry=None, labels=None):
     for rule in list(grammar.learnt):
         refined, winner, score = refine_lhs(store, rule, registry)
         if winner is not None:
-            n = len(expand(rule.lhs, registry, cap=64, on_cap=lambda n: None))
+            n = len(expand(rule.lhs, registry, on_cap=lambda n: None))
             grammar.replace_learnt(rule.id, refined)
             report.append(
                 " Refining %d rules encoded in %s score: %r" % (n, rule.id, score)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 
+from .fs import DEFAULT_EXPANSION_CAP
 from .fs import Category, FS, MalformedSyntax, expand, parse_cats, print_fs, unify, unify_cat
 from .grammar import data_lines
 
@@ -186,7 +187,7 @@ def geo_mean(values):
     return prod ** (1.0 / len(values))
 
 
-def score_local(store, mother, daughters, registry=None, cap=64, on_cap=None):
+def score_local(store, mother, daughters, registry=None, on_cap=None):
     """Score of a one-level local tree.
 
     `daughters` is a sequence of (category, subtree score or None); lexical
@@ -195,14 +196,14 @@ def score_local(store, mother, daughters, registry=None, cap=64, on_cap=None):
     node scores as the maximum over its non-disjunctive expansions.
     """
     silent = on_cap if on_cap is not None else (lambda n: None)
-    m_exps = expand(_as_cat(mother), registry, cap, silent)
-    d_exps = [expand(_as_cat(c), registry, cap, silent) for c, _ in daughters]
+    m_exps = expand(_as_cat(mother), registry, on_cap=silent)
+    d_exps = [expand(_as_cat(c), registry, on_cap=silent) for c, _ in daughters]
     best = 0.0
     seen = 0
     total = len(m_exps)
     for exps in d_exps:
         total *= len(exps)
-    if cap is not None and total > cap:
+    if total > DEFAULT_EXPANSION_CAP:
         silent(total)  # the max runs over the enumerated prefix only
     for m in m_exps:
         for combo in itertools.product(*d_exps):
@@ -214,7 +215,7 @@ def score_local(store, mother, daughters, registry=None, cap=64, on_cap=None):
                 factors.append(f)
             best = max(best, geo_mean(factors))
             seen += 1
-            if cap is not None and seen >= cap:
+            if seen >= DEFAULT_EXPANSION_CAP:
                 return best
     return best
 
@@ -223,19 +224,19 @@ def _as_cat(c):
     return Category((c,)) if isinstance(c, FS) else c
 
 
-def score_tree(store, tree, registry=None, cap=64):
+def score_tree(store, tree, registry=None):
     """Recursive tree score: every daughter's subtree is scored first and
     feeds its parent's local score."""
     if tree.is_leaf:
         return None
-    daughters = [(child.cat, score_tree(store, child, registry, cap)) for child in tree.children]
-    return score_local(store, tree.cat, daughters, registry, cap)
+    daughters = [(child.cat, score_tree(store, child, registry)) for child in tree.children]
+    return score_local(store, tree.cat, daughters, registry)
 
 
-def judge(store, mother, daughters, registry=None, cap=64, on_cap=None):
+def judge(store, mother, daughters, registry=None, on_cap=None):
     """Acceptance test for a super-rule instantiation: the geometric mean of
     the local tree's score and its interior daughters' scores must exceed
     omega."""
-    local = score_local(store, mother, daughters, registry, cap, on_cap)
+    local = score_local(store, mother, daughters, registry, on_cap)
     outer = [local] + [s for _, s in daughters if s is not None]
     return geo_mean(outer) > store.omega

@@ -32,9 +32,9 @@ def random_fs(rng, depth=2, share=True):
             if roll < 0.75 or level >= depth:
                 vals = _VALUES[feat]
                 if rng.random() < 0.25 and len(vals) > 2:
-                    feats[feat] = graph.add(frozenset(rng.sample(vals, 2)))
+                    feats[feat] = graph.add(rng.sample(vals, 2))
                 else:
-                    feats[feat] = graph.add(rng.choice(vals))
+                    feats[feat] = graph.add((rng.choice(vals),))
             elif share and pool and rng.random() < 0.4:
                 feats[feat] = rng.choice(pool)
             else:

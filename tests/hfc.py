@@ -5,13 +5,13 @@ verifies that from the rule's instances alone.
 """
 
 from gramgrow.fs import FS
-from gramgrow.grammar import LHS, slot
+from gramgrow.grammar import BAR, LHS, slot
 
 
 def hfc_check(rule, cfg):
     """A rule obeys the HFC if some LHS disjunct shares all head features with
     some daughter and carries no non-head feature besides BAR."""
-    head_ok = lambda feat: feat not in cfg.nonhead or feat == cfg.bar_feature
+    head_ok = lambda feat: feat not in cfg.nonhead or feat == BAR
     for inst in rule.instances:
         lhs = inst.get(LHS) or FS.empty()
         if not all(head_ok(f) for f in lhs.root_features):

@@ -33,16 +33,16 @@ def one(d):
 
 
 def test_bar_of_and_minor(demo, lex):
-    assert bar_of(lex["happy"], CFG.bar_feature) == 1
-    assert bar_of(lex["the"], CFG.bar_feature) is None
-    assert not is_minor(lex["the"], CFG)  # demo has no MINOR feature at all
+    assert bar_of(lex["happy"]) == 1
+    assert bar_of(lex["the"]) is None
+    assert not is_minor(lex["the"])  # demo has no MINOR feature at all
     registry, _, lexicon, _ = load_demo()[0], None, None, None
 
 
 def test_bar_of_value_set(demo):
     registry = demo[0]
     d = parse_fs("[N +, BAR {1,2}]", registry).disjuncts[0]
-    assert bar_of(d, CFG.bar_feature) == 2
+    assert bar_of(d) == 2
 
 
 def test_project_replaces_bar(demo, lex):

@@ -135,6 +135,17 @@ def test_registry_order_in_print():
     assert print_fs(cat("[V -, N +]"), REG) == "[N +, V -]"
 
 
+def test_value_order_follows_the_registry_not_first_sight():
+    # no other test uses Z8 or Z9: written first, Z8 is seen first, yet
+    # output follows the declared order Z9, Z8
+    reg = FeatureRegistry.from_text("feature Q Z9 Z8")
+    d = parse_fs("[Q {Z8, Z9}]", reg).disjuncts[0]
+    assert print_fs(d, reg) == "[Q {Z9, Z8}]"
+    assert print_fs(d) == "[Q {Z8, Z9}]"
+    assert [e.get("Q") for e in expand(Category((d,)), reg)] == ["Z9", "Z8"]
+    assert d.get("Q") == frozenset({"Z8", "Z9"})
+
+
 # -- subsumption -------------------------------------------------------------
 
 

@@ -1,8 +1,10 @@
 import itertools
+import random
+import re
 
 import pytest
 
-from gramgrow.fs import Category, parse_fs
+from gramgrow.fs import Category, matches, parse_fs, print_fs
 from gramgrow.model import (
     apply_type,
     criticise_rhs,
@@ -16,7 +18,9 @@ from gramgrow.model import (
 from gramgrow.grammar import parse_rule_line
 from gramgrow.resources import data_path, load_demo
 
+from genfs import GEN_REGISTRY, random_fs
 from hfc import hfc_check
+from patterns import fs_matches
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +56,38 @@ def test_match_value_disjunction_any_member(demo):
     p = parse_pattern("[BAR 1]", registry)
     d = parse_fs("[BAR {1,2}]", registry).disjuncts[0]
     assert match(p, d)
+
+
+def test_matches_agrees_with_reference_on_demo_patterns(demo):
+    _, _, lexicon, _, model = demo
+    patterns = [p for rule in model.lp_rules for p in (rule.left, rule.right)]
+    patterns += [p for p, _ in model.typemap.rows]
+    entries = [d for t in lexicon.terminals for d in lexicon.lexical_categories(t)]
+    seen = set()
+    for p, d, presence in itertools.product(patterns, entries, (True, False)):
+        got = matches(p.fs, d, presence)
+        assert got == fs_matches(p.fs, d, presence), (p, d, presence)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_matches_agrees_with_reference_on_wildcard_patterns():
+    rng = random.Random(3)
+    atom = re.compile(r"\b([A-D]) (\w+)")
+    seen = set()
+    for _ in range(300):
+        source = random_fs(rng)
+        text = atom.sub(
+            lambda m: m.group(1) + " *" if rng.random() < 0.5 else m.group(0),
+            print_fs(source, GEN_REGISTRY),
+        )
+        p = parse_fs(text, GEN_REGISTRY, pattern=True).disjuncts[0]
+        for d in [source] + [random_fs(rng) for _ in range(4)]:
+            for presence in (True, False):
+                got = matches(p, d, presence)
+                assert got == fs_matches(p, d, presence), (text, d, presence)
+                seen.add(got)
+    assert seen == {True, False}
 
 
 # -- lp_check -------------------------------------------------------------------
