@@ -317,16 +317,24 @@ class ChartParser:
 
     def _combine(self, rule_id, arity, instances, nfound, children, inactive, start=None):
         feat = slot(nfound + 1)
-        survivors = []
         disjuncts = inactive.cat().disjuncts
-        for inst in instances:
-            slot_fs = inst.get(feat)
-            for d in disjuncts:
-                if isinstance(slot_fs, FS) and clashes(slot_fs, d):
-                    continue
-                u = unify(inst, d, at=feat)
-                if u is not None:
-                    survivors.append(u)
+        # a pure function of three values: unify each rule/daughter pair once
+        # per rule set, across spans and parses (the empty result included)
+        key = (instances, feat, disjuncts)
+        memo = self.grammar.combine_memo
+        survivors = memo.get(key)
+        if survivors is None:
+            found = []
+            for inst in instances:
+                slot_fs = inst.get(feat)
+                for d in disjuncts:
+                    if isinstance(slot_fs, FS) and clashes(slot_fs, d):
+                        continue
+                    u = unify(inst, d, at=feat)
+                    if u is not None:
+                        found.append(u)
+            # edges may share this tuple: Edge.replace_instances rebinds
+            survivors = memo[key] = tuple(dict.fromkeys(found))
         if not survivors:
             return None
         return self._add_edge(
@@ -335,7 +343,7 @@ class ChartParser:
             inactive.end,
             arity,
             nfound + 1,
-            tuple(dict.fromkeys(survivors)),
+            survivors,
             children + (inactive.id,),
         )
 

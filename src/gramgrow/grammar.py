@@ -139,6 +139,14 @@ def rule_subsumes(r, s):
     return all(subsumes_cat(r.rhs(i), s.rhs(i)) for i in range(1, r.arity + 1))
 
 
+def max_bar_of(registry):
+    """The largest digit-only BAR value the registry declares, or 1 when it
+    declares none."""
+    if not registry.has_feature(BAR):
+        return 1
+    return max((int(v) for v in registry.values_of(BAR) if v.isdigit()), default=1)
+
+
 class Grammar:
     """The original rule set and the learnt rule set, over one registry."""
 
@@ -148,9 +156,12 @@ class Grammar:
         self.learnt = []
         self._by_id = {}
         self._learn_counter = 0
-        if max_bar is None and registry.has_feature(BAR):
-            max_bar = max(int(v) for v in registry.values_of(BAR))
-        self.max_bar = 1 if max_bar is None else max_bar
+        self.max_bar = max_bar_of(registry) if max_bar is None else max_bar
+        # (rule instances, slot, daughter disjuncts) -> the instances that
+        # accept the daughter there; filled by the chart parser.  Keys are
+        # values, so entries never go stale; every mutator empties it anyway,
+        # which bounds it by the work done against one rule set.
+        self.combine_memo = {}
 
     def __contains__(self, rule_id):
         return rule_id in self._by_id
@@ -167,6 +178,7 @@ class Grammar:
             raise GrammarError("duplicate rule id %r" % rule.id)
         self.original.append(rule)
         self._by_id[rule.id] = rule
+        self.combine_memo.clear()
 
     def next_learnt_id(self, arity):
         """A fresh id; ids of rules loaded from a learnt file are skipped."""
@@ -194,16 +206,19 @@ class Grammar:
             rule.support = support
         self.learnt.append(rule)
         self._by_id[rule.id] = rule
+        self.combine_memo.clear()
         return rule
 
     def remove_learnt(self, rule_id):
         rule = self._by_id.pop(rule_id)
         self.learnt.remove(rule)
+        self.combine_memo.clear()
 
     def replace_learnt(self, rule_id, new_rule):
         idx = self.learnt.index(self._by_id[rule_id])
         self.learnt[idx] = new_rule
         self._by_id[rule_id] = new_rule
+        self.combine_memo.clear()
 
     def subsumer_of(self, rule):
         for existing in self.rules:
@@ -227,6 +242,7 @@ class Grammar:
             else:
                 self.learnt.append(rule)
                 self._by_id[rule.id] = rule
+                self.combine_memo.clear()
 
 
 def format_rule(rule, registry=None):

@@ -7,7 +7,7 @@ unless it can prove the daughters implausible.
 from __future__ import annotations
 
 from .fs import Category, FS, MalformedSyntax, expand, matches, parse_fs, subsumes
-from .grammar import BAR, data_lines
+from .grammar import data_lines, max_bar_of
 
 E = "e"
 T = "t"
@@ -134,10 +134,16 @@ class TypeMap:
     """Ordered (pattern, type) rows extensionally defining a partial typing."""
 
     def __init__(self, rows=()):
-        self.rows = list(rows)  # (Pattern, type)
+        self.rows = tuple(rows)  # (Pattern, type)
+        self._types = {}  # structure -> its type, filled on first lookup
 
     def lookup(self, d):
         """Type of the most specific matching row, or None."""
+        if d not in self._types:
+            self._types[d] = self._most_specific(d)
+        return self._types[d]
+
+    def _most_specific(self, d):
         hits = [(i, pat, typ) for i, (pat, typ) in enumerate(self.rows) if compatible(pat, d)]
         if not hits:
             return None
@@ -255,8 +261,5 @@ def load_model(path, registry):
             nonhead = frozenset(w.upper() for w in line[8:].split())
         else:
             raise MalformedSyntax("unknown model line: %r" % line)
-    max_bar = 1
-    if registry.has_feature(BAR):
-        max_bar = max(int(v) for v in registry.values_of(BAR) if v.isdigit())
-    xbar = XBarConfig(max_bar, nonhead=nonhead)
+    xbar = XBarConfig(max_bar_of(registry), nonhead=nonhead)
     return ModelConfig(lp_rules, TypeMap(rows), xbar)

@@ -46,6 +46,8 @@ class TripleStore:
         self.omega = omega
         self.triples = []
         self._index = {}
+        # (a, b) -> [triples tested so far, the compatible ones among them];
+        # a lookup tests only the triples added since its last visit
         self._cache = {}
         self.total = 0
 
@@ -59,7 +61,6 @@ class TripleStore:
         else:
             triple.freq += freq
         self.total += freq
-        self._cache = {}
 
     def lookup(self, a, b):
         """Summed frequency of triples unifiable with the pair, over the
@@ -67,16 +68,17 @@ class TripleStore:
         if self.total == 0:
             return self.delta
         key = (_cache_key(a), _cache_key(b))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        acc = 0
-        for t in self.triples:
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = self._cache[key] = [0, []]
+        tested, found = entry
+        for t in self.triples[tested:]:
             if _compatible(t.mother, a) and _compatible(t.daughter, b):
-                acc += t.freq
-        got = acc / self.total if acc else self.delta
-        self._cache[key] = got
-        return got
+                found.append(t)
+        entry[0] = len(self.triples)
+        # frequencies are integers, so the sum is exact in any order
+        acc = sum(t.freq for t in found)
+        return acc / self.total if acc else self.delta
 
     def save(self, path, registry=None):
         with open(path, "w", encoding="utf-8") as f:

@@ -378,3 +378,100 @@ def test_learning_without_model_uses_xbar_only(demo):
     g.load_rules(data_path("demo.grammar"))
     res = parse("Sam chases the happy cat".split(), g, lexicon, model=None, flags=full_flags())
     assert res.n_parses >= 1 and res.learnt
+
+
+# -- the grammar's combine memo -----------------------------------------------------
+
+
+# acceptance criterion 11: the training sentences and the held-out lines
+C11_TRAIN = [
+    "Sam chases the cat",
+    "The cat chases Sam",
+    "Sam chases the happy cat",
+    "the happy cat chases Sam",
+    "Sam chases the cat down the road",
+    "The cat down the road chases Sam",
+    "the road chases the cat",
+    "Sam chases the road",
+    "the cat chases the cat",
+    "the happy happy cat chases Sam",
+]
+C11_HELD_OUT = [
+    "Sam chases the happy road",
+    "the happy road chases Sam",
+    "The road down the road chases the happy happy cat",
+    "Sam chases Sam",
+    "the cat chases the happy cat",
+    "happy the cat chases Sam",
+    "Sam the cat chases",
+    "down the road",
+    "the cat down the road chases the cat",
+    "Sam chases",
+]
+DEMO_SENTENCES = [
+    "Sam chases the cat",
+    "Sam chases the happy cat",
+    "Sam chases happy the cat",
+    "the happy cat",
+]
+
+
+class _NoMemo(dict):
+    """A memo that forgets everything: every combination is computed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _c11_grammar(registry, lexicon, model):
+    g = Grammar(registry)
+    g.load_rules(data_path("demo.grammar"))
+    flags = SessionFlags(learning=True, hfc=True)
+    for line in C11_TRAIN:
+        parse(line.split(), g, lexicon, model, flags=flags)
+    return g
+
+
+def _observed(grammar, lexicon, model):
+    out = []
+    runs = [(s, ParserLimits(max_edges=3000)) for s in DEMO_SENTENCES]
+    runs += [(s, ParserLimits.learning_default()) for s in C11_HELD_OUT]
+    for sentence, limits in runs:
+        res = parse(sentence.split(), grammar, lexicon, model, limits=limits)
+        out.append((
+            [t.display() for t in res.trees],
+            res.n_parses,
+            res.edges_created,
+            res.resource_bounded,
+            [e.instances for e in res.chart.edges],
+        ))
+    return out
+
+
+def test_combine_memo_is_transparent(demo):
+    registry, _, lexicon, _, model = demo
+    g = _c11_grammar(registry, lexicon, model)
+    assert g.learnt
+    cold = _observed(g, lexicon, model)
+    assert g.combine_memo
+    warm = _observed(g, lexicon, model)
+    fresh = _observed(_c11_grammar(registry, lexicon, model), lexicon, model)
+    unmemoised = _c11_grammar(registry, lexicon, model)
+    unmemoised.combine_memo = _NoMemo()
+    reference = _observed(unmemoised, lexicon, model)
+    assert cold == warm == fresh == reference
+    assert any(bounded for _, _, _, bounded, _ in reference)
+
+
+def test_combine_memo_keeps_learning_unchanged(demo):
+    registry, _, lexicon, _, model = demo
+    memoised = _c11_grammar(registry, lexicon, model)
+    unmemoised = Grammar(registry)
+    unmemoised.load_rules(data_path("demo.grammar"))
+    unmemoised.combine_memo = _NoMemo()  # the mutators clear it, never rebind it
+    flags = SessionFlags(learning=True, hfc=True)
+    for line in C11_TRAIN:
+        parse(line.split(), unmemoised, lexicon, model, flags=flags)
+    assert [(r.id, r.instances) for r in memoised.learnt] == [
+        (r.id, r.instances) for r in unmemoised.learnt
+    ]

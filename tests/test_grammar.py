@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gramgrow.chart import SessionFlags, parse
-from gramgrow.fs import MalformedSyntax, equal_cat, parse_cats, parse_fs, print_fs
+from gramgrow.fs import FeatureRegistry, MalformedSyntax, equal_cat, parse_cats, parse_fs, print_fs
 from gramgrow.grammar import (
     LHS,
     Grammar,
@@ -38,6 +38,15 @@ def test_demo_bundle_loads(demo):
     assert len(grammar.original) == 6
     assert grammar.max_bar == 3
     assert len(lexicon.terminals) == 7
+
+
+def test_max_bar_reads_digit_bar_values_only(tmp_path):
+    model_file = tmp_path / "empty.model"
+    model_file.write_text("")
+    for values, expected in [("0 1 2 MAX", 2), ("MAX", 1)]:
+        reg = FeatureRegistry.from_text("feature BAR %s\nfeature N + -" % values)
+        assert Grammar(reg).max_bar == expected
+        assert load_model(model_file, reg).xbar.max_bar == expected
 
 
 def test_rule_reentrancy_crosses_positions(demo):
@@ -145,6 +154,38 @@ def test_add_learnt_returns_the_stored_rule(demo):
     assert stored.id == "*u1_2" and stored.support is support
     assert g.learnt[-1] is stored and g.rule("*u1_2") is stored
     assert g.add_learnt(r2) is None  # now subsumed by the stored copy
+
+
+def test_every_mutator_empties_the_combine_memo(tmp_path, demo):
+    registry, _, lexicon, _ = demo
+    g = Grammar(registry)
+    g.load_rules(__demo_grammar_path())
+
+    def fill():
+        parse("Sam chases the cat".split(), g, lexicon)
+        assert g.combine_memo
+
+    u1 = parse_rule_line("rule *u1 : [N +, BAR 2] -> [N +, BAR 1]", registry, origin="learnt")
+    u1b = parse_rule_line(
+        "rule *u1 : [N -, V +, BAR 2] -> [N -, V +, BAR 1]", registry, origin="learnt"
+    )
+    x1 = parse_rule_line("rule X1 : [N +, BAR 3] -> [N +, BAR 2]", registry)
+    saved = tmp_path / "learnt.rules"
+    saved.write_text(format_rule(u1b, registry).replace("*u1", "*u9") + "\n")
+    mutations = [
+        lambda: g.add_original(x1),
+        lambda: g.add_learnt(u1),
+        lambda: g.replace_learnt("*u1", u1b),
+        lambda: g.remove_learnt("*u1"),
+        lambda: g.load_rules(saved, origin="learnt"),
+    ]
+    for mutate in mutations:
+        fill()
+        mutate()
+        assert g.combine_memo == {}
+    fill()
+    assert g.add_learnt(u1b) is None  # refused: the rule set is unchanged
+    assert g.combine_memo
 
 
 def test_parse_cats_joint_shares_tags_across_positions():

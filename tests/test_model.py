@@ -4,9 +4,10 @@ import re
 
 import pytest
 
-from gramgrow.fs import Category, matches, parse_fs, print_fs
+from gramgrow.fs import Category, expand, matches, parse_fs, print_fs, subsumes
 from gramgrow.model import (
     apply_type,
+    compatible,
     criticise_rhs,
     load_model,
     lp_check,
@@ -154,6 +155,39 @@ def test_typ_lookup_undefined(demo):
     registry, _, lexicon, _, model = demo
     down = lex1(lexicon, "down")
     assert model.typemap.lookup(down) is None
+
+
+def _type_of(rows, d):
+    """TypeMap.lookup without its memo: the type of the most specific
+    compatible row (the first one if none is most specific), or None."""
+    hits = [(i, pat, typ) for i, (pat, typ) in enumerate(rows) if compatible(pat, d)]
+    if not hits:
+        return None
+    best = []
+    for i, pat, typ in hits:
+        general = any(
+            subsumes(pat.fs, other.fs) and not subsumes(other.fs, pat.fs)
+            for j, other, _ in hits
+            if j != i
+        )
+        if not general:
+            best.append((i, typ))
+    if not best:
+        best = [(hits[0][0], hits[0][2])]
+    return min(best)[1]
+
+
+def test_typ_lookup_matches_uncached_reference(demo):
+    registry, grammar, lexicon, _, model = demo
+    cats = [Category((d,)) for w in lexicon.terminals for d in lexicon.lexical_categories(w)]
+    cats += [rule.rhs(i) for rule in grammar.rules for i in range(1, rule.arity + 1)]
+    structures = [d for c in cats for d in c.disjuncts]
+    structures += [e for c in cats for e in expand(c, registry, on_cap=lambda n: None)]
+    tm = model.typemap
+    for _ in range(2):  # the second pass reads the memo
+        for d in structures:
+            assert tm.lookup(d) == _type_of(tm.rows, d)
+    assert {tm.lookup(d) is None for d in structures} == {True, False}
 
 
 def test_apply_type_det_nominal():

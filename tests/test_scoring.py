@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gramgrow.chart import ParseTree
-from gramgrow.fs import Category, FS, FeatureRegistry, parse_fs
+from gramgrow.fs import Category, FS, FeatureRegistry, parse_fs, unify
 from gramgrow.scoring import (
     TripleStore,
     decompose,
@@ -125,6 +125,39 @@ def test_lookup_monotone_under_specialization():
     loose = store.lookup(parse_fs("[CAT NP]", reg), parse_fs("[]", reg))
     tight = store.lookup(parse_fs("[CAT NP, PLU -]", reg), parse_fs("[]", reg))
     assert tight <= loose
+
+
+def _recount(store, a, b):
+    """The lookup from scratch: summed frequency of the triples unifiable
+    with the pair, over the total; delta when none is."""
+
+    def compatible(t_fs, c):
+        disjuncts = c.disjuncts if isinstance(c, Category) else (c,)
+        return any(unify(t_fs, d) is not None for d in disjuncts)
+
+    acc = sum(
+        t.freq for t in store.triples if compatible(t.mother, a) and compatible(t.daughter, b)
+    )
+    return acc / store.total if acc else store.delta
+
+
+def test_lookup_equals_recount_under_interleaved_adds():
+    reg = FeatureRegistry.from_text("feature CAT S NP VP\nfeature PLU + -")
+    texts = ["[CAT S]", "[CAT NP]", "[CAT NP, PLU +]", "[CAT NP, PLU -]", "[CAT VP, PLU -]", "[]"]
+    pool = [parse_fs(t, reg).disjuncts[0] for t in texts]
+    queries = pool + [parse_fs(t, reg) for t in ("{[CAT S], [CAT VP]}", "[PLU +]", "[]")]
+    rng = random.Random(7)
+    store = TripleStore()
+    adds = lookups = 0
+    for _ in range(400):
+        if rng.random() < 0.3:
+            store.add(rng.choice(pool), rng.choice(pool), rng.randint(1, 3))
+            adds += 1
+        else:
+            a, b = rng.choice(queries), rng.choice(queries)
+            assert store.lookup(a, b) == _recount(store, a, b)
+            lookups += 1
+    assert len(store.triples) < adds and lookups > adds  # repeated pairs, reads between writes
 
 
 # -- score_tree ------------------------------------------------------------------
