@@ -14,7 +14,7 @@ import itertools
 from collections import deque
 
 from .constructor import Rejection, construct_binary_cat, construct_unary_cat
-from .fs import Category, EMPTY_CAT, FS, clashes, unify, unify_cat
+from .fs import Category, EMPTY_CAT, unify_cat
 from .grammar import LHS, SupportRecord, UnknownTerminal, cat_at, slot, super_rule
 from .model import criticise_rhs
 from . import scoring
@@ -316,25 +316,8 @@ class ChartParser:
         )
 
     def _combine(self, rule_id, arity, instances, nfound, children, inactive, start=None):
-        feat = slot(nfound + 1)
-        disjuncts = inactive.cat().disjuncts
-        # a pure function of three values: unify each rule/daughter pair once
-        # per rule set, across spans and parses (the empty result included)
-        key = (instances, feat, disjuncts)
-        memo = self.grammar.combine_memo
-        survivors = memo.get(key)
-        if survivors is None:
-            found = []
-            for inst in instances:
-                slot_fs = inst.get(feat)
-                for d in disjuncts:
-                    if isinstance(slot_fs, FS) and clashes(slot_fs, d):
-                        continue
-                    u = unify(inst, d, at=feat)
-                    if u is not None:
-                        found.append(u)
-            # edges may share this tuple: Edge.replace_instances rebinds
-            survivors = memo[key] = tuple(dict.fromkeys(found))
+        # edges may share this tuple: Edge.replace_instances rebinds
+        survivors = self.grammar.survivors(instances, slot(nfound + 1), inactive.cat().disjuncts)
         if not survivors:
             return None
         return self._add_edge(
@@ -433,17 +416,17 @@ class ChartParser:
         return XBarConfig(max_bar=self.grammar.max_bar, hfc=self.flags.hfc)
 
     def _covered_by_original(self, arity, rhs):
-        """A same-arity rule usable for proposing already licenses this RHS."""
+        """A same-arity original rule already licenses this RHS."""
         for rule in self.grammar.original:
             if rule.arity != arity:
                 continue
-            for inst in rule.instances:
-                for combo in itertools.product(*[c.disjuncts for c in rhs]):
-                    u = inst
-                    for i, d in enumerate(combo, start=1):
-                        u = u and unify(u, d, at=slot(i))
-                    if u is not None:
-                        return True
+            insts = rule.instances
+            for i, c in enumerate(rhs, start=1):
+                insts = self.grammar.survivors(insts, slot(i), c.disjuncts)
+                if not insts:
+                    break
+            else:
+                return True
         return False
 
     def _daughter_summary(self, edge):
@@ -488,15 +471,9 @@ class ChartParser:
             if not cat.is_bottom:
                 yield ParseTree(cat, token=edge.token)
             return
-        narrowed = []
-        for inst in edge.instances:
-            for f in forced.disjuncts:
-                u = unify(inst, f, at=LHS)
-                if u is not None:
-                    narrowed.append(u)
+        narrowed = self.grammar.survivors(edge.instances, LHS, forced.disjuncts)
         if not narrowed:
             return
-        narrowed = tuple(dict.fromkeys(narrowed))
         node_cat = cat_at(narrowed, LHS)
         rule_id = edge.built_rule.id if edge.built_rule is not None else edge.rule_id
         child_iters = []

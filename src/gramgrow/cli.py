@@ -360,12 +360,7 @@ def _dispatch(session, line):
     elif cmd == "limits":
         words = _words(line)
         if len(words) == 3:
-            try:
-                n = None if words[1] in ("off", "0") else int(words[1])
-                m = None if words[2] in ("off", "0") else int(words[2])
-                session.limits = ParserLimits(n, m)
-            except ValueError as err:
-                raise MalformedSyntax(str(err)) from None
+            session.limits = _limits(words[1:])
             return False
     elif cmd in loaders:
         words = _words(line)
@@ -394,6 +389,15 @@ def _dispatch(session, line):
     return False
 
 
+def _limits(words):
+    """ParserLimits from the words N M; 'off' or 0 lifts a bound."""
+    try:
+        n, m = (None if w == "off" else int(w) or None for w in words)
+        return ParserLimits(n, m)
+    except ValueError as err:
+        raise MalformedSyntax(str(err)) from None
+
+
 def _words(line):
     try:
         return shlex.split(line)
@@ -418,6 +422,8 @@ def _eval_args():
 
 
 def _run_eval(session, ns):
+    if ns.k < 1:
+        raise MalformedSyntax("--k must be >= 1")
     count, length = ns.random or (0, 6)
     return cmd_eval(session, ns.test, ns.plausible, count, length, ns.k, ns.seed, ns.out)
 
@@ -438,7 +444,7 @@ def main(argv=None):
     ev.add_argument("--model")
     ev.add_argument("--labels")
     ev.add_argument("--learnt")
-    ev.add_argument("--limits", nargs=2, type=int, metavar=("N", "M"))
+    ev.add_argument("--limits", nargs=2, metavar=("N", "M"))
     ns = ap.parse_args(argv)
 
     session = Session(trace=ns.trace, seed=ns.seed)
@@ -480,9 +486,7 @@ def _load_for_eval(session, ns):
     if ns.learnt:
         session.grammar.load_rules(ns.learnt, origin="learnt")
     if ns.limits:
-        n = ns.limits[0] or None
-        m = ns.limits[1] or None
-        session.limits = ParserLimits(n, m)
+        session.limits = _limits(ns.limits)
     if not session.ready():
         raise FSError("eval needs a grammar and a lexicon")
 

@@ -124,6 +124,22 @@ def make_rule(rule_id, lhs_cat, rhs_cats, origin=ORIGINAL, support=None):
     return Rule(rule_id, len(rhs_cats), instances, origin, support)
 
 
+def narrow(instances, feat, disjuncts):
+    """The instances that accept a daughter at one rule position: each
+    instance unified with each daughter disjunct at `feat`, instances first,
+    without repeats.  Pairs whose root atoms clash are never unified."""
+    found = []
+    for inst in instances:
+        slot_fs = inst.get(feat)
+        for d in disjuncts:
+            if isinstance(slot_fs, FS) and fsmod.clashes(slot_fs, d):
+                continue
+            u = fsmod.unify(inst, d, at=feat)
+            if u is not None:
+                found.append(u)
+    return tuple(dict.fromkeys(found))
+
+
 def super_rule(arity):
     origin = SUPER_UNARY if arity == 1 else SUPER_BINARY
     cats = [EMPTY_CAT] * arity
@@ -157,10 +173,10 @@ class Grammar:
         self._by_id = {}
         self._learn_counter = 0
         self.max_bar = max_bar_of(registry) if max_bar is None else max_bar
-        # (rule instances, slot, daughter disjuncts) -> the instances that
-        # accept the daughter there; filled by the chart parser.  Keys are
-        # values, so entries never go stale; every mutator empties it anyway,
-        # which bounds it by the work done against one rule set.
+        # (rule instances, slot, daughter disjuncts) -> narrow()'s result,
+        # filled by survivors().  Keys are values, so entries never go stale;
+        # every mutator empties it anyway, which bounds it by the work done
+        # against one rule set.
         self.combine_memo = {}
 
     def __contains__(self, rule_id):
@@ -173,12 +189,15 @@ class Grammar:
     def rules(self):
         return self.original + self.learnt
 
-    def add_original(self, rule):
+    def _add(self, rule, partition):
         if rule.id in self._by_id:
             raise GrammarError("duplicate rule id %r" % rule.id)
-        self.original.append(rule)
+        partition.append(rule)
         self._by_id[rule.id] = rule
         self.combine_memo.clear()
+
+    def add_original(self, rule):
+        self._add(rule, self.original)
 
     def next_learnt_id(self, arity):
         """A fresh id; ids of rules loaded from a learnt file are skipped."""
@@ -191,9 +210,8 @@ class Grammar:
     def add_learnt(self, rule, support=None):
         """Retain rule unless some existing non-super rule subsumes it.
         Returns the rule as stored (renamed if its id is taken), or None."""
-        for existing in self.rules:
-            if rule_subsumes(existing, rule):
-                return None
+        if self.subsumer_of(rule) is not None:
+            return None
         if rule.id in self._by_id:
             base = rule.id
             n = 2
@@ -204,9 +222,7 @@ class Grammar:
             )
         if support is not None:
             rule.support = support
-        self.learnt.append(rule)
-        self._by_id[rule.id] = rule
-        self.combine_memo.clear()
+        self._add(rule, self.learnt)
         return rule
 
     def remove_learnt(self, rule_id):
@@ -226,6 +242,16 @@ class Grammar:
                 return existing
         return None
 
+    def survivors(self, instances, feat, disjuncts):
+        """narrow(), memoised: a pure function of three values, so each
+        rule/daughter pair is unified once per rule set, across spans and
+        parses (the empty result included).  Callers may share the tuple."""
+        key = (instances, feat, disjuncts)
+        hit = self.combine_memo.get(key)
+        if hit is None:
+            hit = self.combine_memo[key] = narrow(instances, feat, disjuncts)
+        return hit
+
     # -- persistence ----------------------------------------------------------
 
     def save_learnt(self, path):
@@ -237,12 +263,7 @@ class Grammar:
     def load_rules(self, path, origin=ORIGINAL):
         for line in data_lines(path):
             rule = parse_rule_line(line, self.registry, origin)
-            if origin == ORIGINAL:
-                self.add_original(rule)
-            else:
-                self.learnt.append(rule)
-                self._by_id[rule.id] = rule
-                self.combine_memo.clear()
+            self._add(rule, self.original if origin == ORIGINAL else self.learnt)
 
 
 def format_rule(rule, registry=None):

@@ -3,8 +3,8 @@ low-score pruning, and structural-support retraction."""
 
 from __future__ import annotations
 
-from .fs import Category, expand, print_fs, unify
-from .grammar import LHS, Rule, SupportRecord
+from .fs import Category, expand, print_fs
+from .grammar import LHS, Rule, SupportRecord, narrow
 from .scoring import geo_mean
 
 
@@ -44,12 +44,9 @@ def refine_lhs(store, rule, registry=None):
     if len(winners) != 1:
         return rule, None, best
     winner = winners[0]
-    instances = []
-    for inst in rule.instances:
-        u = unify(inst, winner, at=LHS)
-        if u is not None:
-            instances.append(u)
-    refined = Rule(rule.id, rule.arity, tuple(instances), rule.origin, rule.support)
+    # not memoised: replace_learnt empties the memo right after
+    instances = narrow(rule.instances, LHS, (winner,))
+    refined = Rule(rule.id, rule.arity, instances, rule.origin, rule.support)
     return refined, winner, best
 
 

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from gramgrow.chart import ChartParser, ParserLimits, SessionFlags, parse
-from gramgrow.fs import FeatureRegistry, parse_fs
-from gramgrow.grammar import Grammar, Lexicon, UnknownTerminal
+from gramgrow.fs import FeatureRegistry, parse_fs, unify
+from gramgrow.grammar import Grammar, Lexicon, UnknownTerminal, slot
 from gramgrow.model import load_model
 from gramgrow.resources import data_path, load_demo
 
@@ -423,12 +423,20 @@ class _NoMemo(dict):
         pass
 
 
+def _learn_c11(g, lexicon, model):
+    """Learn from the training sentences; the bad_reason of every edge."""
+    flags = SessionFlags(learning=True, hfc=True)
+    reasons = []
+    for line in C11_TRAIN:
+        res = parse(line.split(), g, lexicon, model, flags=flags)
+        reasons.append([e.bad_reason for e in res.chart.edges])
+    return reasons
+
+
 def _c11_grammar(registry, lexicon, model):
     g = Grammar(registry)
     g.load_rules(data_path("demo.grammar"))
-    flags = SessionFlags(learning=True, hfc=True)
-    for line in C11_TRAIN:
-        parse(line.split(), g, lexicon, model, flags=flags)
+    _learn_c11(g, lexicon, model)
     return g
 
 
@@ -465,13 +473,57 @@ def test_combine_memo_is_transparent(demo):
 
 def test_combine_memo_keeps_learning_unchanged(demo):
     registry, _, lexicon, _, model = demo
-    memoised = _c11_grammar(registry, lexicon, model)
-    unmemoised = Grammar(registry)
-    unmemoised.load_rules(data_path("demo.grammar"))
+    memoised, unmemoised = Grammar(registry), Grammar(registry)
+    for g in (memoised, unmemoised):
+        g.load_rules(data_path("demo.grammar"))
     unmemoised.combine_memo = _NoMemo()  # the mutators clear it, never rebind it
-    flags = SessionFlags(learning=True, hfc=True)
-    for line in C11_TRAIN:
-        parse(line.split(), unmemoised, lexicon, model, flags=flags)
+    reasons = _learn_c11(memoised, lexicon, model)
+    assert reasons == _learn_c11(unmemoised, lexicon, model)
+    assert any("redundant" in edges for edges in reasons)
     assert [(r.id, r.instances) for r in memoised.learnt] == [
         (r.id, r.instances) for r in unmemoised.learnt
     ]
+
+
+# -- the redundancy check ------------------------------------------------------------
+
+
+def _covered_reference(grammar, arity, rhs):
+    """Some same-arity original rule instance unifies with one disjunct of
+    every RHS category: the plain product over daughter disjuncts."""
+    for rule in grammar.original:
+        if rule.arity != arity:
+            continue
+        for inst in rule.instances:
+            for combo in itertools.product(*[c.disjuncts for c in rhs]):
+                u = inst
+                for i, d in enumerate(combo, start=1):
+                    u = u and unify(u, d, at=slot(i))
+                if u is not None:
+                    return True
+    return False
+
+
+class _CheckedParser(ChartParser):
+    """Records each redundancy verdict next to the reference's."""
+
+    def _covered_by_original(self, arity, rhs):
+        got = super()._covered_by_original(arity, rhs)
+        self.verdicts.append((got, _covered_reference(self.grammar, arity, rhs)))
+        return got
+
+
+def test_redundancy_check_matches_product_reference(demo):
+    registry, _, lexicon, _, model = demo
+    g = Grammar(registry)
+    g.load_rules(data_path("demo.grammar"))
+    flags = SessionFlags(learning=True, hfc=True)
+    runs = [(s, ParserLimits(max_edges=3000)) for s in DEMO_SENTENCES]
+    runs += [(s, ParserLimits()) for s in C11_TRAIN]
+    verdicts = []
+    for sentence, limits in runs:
+        parser = _CheckedParser(g, lexicon, model, flags=flags, limits=limits)
+        parser.verdicts = verdicts
+        parser.parse(sentence.split())
+    assert {got for got, _ in verdicts} == {True, False}
+    assert all(got == want for got, want in verdicts)

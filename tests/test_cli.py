@@ -1,6 +1,6 @@
 import io
 
-from gramgrow.cli import EXIT_OK, Session, cmd_eval, main, run_repl
+from gramgrow.cli import EXIT_OK, EXIT_RESOURCE, Session, cmd_eval, main, run_repl
 from gramgrow.resources import data_path
 
 
@@ -137,6 +137,10 @@ def test_bad_eval_option_keeps_session_alive():
     assert _survives("eval --bogus")
 
 
+def test_nonpositive_eval_k_keeps_session_alive():
+    assert _survives("eval --k 0")
+
+
 def test_cyclic_tag_in_lexicon_keeps_session_alive(tmp_path):
     lexicon = tmp_path / "cyclic.lexicon"
     lexicon.write_text("lex Sam : [N #1 = [N #1]]\n")
@@ -199,6 +203,12 @@ def test_main_eval_exit_codes(tmp_path):
     assert code == EXIT_OK
     code = main(["eval", "--bundle", "demo", "--test", str(tmp_path / "missing.corpus")])
     assert code == 2
+
+
+def test_main_eval_rejects_bad_limits_and_k(capsys):
+    for args in (["--limits", "-1", "5"], ["--limits", "x", "5"], ["--k", "0"], ["--k", "-1"]):
+        assert main(["eval", "--bundle", "demo"] + args) == EXIT_RESOURCE
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_main_repl_script(tmp_path, capsys):

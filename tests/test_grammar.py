@@ -7,6 +7,7 @@ from gramgrow.fs import FeatureRegistry, MalformedSyntax, equal_cat, parse_cats,
 from gramgrow.grammar import (
     LHS,
     Grammar,
+    GrammarError,
     SupportRecord,
     format_rule,
     make_rule,
@@ -154,6 +155,25 @@ def test_add_learnt_returns_the_stored_rule(demo):
     assert stored.id == "*u1_2" and stored.support is support
     assert g.learnt[-1] is stored and g.rule("*u1_2") is stored
     assert g.add_learnt(r2) is None  # now subsumed by the stored copy
+
+
+def test_learnt_rule_with_a_taken_id_is_refused(tmp_path, demo):
+    registry = demo[0]
+    g = Grammar(registry)
+    g.load_rules(__demo_grammar_path())
+    s1 = g.rule("S1")
+    saved = tmp_path / "learnt.rules"
+    saved.write_text(format_rule(s1, registry) + "\n")
+    with pytest.raises(GrammarError):
+        g.load_rules(saved, origin="learnt")
+    assert g.rule("S1") is s1 and g.learnt == []
+    g2 = Grammar(registry)
+    g2.load_rules(saved, origin="learnt")
+    with pytest.raises(GrammarError):
+        g2.load_rules(saved, origin="learnt")
+    assert [r.id for r in g2.learnt] == ["S1"]
+    g2.remove_learnt("S1")
+    assert g2.learnt == [] and "S1" not in g2
 
 
 def test_every_mutator_empties_the_combine_memo(tmp_path, demo):
