@@ -15,7 +15,7 @@ from collections import deque
 
 from .constructor import Rejection, construct_binary_cat, construct_unary_cat
 from .fs import Category, EMPTY_CAT, unify_cat
-from .grammar import LHS, SupportRecord, UnknownTerminal, cat_at, slot, super_rule
+from .grammar import LHS, SupportRecord, UnknownTerminal, slot, super_rule
 from .model import criticise_rhs
 from . import scoring
 
@@ -78,10 +78,12 @@ class Edge:
         "built_rule",
         "derivations",
         "_cat",
-        "_slot_cats",
+        "_category_at",
     )
 
-    def __init__(self, eid, start, end, rule_id, arity, nfound, instances, children, token=None):
+    def __init__(
+        self, eid, start, end, rule_id, arity, nfound, instances, children, category_at, token=None
+    ):
         self.id = eid
         self.start = start
         self.end = end
@@ -97,7 +99,7 @@ class Edge:
         self.built_rule = None
         self.derivations = 1
         self._cat = None
-        self._slot_cats = {}
+        self._category_at = category_at  # the grammar's memoised cat_at
 
     @property
     def is_lexical(self):
@@ -112,19 +114,15 @@ class Edge:
             if self.is_lexical:
                 self._cat = Category(self.instances)
             else:
-                self._cat = cat_at(self.instances, LHS)
+                self._cat = self._category_at(self.instances, LHS)
         return self._cat
 
     def slot_cat(self, i):
-        hit = self._slot_cats.get(i)
-        if hit is None:
-            hit = self._slot_cats[i] = cat_at(self.instances, slot(i))
-        return hit
+        return self._category_at(self.instances, slot(i))
 
     def replace_instances(self, instances):
         self.instances = instances
         self._cat = None
-        self._slot_cats = {}
 
     def __repr__(self):
         kind = "lex" if self.is_lexical else ("inactive" if self.is_inactive else "active")
@@ -214,6 +212,7 @@ class ChartParser:
         self.limits = limits or ParserLimits()
         self.root = root if root is not None else EMPTY_CAT
         self.trace = trace
+        self._category_at = grammar.category_at  # one bound method for every edge
         self.chart = None
         self.agenda = deque()
         self.supers = []
@@ -345,7 +344,8 @@ class ChartParser:
             return None
         self.chart.by_key.add(key)
         edge = Edge(
-            self.chart.created, start, end, rule_id, arity, nfound, instances, children, token
+            self.chart.created, start, end, rule_id, arity, nfound, instances, children,
+            self._category_at, token,
         )
         self.chart.edges.append(edge)
         if edge.is_inactive and rule_id is not None and rule_id.startswith("*super-"):
@@ -474,11 +474,11 @@ class ChartParser:
         narrowed = self.grammar.survivors(edge.instances, LHS, forced.disjuncts)
         if not narrowed:
             return
-        node_cat = cat_at(narrowed, LHS)
+        node_cat = self._category_at(narrowed, LHS)
         rule_id = edge.built_rule.id if edge.built_rule is not None else edge.rule_id
         child_iters = []
         for i, cid in enumerate(edge.children, start=1):
-            child_forced = cat_at(narrowed, slot(i))
+            child_forced = self._category_at(narrowed, slot(i))
             child_iters.append(list(self._edge_trees(self.chart.edge(cid), child_forced)))
         for combo in itertools.product(*child_iters):
             yield ParseTree(node_cat, rule_id=rule_id, children=combo)
@@ -512,13 +512,9 @@ class ChartParser:
                 for c in node.children
             )
             support = SupportRecord(rid, daughters)
-            stored = self.grammar.add_learnt(rule, support)
+            stored = self.grammar.add_learnt(rule, support, aliases=alias)
             if stored is not None:
                 retained.append(stored)
-            else:
-                subsumer = self.grammar.subsumer_of(rule)
-                if subsumer is not None:
-                    alias[rid] = subsumer.id
 
         for tree in trees:
             visit(tree)

@@ -134,6 +134,17 @@ def _atoms(mask):
 
 _WILD = _mask((WILDCARD,))
 
+# Node tuples are interned once per process too: equal nodes are one object,
+# so structures built apart share their nodes, equal structures compare node
+# by node by identity, and a memo keyed by structures holds each node once.
+# The table grows with the distinct nodes seen, not with the structures made.
+_NODES = {}  # (payload, feats) -> the one shared copy
+
+
+def _node(payload, feats):
+    node = (payload, feats)
+    return _NODES.setdefault(node, node)
+
 
 class _Bottom(Exception):
     pass
@@ -207,6 +218,7 @@ class _Graph:
         """The FS under root, numbered by first visit in a DFS that takes
         features alphabetically; _Bottom if the graph is cyclic."""
         payload, feats, find = self.payload, self.feats, self.find
+        intern = _NODES.setdefault  # _node(), inlined
         index = {}
         nodes = []
         on_path = set()
@@ -221,7 +233,8 @@ class _Graph:
             n = index[i] = len(nodes)
             nodes.append(None)
             on_path.add(i)
-            nodes[n] = (payload[i], tuple([(f, visit(c)) for f, c in sorted(feats[i].items())]))
+            node = (payload[i], tuple([(f, visit(c)) for f, c in sorted(feats[i].items())]))
+            nodes[n] = intern(node, node)
             on_path.discard(i)
             return n
 
@@ -289,10 +302,11 @@ class FS:
                         visit(child)
 
             visit(idx)
-            hit = FS(tuple(
-                (self._nodes[i][0], tuple((f, index[c]) for f, c in self._nodes[i][1]))
-                for i in index
-            ))
+            nodes = []
+            for i in index:
+                payload, feats = self._nodes[i]
+                nodes.append(_node(payload, tuple([(f, index[c]) for f, c in feats])))
+            hit = FS(tuple(nodes))
             self._subs[idx] = hit
         return hit
 
@@ -318,7 +332,7 @@ class FS:
         return "FS(%s)" % print_fs(Category((self,)))
 
 
-_EMPTY_FS = FS(((None, ()),))
+_EMPTY_FS = FS((_node(None, ()),))
 
 
 class Category:
@@ -564,7 +578,7 @@ def expand_fs(fs, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
         # payload nodes have no feats, so the numbering stays canonical
         nodes = list(fs._nodes)
         for idx, value in zip(sites, combo):
-            nodes[idx] = (value, ())
+            nodes[idx] = _node(value, ())
         out.append(FS(tuple(nodes)))
         if cap is not None and len(out) >= cap:
             break

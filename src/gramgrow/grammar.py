@@ -174,9 +174,11 @@ class Grammar:
         self._learn_counter = 0
         self.max_bar = max_bar_of(registry) if max_bar is None else max_bar
         # (rule instances, slot, daughter disjuncts) -> narrow()'s result,
-        # filled by survivors().  Keys are values, so entries never go stale;
-        # every mutator empties it anyway, which bounds it by the work done
-        # against one rule set.
+        # filled by survivors(), and (instances, slot) -> cat_at()'s result,
+        # filled by category_at().  Keys are values, so entries never go
+        # stale, and interned nodes keep them small: adding rules leaves the
+        # memo alone, so it serves a whole learning session.  Removing or
+        # replacing a learnt rule (refinement) empties it.
         self.combine_memo = {}
 
     def __contains__(self, rule_id):
@@ -194,7 +196,6 @@ class Grammar:
             raise GrammarError("duplicate rule id %r" % rule.id)
         partition.append(rule)
         self._by_id[rule.id] = rule
-        self.combine_memo.clear()
 
     def add_original(self, rule):
         self._add(rule, self.original)
@@ -207,10 +208,15 @@ class Grammar:
             if rule_id not in self._by_id:
                 return rule_id
 
-    def add_learnt(self, rule, support=None):
+    def add_learnt(self, rule, support=None, aliases=None):
         """Retain rule unless some existing non-super rule subsumes it.
-        Returns the rule as stored (renamed if its id is taken), or None."""
-        if self.subsumer_of(rule) is not None:
+        Returns the rule as stored (renamed if its id is taken), or None;
+        a refused rule's id is then mapped to its subsumer's in `aliases`,
+        if given."""
+        subsumer = self.subsumer_of(rule)
+        if subsumer is not None:
+            if aliases is not None:
+                aliases[rule.id] = subsumer.id
             return None
         if rule.id in self._by_id:
             base = rule.id
@@ -244,12 +250,20 @@ class Grammar:
 
     def survivors(self, instances, feat, disjuncts):
         """narrow(), memoised: a pure function of three values, so each
-        rule/daughter pair is unified once per rule set, across spans and
+        rule/daughter pair is unified once per session, across spans and
         parses (the empty result included).  Callers may share the tuple."""
         key = (instances, feat, disjuncts)
         hit = self.combine_memo.get(key)
         if hit is None:
             hit = self.combine_memo[key] = narrow(instances, feat, disjuncts)
+        return hit
+
+    def category_at(self, instances, feat):
+        """cat_at(), memoised like survivors()."""
+        key = (instances, feat)
+        hit = self.combine_memo.get(key)
+        if hit is None:
+            hit = self.combine_memo[key] = cat_at(instances, feat)
         return hit
 
     # -- persistence ----------------------------------------------------------
@@ -261,8 +275,15 @@ class Grammar:
                 f.write(format_rule(rule, self.registry) + "\n")
 
     def load_rules(self, path, origin=ORIGINAL):
-        for line in data_lines(path):
-            rule = parse_rule_line(line, self.registry, origin)
+        """Add every rule of a file, or none: all lines are parsed and all
+        ids checked before the first rule is added."""
+        rules = [parse_rule_line(line, self.registry, origin) for line in data_lines(path)]
+        ids = set(self._by_id)
+        for rule in rules:
+            if rule.id in ids:
+                raise GrammarError("duplicate rule id %r" % rule.id)
+            ids.add(rule.id)
+        for rule in rules:
             self._add(rule, self.original if origin == ORIGINAL else self.learnt)
 
 

@@ -47,8 +47,11 @@ class TripleStore:
         self.triples = []
         self._index = {}
         # (a, b) -> [triples tested so far, the compatible ones among them];
-        # a lookup tests only the triples added since its last visit
+        # a lookup tests only the triples added since its last visit.
+        # (triple structure, query) -> _compatible()'s result, shared by
+        # mothers and daughters: a structure may be either
         self._cache = {}
+        self._compat = {}
         self.total = 0
 
     def add(self, mother, daughter, freq=1):
@@ -67,18 +70,25 @@ class TripleStore:
         grand total; delta when no triple matches (or the store is empty)."""
         if self.total == 0:
             return self.delta
-        key = (_cache_key(a), _cache_key(b))
-        entry = self._cache.get(key)
+        ka, kb = _cache_key(a), _cache_key(b)
+        entry = self._cache.get((ka, kb))
         if entry is None:
-            entry = self._cache[key] = [0, []]
+            entry = self._cache[ka, kb] = [0, []]
         tested, found = entry
         for t in self.triples[tested:]:
-            if _compatible(t.mother, a) and _compatible(t.daughter, b):
+            if self._memo_compatible(t.mother, ka, a) and self._memo_compatible(t.daughter, kb, b):
                 found.append(t)
         entry[0] = len(self.triples)
         # frequencies are integers, so the sum is exact in any order
         acc = sum(t.freq for t in found)
         return acc / self.total if acc else self.delta
+
+    def _memo_compatible(self, t_fs, key, c):
+        """_compatible(t_fs, c), where key is c's cache key."""
+        hit = self._compat.get((t_fs, key))
+        if hit is None:
+            hit = self._compat[t_fs, key] = _compatible(t_fs, c)
+        return hit
 
     def save(self, path, registry=None):
         with open(path, "w", encoding="utf-8") as f:

@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from gramgrow.chart import ChartParser, ParserLimits, SessionFlags, parse
-from gramgrow.fs import FeatureRegistry, parse_fs, unify
-from gramgrow.grammar import Grammar, Lexicon, UnknownTerminal, slot
+from gramgrow import fs as fs_module, grammar as grammar_module
+from gramgrow.fs import Category, FeatureRegistry, parse_fs, unify
+from gramgrow.grammar import LHS, Grammar, Lexicon, UnknownTerminal, cat_at, slot
 from gramgrow.model import load_model
 from gramgrow.resources import data_path, load_demo
 
@@ -483,6 +484,84 @@ def test_combine_memo_keeps_learning_unchanged(demo):
     assert [(r.id, r.instances) for r in memoised.learnt] == [
         (r.id, r.instances) for r in unmemoised.learnt
     ]
+
+
+def test_edge_categories_equal_a_fresh_cat_at(demo):
+    registry, _, lexicon, _, model = demo
+    g = Grammar(registry)
+    g.load_rules(data_path("demo.grammar"))
+    learning = SessionFlags(learning=True, hfc=True)
+    runs = [(s, learning, ParserLimits()) for s in C11_TRAIN]
+    runs += [(s, None, ParserLimits(max_edges=3000)) for s in DEMO_SENTENCES]
+    runs += [(s, None, ParserLimits.learning_default()) for s in C11_HELD_OUT]
+    fresh = {}  # computed afresh once per distinct argument pair
+
+    def check(got, instances, feat):
+        # the memo's own entry, and equal to one computed afresh
+        assert got is g.category_at(instances, feat)
+        if (instances, feat) not in fresh:
+            fresh[instances, feat] = cat_at(instances, feat)
+        assert got == fresh[instances, feat]
+
+    checked = 0
+    for sentence, flags, limits in runs:
+        res = parse(sentence.split(), g, lexicon, model, flags=flags, limits=limits)
+        for edge in res.chart.edges:
+            if edge.is_lexical:
+                assert edge.cat() == Category(edge.instances)
+                continue
+            check(edge.cat(), edge.instances, LHS)
+            for i in range(1, edge.arity + 1):
+                check(edge.slot_cat(i), edge.instances, slot(i))
+            checked += 1
+    assert g.learnt and checked > 1000
+
+
+def test_node_table_stops_growing_when_a_session_is_repeated(demo):
+    registry, _, lexicon, _, model = demo
+    sizes = []
+    for _ in range(2):
+        g = _c11_grammar(registry, lexicon, model)
+        for sentence in DEMO_SENTENCES:
+            parse(sentence.split(), g, lexicon, model, flags=full_flags())
+        sizes.append(len(fs_module._NODES))
+    assert sizes[0] == sizes[1]
+
+
+def test_a_refused_rule_is_aliased_from_its_one_subsumption_scan(demo, monkeypatch):
+    registry, _, lexicon, _, model = demo
+    g = Grammar(registry)
+    g.load_rules(data_path("demo.grammar"))
+    calls = {"all": 0, "in_add_learnt": 0}
+    inside = []
+    plain_subsumes = grammar_module.rule_subsumes
+    plain_add = Grammar.add_learnt
+
+    def counting_subsumes(r, s):
+        calls["all"] += 1
+        calls["in_add_learnt"] += bool(inside)
+        return plain_subsumes(r, s)
+
+    refused = []
+
+    def add_learnt(self, rule, support=None, aliases=None):
+        inside.append(rule)
+        try:
+            stored = plain_add(self, rule, support, aliases)
+        finally:
+            inside.pop()
+        if stored is None:
+            refused.append((rule, aliases[rule.id]))
+        return stored
+
+    monkeypatch.setattr(grammar_module, "rule_subsumes", counting_subsumes)
+    monkeypatch.setattr(Grammar, "add_learnt", add_learnt)
+    _learn_c11(g, lexicon, model)
+    assert refused and g.learnt
+    for rule, alias in refused:
+        assert plain_subsumes(g.rule(alias), rule)
+    # every subsumption test belongs to some add_learnt's scan
+    assert calls["all"] == calls["in_add_learnt"] > 0
 
 
 # -- the redundancy check ------------------------------------------------------------

@@ -15,6 +15,7 @@ from gramgrow.fs import (
     equal,
     equal_cat,
     expand,
+    expand_fs,
     fs_from_pairs,
     parse_fs,
     print_fs,
@@ -260,6 +261,43 @@ def test_unify_commutative_associative_idempotent():
             assert equal(left, right)
         assert equal(unify(a, a), a)
         done += 1
+
+
+# -- interning ---------------------------------------------------------------
+
+
+def _same_nodes(a, b):
+    """Node tuples pairwise the same objects."""
+    return len(a._nodes) == len(b._nodes) and all(x is y for x, y in zip(a._nodes, b._nodes))
+
+
+def test_equal_structures_share_their_node_tuples():
+    text = "[PER #1, CAT [PER #1, BAR {1, 2}], N +]"
+    a, b = fs(text), fs(text)
+    assert a is not b and _same_nodes(a, b)
+    assert print_fs(a, REG) == print_fs(b, REG) == "[N +, PER #1, CAT [BAR {1, 2}, PER #1]]"
+    # equality and hashing read values only: a copy outside the table agrees
+    copy = FS(tuple((payload, tuple(list(feats))) for payload, feats in a._nodes))
+    assert not any(x is y for x, y in zip(a._nodes, copy._nodes))
+    assert a == copy and hash(a) == hash(copy) == hash(b)
+    # sub-structures and expansions are interned too
+    assert _same_nodes(a.get("CAT"), fs("[BAR {1, 2}, PER []]"))
+    assert _same_nodes(expand_fs(a.get("CAT"))[1], fs("[BAR 2, PER []]"))
+
+
+def test_equal_results_share_their_node_tuples_random():
+    rng = random.Random(23)
+    shared = 0
+    for _ in range(300):
+        a, b = random_fs(rng), random_fs(rng)
+        again = parse_fs(print_fs(a, GEN_REGISTRY), GEN_REGISTRY).disjuncts[0]
+        assert again == a and _same_nodes(again, a)
+        ab, ba = unify(a, b), unify(b, a)
+        if ab is not None:
+            assert ab == ba and _same_nodes(ab, ba) and hash(ab) == hash(ba)
+            assert print_fs(ab, GEN_REGISTRY) == print_fs(ba, GEN_REGISTRY)
+            shared += 1
+    assert shared > 50
 
 
 # -- categories --------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gramgrow.chart import SessionFlags, parse
+from gramgrow.chart import ParserLimits, SessionFlags, parse
 from gramgrow.fs import FeatureRegistry, MalformedSyntax, equal_cat, parse_cats, parse_fs, print_fs
 from gramgrow.grammar import (
     LHS,
@@ -176,14 +176,27 @@ def test_learnt_rule_with_a_taken_id_is_refused(tmp_path, demo):
     assert g2.learnt == [] and "S1" not in g2
 
 
-def test_every_mutator_empties_the_combine_memo(tmp_path, demo):
+def test_combine_memo_lives_until_a_rule_is_removed_or_replaced(tmp_path, demo):
     registry, _, lexicon, _ = demo
     g = Grammar(registry)
     g.load_rules(__demo_grammar_path())
+    sentences = ["Sam chases the cat", "Sam chases the happy cat", "the happy cat"]
 
-    def fill():
-        parse("Sam chases the cat".split(), g, lexicon)
-        assert g.combine_memo
+    def observed(grammar):
+        out = []
+        for sentence in sentences:
+            res = parse(sentence.split(), grammar, lexicon, limits=ParserLimits(max_edges=3000))
+            out.append(([t.display() for t in res.trees], res.n_parses))
+        return out
+
+    def fresh_copy():
+        fresh = Grammar(registry)
+        for rule in g.original:
+            fresh.add_original(rule)
+        path = tmp_path / "copy.rules"
+        g.save_learnt(path)
+        fresh.load_rules(path, origin="learnt")
+        return fresh
 
     u1 = parse_rule_line("rule *u1 : [N +, BAR 2] -> [N +, BAR 1]", registry, origin="learnt")
     u1b = parse_rule_line(
@@ -192,20 +205,51 @@ def test_every_mutator_empties_the_combine_memo(tmp_path, demo):
     x1 = parse_rule_line("rule X1 : [N +, BAR 3] -> [N +, BAR 2]", registry)
     saved = tmp_path / "learnt.rules"
     saved.write_text(format_rule(u1b, registry).replace("*u1", "*u9") + "\n")
-    mutations = [
+    # adding rules keeps every entry: keys are values, so none goes stale
+    additions = [
         lambda: g.add_original(x1),
         lambda: g.add_learnt(u1),
-        lambda: g.replace_learnt("*u1", u1b),
-        lambda: g.remove_learnt("*u1"),
         lambda: g.load_rules(saved, origin="learnt"),
     ]
-    for mutate in mutations:
-        fill()
-        mutate()
+    for add in additions:
+        observed(g)
+        before = dict(g.combine_memo)
+        assert before
+        add()
+        assert all(g.combine_memo.get(key) is value for key, value in before.items())
+        assert observed(g) == observed(fresh_copy())
+    assert [r.id for r in g.learnt] == ["*u1", "*u9"]
+    # refinement's mutators still empty it
+    for shrink in [lambda: g.replace_learnt("*u1", u1b), lambda: g.remove_learnt("*u1")]:
+        observed(g)
+        assert g.combine_memo
+        shrink()
         assert g.combine_memo == {}
-    fill()
-    assert g.add_learnt(u1b) is None  # refused: the rule set is unchanged
-    assert g.combine_memo
+
+
+def test_load_rules_adds_all_or_nothing(tmp_path, demo):
+    registry = demo[0]
+    g = Grammar(registry)
+    g.load_rules(__demo_grammar_path())
+    original, learnt = list(g.original), list(g.learnt)
+    u9 = format_rule(
+        parse_rule_line("rule *u9 : [N +, BAR 2] -> [N +, BAR 1]", registry, origin="learnt"),
+        registry,
+    )
+    files = [
+        # a fresh rule, then one whose id the grammar holds
+        ([u9, format_rule(g.rule("S1"), registry)], GrammarError),
+        # one id twice in the file
+        ([u9, u9.replace("N +", "N -")], GrammarError),
+        # a fresh rule, then a line that does not parse
+        ([u9, "rule *u10 : [N +] ->"], MalformedSyntax),
+    ]
+    for n, (lines, error) in enumerate(files):
+        path = tmp_path / ("learnt%d.rules" % n)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error):
+            g.load_rules(path, origin="learnt")
+        assert g.original == original and g.learnt == learnt and "*u9" not in g
 
 
 def test_parse_cats_joint_shares_tags_across_positions():

@@ -1,8 +1,10 @@
+import collections
 import math
 import random
 
 import pytest
 
+from gramgrow import scoring
 from gramgrow.chart import ParseTree
 from gramgrow.fs import Category, FS, FeatureRegistry, parse_fs, unify
 from gramgrow.scoring import (
@@ -141,13 +143,25 @@ def _recount(store, a, b):
     return acc / store.total if acc else store.delta
 
 
-def test_lookup_equals_recount_under_interleaved_adds():
+def test_lookup_equals_recount_under_interleaved_adds(monkeypatch):
     reg = FeatureRegistry.from_text("feature CAT S NP VP\nfeature PLU + -")
     texts = ["[CAT S]", "[CAT NP]", "[CAT NP, PLU +]", "[CAT NP, PLU -]", "[CAT VP, PLU -]", "[]"]
     pool = [parse_fs(t, reg).disjuncts[0] for t in texts]
     queries = pool + [parse_fs(t, reg) for t in ("{[CAT S], [CAT VP]}", "[PLU +]", "[]")]
+    tested = collections.Counter()  # (triple structure, query) -> compatibility tests
+    plain = scoring._compatible
+
+    def counting(t_fs, c):
+        tested[t_fs, c if isinstance(c, FS) else c.disjuncts] += 1
+        return plain(t_fs, c)
+
+    monkeypatch.setattr(scoring, "_compatible", counting)
     rng = random.Random(7)
     store = TripleStore()
+    # one structure as both the mother and the daughter of a triple
+    store.add(pool[1], pool[1])
+    assert store.lookup(pool[1], pool[1]) == _recount(store, pool[1], pool[1]) == 1.0
+    assert tested == {(pool[1], pool[1]): 1}
     adds = lookups = 0
     for _ in range(400):
         if rng.random() < 0.3:
@@ -158,6 +172,10 @@ def test_lookup_equals_recount_under_interleaved_adds():
             assert store.lookup(a, b) == _recount(store, a, b)
             lookups += 1
     assert len(store.triples) < adds and lookups > adds  # repeated pairs, reads between writes
+    # each pair is tested once, whichever role the structure plays
+    assert set(tested.values()) == {1}
+    mothers = {t.mother for t in store.triples}
+    assert any(t.daughter in mothers for t in store.triples)
 
 
 # -- score_tree ------------------------------------------------------------------
