@@ -458,14 +458,15 @@ class ChartParser:
         """Up to k parse trees over spanning, root-compatible edges, in edge
         creation order then found-child order."""
         trees = []
+        memo = {}  # (edge id, forced category) -> tree list, for this call
         for edge, forced in self.spanning:
-            for tree in self._edge_trees(edge, forced):
+            for tree in self._edge_trees(edge, forced, memo):
                 trees.append(tree)
                 if k is not None and len(trees) >= k:
                     return trees
         return trees
 
-    def _edge_trees(self, edge, forced):
+    def _edge_trees(self, edge, forced, memo):
         if edge.is_lexical:
             cat = unify_cat(Category(edge.instances), forced)
             if not cat.is_bottom:
@@ -479,7 +480,11 @@ class ChartParser:
         child_iters = []
         for i, cid in enumerate(edge.children, start=1):
             child_forced = self._category_at(narrowed, slot(i))
-            child_iters.append(list(self._edge_trees(self.chart.edge(cid), child_forced)))
+            subtrees = memo.get((cid, child_forced))
+            if subtrees is None:
+                subtrees = list(self._edge_trees(self.chart.edge(cid), child_forced, memo))
+                memo[cid, child_forced] = subtrees
+            child_iters.append(subtrees)
         for combo in itertools.product(*child_iters):
             yield ParseTree(node_cat, rule_id=rule_id, children=combo)
 

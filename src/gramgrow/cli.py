@@ -425,6 +425,8 @@ def _run_eval(session, ns):
     if ns.k < 1:
         raise MalformedSyntax("--k must be >= 1")
     count, length = ns.random or (0, 6)
+    if count < 0 or length < 1:
+        raise MalformedSyntax("--random needs COUNT >= 0 and LENGTH >= 1")
     return cmd_eval(session, ns.test, ns.plausible, count, length, ns.k, ns.seed, ns.out)
 
 
@@ -484,6 +486,8 @@ def _load_for_eval(session, ns):
     if ns.labels:
         session.load_paraphrase(ns.labels)
     if ns.learnt:
+        if session.grammar is None:
+            raise FSError("load a grammar first")
         session.grammar.load_rules(ns.learnt, origin="learnt")
     if ns.limits:
         session.limits = _limits(ns.limits)

@@ -476,9 +476,25 @@ def clashes(d, d2):
 def unify(d, d2, at=None):
     """Least upper bound of two feature structures, or None on inconsistency
     (including a would-be cyclic result).  With `at`, d2 is unified into the
-    value of d's root feature `at` (attached there if d lacks it)."""
-    if at is None and clashes(d, d2):
-        return None
+    value of d's root feature `at` (attached there if d lacks it).
+
+    When one operand subsumes the other, the more specific one is the result
+    and is returned as it is, without a copy: subsumption maps every node of
+    the general operand, shared nodes included, onto the specific one, so
+    unification adds nothing to it."""
+    if at is None:
+        if clashes(d, d2):
+            return None
+        if subsumes(d2, d):
+            return d
+        if subsumes(d, d2):
+            return d2
+    else:
+        for feat, child in d._nodes[0][1]:
+            if feat == at:
+                if subsumes(d2, d._sub_fs(child)):
+                    return d
+                break
     graph = _Graph()
     root = graph.load(d)
     other = graph.load(d2)

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from gramgrow.chart import ChartParser, ParserLimits, SessionFlags, parse
+from gramgrow.chart import ChartParser, ParseTree, ParserLimits, SessionFlags, parse
 from gramgrow import fs as fs_module, grammar as grammar_module
-from gramgrow.fs import Category, FeatureRegistry, parse_fs, unify
+from gramgrow.fs import Category, FeatureRegistry, parse_fs, unify, unify_cat
 from gramgrow.grammar import LHS, Grammar, Lexicon, UnknownTerminal, cat_at, slot
 from gramgrow.model import load_model
 from gramgrow.resources import data_path, load_demo
@@ -606,3 +606,85 @@ def test_redundancy_check_matches_product_reference(demo):
         parser.parse(sentence.split())
     assert {got for got, _ in verdicts} == {True, False}
     assert all(got == want for got, want in verdicts)
+
+
+# -- tree extraction ------------------------------------------------------------------
+
+
+EXTRACTION_SENTENCES = C11_TRAIN + C11_HELD_OUT + [
+    "the road chases the happy happy happy cat",
+    "Sam down the road chases",
+    "Sam road chases the cat",
+]
+
+
+def _reference_trees(parser, edge, forced, calls):
+    """Every tree over edge, each shared sub-edge derived again on every path
+    that reaches it; calls counts the derivations per (edge, forced)."""
+    calls[edge.id, forced] = calls.get((edge.id, forced), 0) + 1
+    if edge.is_lexical:
+        cat = unify_cat(Category(edge.instances), forced)
+        if not cat.is_bottom:
+            yield ParseTree(cat, token=edge.token)
+        return
+    narrowed = parser.grammar.survivors(edge.instances, LHS, forced.disjuncts)
+    if not narrowed:
+        return
+    node_cat = parser.grammar.category_at(narrowed, LHS)
+    rule_id = edge.built_rule.id if edge.built_rule is not None else edge.rule_id
+    child_lists = [
+        list(_reference_trees(
+            parser, parser.chart.edge(cid), parser.grammar.category_at(narrowed, slot(i)), calls
+        ))
+        for i, cid in enumerate(edge.children, start=1)
+    ]
+    for combo in itertools.product(*child_lists):
+        yield ParseTree(node_cat, rule_id=rule_id, children=combo)
+
+
+def _extraction_runs(demo):
+    """A parser that has parsed each sentence, all parses kept, under the
+    3000-edge bound on the criterion-11 grammar."""
+    registry, _, lexicon, _, model = demo
+    g = _c11_grammar(registry, lexicon, model)
+    for sentence in EXTRACTION_SENTENCES:
+        parser = ChartParser(g, lexicon, model, limits=ParserLimits(None, 3000))
+        parser.parse(sentence.split())
+        yield parser
+
+
+def test_extracted_trees_match_the_unshared_reference(demo):
+    many = 0
+    for parser in _extraction_runs(demo):
+        want = [
+            tree.display()
+            for edge, forced in parser.spanning
+            for tree in _reference_trees(parser, edge, forced, {})
+        ]
+        for k in (1, 5, None):
+            got = [tree.display() for tree in parser.extract_trees(k)]
+            assert got == want[:k]
+        many += len(want) > 100
+    assert many >= 3
+
+
+def test_extraction_derives_each_edge_once_per_forced_category(demo, monkeypatch):
+    plain = ChartParser._edge_trees
+    calls = {}
+
+    def counting(self, edge, forced, memo):
+        calls[edge.id, forced] = calls.get((edge.id, forced), 0) + 1
+        return plain(self, edge, forced, memo)
+
+    monkeypatch.setattr(ChartParser, "_edge_trees", counting)
+    shared = 0
+    for parser in _extraction_runs(demo):
+        calls.clear()
+        parser.extract_trees()
+        assert all(n == 1 for n in calls.values())
+        unshared = {}
+        for edge, forced in parser.spanning:
+            list(_reference_trees(parser, edge, forced, unshared))
+        assert unshared.keys() == calls.keys()
+        shared += sum(unshared.values()) > len(unshared)
+    assert shared >= 3

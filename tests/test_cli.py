@@ -141,6 +141,11 @@ def test_nonpositive_eval_k_keeps_session_alive():
     assert _survives("eval --k 0")
 
 
+def test_bad_eval_random_keeps_session_alive():
+    for line in ("eval --random 3 0", "eval --random 3 -2", "eval --random -3 2"):
+        assert _survives(line)
+
+
 def test_cyclic_tag_in_lexicon_keeps_session_alive(tmp_path):
     lexicon = tmp_path / "cyclic.lexicon"
     lexicon.write_text("lex Sam : [N #1 = [N #1]]\n")
@@ -209,6 +214,20 @@ def test_main_eval_rejects_bad_limits_and_k(capsys):
     for args in (["--limits", "-1", "5"], ["--limits", "x", "5"], ["--k", "0"], ["--k", "-1"]):
         assert main(["eval", "--bundle", "demo"] + args) == EXIT_RESOURCE
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_main_eval_rejects_bad_random(capsys):
+    for args in (["3", "0"], ["3", "-2"], ["-3", "2"]):
+        assert main(["eval", "--bundle", "demo", "--random"] + args) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--random" in err
+
+
+def test_main_eval_learnt_without_grammar(tmp_path, capsys):
+    learnt = tmp_path / "learnt.grammar"
+    learnt.write_text("")
+    assert main(["eval", "--learnt", str(learnt)]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == "error: load a grammar first\n"
 
 
 def test_main_repl_script(tmp_path, capsys):

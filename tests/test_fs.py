@@ -24,6 +24,8 @@ from gramgrow.fs import (
     subsumes_cat,
     unify,
     unify_cat,
+    _Bottom,
+    _Graph,
 )
 
 from genfs import GEN_REGISTRY, denotation, random_category, random_extension, random_fs
@@ -239,6 +241,43 @@ def test_unify_at_matches_wrapper_oracle():
             seen.add((got is None, feat in d.root_features))
     # failures, and successes both into a feature d has and one it lacks
     assert {(True, True), (False, True), (False, False)} <= seen
+
+
+def _graph_unify(d, d2, at=None):
+    """Unification by merging both structures in a scratch graph and freezing
+    the result, with no shortcut."""
+    graph = _Graph()
+    root = graph.load(d)
+    other = graph.load(d2)
+    if at is not None:
+        wrapper = graph.add()
+        graph.feats[wrapper][at] = other
+        other = wrapper
+    try:
+        graph.merge(root, other)
+        return graph.freeze(root)
+    except _Bottom:
+        return None
+
+
+def test_unify_returns_a_subsumed_operand_uncopied():
+    rng = random.Random(29)
+    proper = 0
+    for _ in range(300):
+        d = random_fs(rng)
+        e = random_extension(rng, d)
+        assert unify(e, d) is e and unify(d, e) is e
+        assert e == _graph_unify(e, d) == _graph_unify(d, e)
+        for feat in ("A", "*R1*"):
+            w = fs_from_pairs([(feat, e)])
+            assert unify(w, d, at=feat) is w
+            assert w == _graph_unify(w, d, at=feat)
+        proper += e != d
+        # and any other pair gives the graph's result
+        d2 = random_fs(rng)
+        assert unify(d, d2) == _graph_unify(d, d2)
+        assert unify(d, d2, at="A") == _graph_unify(d, d2, at="A")
+    assert proper > 100
 
 
 def test_unify_commutative_associative_idempotent():

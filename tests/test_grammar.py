@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gramgrow.chart import ParserLimits, SessionFlags, parse
-from gramgrow.fs import FeatureRegistry, MalformedSyntax, equal_cat, parse_cats, parse_fs, print_fs
+from gramgrow.fs import FS, FeatureRegistry, MalformedSyntax, equal_cat, parse_cats, parse_fs, print_fs
 from gramgrow.grammar import (
     LHS,
     Grammar,
@@ -11,6 +11,7 @@ from gramgrow.grammar import (
     SupportRecord,
     format_rule,
     make_rule,
+    narrow,
     parse_rule_line,
     rule_subsumes,
     slot,
@@ -70,6 +71,26 @@ def test_claws_da_has_four_entries():
     registry, lexicon, labels = load_claws()
     assert len(lexicon.lexical_categories("DA")) == 4
     assert len(lexicon.lexical_categories("NN1")) == 1
+
+
+def test_narrow_keeps_an_instance_a_daughter_adds_nothing_to(demo):
+    registry, grammar, lexicon, _ = demo
+    kept = 0
+    for rule in grammar.original:
+        for inst in rule.instances:
+            for i in range(1, rule.arity + 1):
+                value = inst.get(slot(i))
+                if isinstance(value, FS):
+                    for daughter in (value, FS.empty()):
+                        (got,) = narrow((inst,), slot(i), (daughter,))
+                        assert got is inst
+                    kept += 1
+    assert kept >= 6
+    # a daughter that adds information gives a new, more specific instance
+    inst = grammar.rule("S1").instances[0]
+    (sam,) = lexicon.lexical_categories("Sam")
+    (got,) = narrow((inst,), slot(1), (sam,))
+    assert got != inst
 
 
 # -- rule subsumption ----------------------------------------------------------
