@@ -59,24 +59,28 @@ class Session:
     def load_features(self, path):
         self.registry = FeatureRegistry.load(path)
 
-    def load_grammar(self, path):
+    def _features(self):
+        """The registry every loader but load-features validates against."""
         if self.registry is None:
             raise FSError("load features first")
-        grammar = Grammar(self.registry)
+        return self.registry
+
+    def load_grammar(self, path):
+        grammar = Grammar(self._features())
         grammar.load_rules(path)
         self.grammar = grammar
 
     def load_lexicon(self, path):
-        self.lexicon = Lexicon.load(path, self.registry)
+        self.lexicon = Lexicon.load(path, self._features())
 
     def load_model(self, path):
-        self.model = load_model(path, self.registry)
+        self.model = load_model(path, self._features())
 
     def load_triples(self, path):
-        self.store = TripleStore.load(path, self.registry)
+        self.store = TripleStore.load(path, self._features())
 
     def load_paraphrase(self, path):
-        self.labels = ParaphraseMap.load(path, self.registry)
+        self.labels = ParaphraseMap.load(path, self._features())
 
     def load_bundle(self, name):
         from .resources import data_path
@@ -212,6 +216,8 @@ class Session:
     def refine(self):
         if self.store is None:
             raise FSError("refinement requires loaded triples")
+        if self.grammar is None:
+            raise FSError("refinement requires a grammar")
         self.say("Refining and deleting rules ...")
         report = refine_grammar(
             self.store, self.grammar, RefineParams(), self.registry, self.labels
@@ -220,6 +226,8 @@ class Session:
             self.say(line)
 
     def save_learnt(self, path):
+        if self.grammar is None:
+            raise FSError("save-learnt requires a grammar")
         self.grammar.save_learnt(path)
         self.say("%d rule(s) saved" % len(self.grammar.learnt))
 
@@ -422,6 +430,8 @@ def _eval_args():
 
 
 def _run_eval(session, ns):
+    if not session.ready():
+        raise FSError("eval needs a grammar and a lexicon")
     if ns.k < 1:
         raise MalformedSyntax("--k must be >= 1")
     count, length = ns.random or (0, 6)
@@ -491,8 +501,6 @@ def _load_for_eval(session, ns):
         session.grammar.load_rules(ns.learnt, origin="learnt")
     if ns.limits:
         session.limits = _limits(ns.limits)
-    if not session.ready():
-        raise FSError("eval needs a grammar and a lexicon")
 
 
 if __name__ == "__main__":

@@ -17,9 +17,6 @@ import re
 from .chart import SessionFlags, parse
 from .grammar import UnknownTerminal
 
-RNG_NOTE = "MT19937 via random.Random(seed); inventory in lexicon file order"
-
-
 class EvalReport:
     def __init__(self):
         self.undergen_fraction = None
@@ -27,7 +24,6 @@ class EvalReport:
         self.plausibility_scores = []
         self.plausibility_mean = None
         self.plausibility_sd = None
-        self.t_statistic = None
         self.edges = 0
         self.warnings = []
 
@@ -160,10 +156,9 @@ def match_parse(test_seq, bench_seq):
     beta = list(bench_seq)
     lengths = []
     while tau:
-        run = _longest_common_run(tau, beta)
+        run, start = _longest_common_run(tau, beta)
         if run == 0:
             break
-        start = _earliest_run_start(tau, beta, run)
         del tau[start : start + run]
         lengths.append(run)
     if not lengths:
@@ -177,18 +172,13 @@ def _occurs(chunk, beta):
 
 
 def _longest_common_run(tau, beta):
+    """(length, start) of the longest run of tau that occurs in beta, at its
+    earliest start in tau; (0, 0) when they share nothing."""
     for n in range(min(len(tau), len(beta)), 0, -1):
         for start in range(len(tau) - n + 1):
             if _occurs(tau[start : start + n], beta):
-                return n
-    return 0
-
-
-def _earliest_run_start(tau, beta, n):
-    for start in range(len(tau) - n + 1):
-        if _occurs(tau[start : start + n], beta):
-            return start
-    raise AssertionError("run vanished")
+                return n, start
+    return 0, 0
 
 
 def plausibility(grammar, lexicon, pairs, k, pm, limits=None, model=None, report=None):

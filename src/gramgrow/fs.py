@@ -29,10 +29,6 @@ class MalformedSyntax(FSError):
     pass
 
 
-class ExpansionCapHit(FSError):
-    """Raised when expanding a disjunction would exceed the configured cap."""
-
-
 WILDCARD = "*"
 
 DEFAULT_EXPANSION_CAP = 64
@@ -543,6 +539,8 @@ def simplify(c):
 
 def _vset_nodes(fs, registry):
     """Value-disjunction node ids in deterministic (registry) walk order."""
+    if not any(payload is not None and payload & (payload - 1) for payload, _ in fs._nodes):
+        return []  # the common case, found without the ordered walk
     order = []
     seen = set()
 
@@ -563,41 +561,18 @@ def _vset_nodes(fs, registry):
     return order
 
 
-def expand_fs(fs, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
-    """All non-disjunctive images of fs (each value disjunction resolved).
-
-    If the fan-out exceeds cap, the enumerated prefix is returned and on_cap
-    (if given) is called with the true fan-out; with no handler the cap raises.
-    """
-    sites = _vset_nodes(fs, registry)
-    if not sites:
-        return [fs]
-    choice_lists = []
-    for idx in sites:
+def _choices(fs, registry):
+    """(node id, one-atom masks) per value disjunction of fs, in registry walk
+    order, the masks in declared value order where known."""
+    out = []
+    for idx in _vset_nodes(fs, registry):
         vals = _atoms(fs._nodes[idx][0])
         if registry is not None:
-            # deterministic order: declared value order where known
             feat = _feature_of(fs, idx)
             vals = sorted(vals, key=lambda v: registry.value_key(feat, v))
         else:
             vals = sorted(vals)
-        choice_lists.append([_BITS[v] for v in vals])
-    total = 1
-    for vals in choice_lists:
-        total *= len(vals)
-    if cap is not None and total > cap:
-        if on_cap is None:
-            raise ExpansionCapHit("expansion fan-out %d exceeds cap %d" % (total, cap))
-        on_cap(total)
-    out = []
-    for combo in itertools.product(*choice_lists):
-        # payload nodes have no feats, so the numbering stays canonical
-        nodes = list(fs._nodes)
-        for idx, value in zip(sites, combo):
-            nodes[idx] = _node(value, ())
-        out.append(FS(tuple(nodes)))
-        if cap is not None and len(out) >= cap:
-            break
+        out.append((idx, [_BITS[v] for v in vals]))
     return out
 
 
@@ -610,13 +585,36 @@ def _feature_of(fs, idx):
 
 
 def expand(c, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
-    """Category expansion: disjunct order first, then internal disjunctions."""
+    """The non-disjunctive images of c (each value disjunction resolved), in
+    disjunct order, then registry order within a disjunct.
+
+    Only the first cap images are returned (all of them when cap is None).
+    When c has more, on_cap (if given) is called once with their number.
+    """
     out = []
+    total = 0
     for d in c.disjuncts:
-        room = None if cap is None else max(1, cap - len(out))
-        out.extend(expand_fs(d, registry, room, on_cap))
-        if cap is not None and len(out) >= cap:
+        room = None if cap is None else cap - len(out)
+        if room == 0 and on_cap is None:
             break
+        choices = _choices(d, registry)
+        if not choices:
+            total += 1
+            if room != 0:
+                out.append(d)
+            continue
+        fanout = 1
+        for _, vals in choices:
+            fanout *= len(vals)
+        total += fanout
+        for combo in itertools.islice(itertools.product(*[vals for _, vals in choices]), room):
+            # payload nodes have no feats, so the numbering stays canonical
+            nodes = list(d._nodes)
+            for (idx, _), value in zip(choices, combo):
+                nodes[idx] = _node(value, ())
+            out.append(FS(tuple(nodes)))
+    if cap is not None and total > cap and on_cap is not None:
+        on_cap(total)
     return out
 
 
@@ -795,9 +793,9 @@ def parse_cats(text, registry=None, joint=None):
 class _Printer:
     """Prints graph portions with one shared tag numbering."""
 
-    def __init__(self, registry, tag_start=0):
+    def __init__(self, registry):
         self.registry = registry
-        self.next_tag = tag_start + 1
+        self.next_tag = 1
 
     def _key(self, feat):
         return self.registry.feature_key(feat) if self.registry else (0, feat)
@@ -853,10 +851,10 @@ class _Printer:
         return "{" + ", ".join(texts) + "}"
 
 
-def print_fs(cat, registry=None, tag_start=0):
+def print_fs(cat, registry=None):
     if isinstance(cat, FS):
         cat = Category((cat,))
-    return _Printer(registry, tag_start).cat_text(cat)
+    return _Printer(registry).cat_text(cat)
 
 
 def print_parts(fs, part_features, registry=None):

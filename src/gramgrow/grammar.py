@@ -166,13 +166,13 @@ def max_bar_of(registry):
 class Grammar:
     """The original rule set and the learnt rule set, over one registry."""
 
-    def __init__(self, registry, max_bar=None):
+    def __init__(self, registry):
         self.registry = registry
         self.original = []
         self.learnt = []
         self._by_id = {}
         self._learn_counter = 0
-        self.max_bar = max_bar_of(registry) if max_bar is None else max_bar
+        self.max_bar = max_bar_of(registry)
         # (rule instances, slot, daughter disjuncts) -> narrow()'s result,
         # filled by survivors(), and (instances, slot) -> cat_at()'s result,
         # filled by category_at().  Keys are values, so entries never go

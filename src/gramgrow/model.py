@@ -6,7 +6,7 @@ unless it can prove the daughters implausible.
 
 from __future__ import annotations
 
-from .fs import Category, FS, MalformedSyntax, expand, matches, parse_fs, subsumes
+from .fs import MalformedSyntax, expand, matches, parse_fs, subsumes
 from .grammar import data_lines, max_bar_of
 
 E = "e"
@@ -39,17 +39,17 @@ def parse_pattern(text, registry):
 
 
 def match(p, c):
-    """LP-style pattern match: pattern features must be PRESENT in the
-    category; a negated pattern matches when the positive part does not."""
-    disjuncts = c.disjuncts if isinstance(c, Category) else (c,)
-    positive = any(matches(p.fs, d, presence=True) for d in disjuncts)
+    """LP-style pattern match: pattern features must be PRESENT in some
+    disjunct of the category; a negated pattern matches when the positive
+    part does not."""
+    positive = any(matches(p.fs, d, presence=True) for d in c.disjuncts)
     return not positive if p.negated else positive
 
 
-def compatible(p, c):
-    """TYP-style match: unifiability (absent features are no obstacle)."""
-    disjuncts = c.disjuncts if isinstance(c, Category) else (c,)
-    return any(matches(p.fs, d, presence=False) for d in disjuncts)
+def compatible(p, d):
+    """TYP-style match of a structure: unifiability (absent features are no
+    obstacle)."""
+    return matches(p.fs, d, presence=False)
 
 
 class LPRule:
@@ -117,12 +117,6 @@ def _parse_type(s):
     raise MalformedSyntax("bad type expression: %r" % s)
 
 
-def format_type(t):
-    if isinstance(t, tuple):
-        return "<%s,%s>" % (format_type(t[0]), format_type(t[1]))
-    return t
-
-
 def apply_type(f, a):
     """Functional application: <x,y> applied to x gives y; else undefined."""
     if isinstance(f, tuple) and f[0] == a:
@@ -166,8 +160,8 @@ def type_check(rhs, tm, registry=None):
     direction, or either type is undefined."""
     if len(rhs) < 2:
         return True
-    first = _expansions(rhs[0], registry)
-    second = _expansions(rhs[1], registry)
+    first = expand(rhs[0], registry)
+    second = expand(rhs[1], registry)
     for e1 in first:
         t1 = tm.lookup(e1)
         if t1 is None:
@@ -179,12 +173,6 @@ def type_check(rhs, tm, registry=None):
             if apply_type(t1, t2) is not None or apply_type(t2, t1) is not None:
                 return True
     return False
-
-
-def _expansions(c, registry):
-    if isinstance(c, FS):
-        c = Category((c,))
-    return expand(c, registry, on_cap=lambda n: None)
 
 
 # -- the conjoined critic -------------------------------------------------------
@@ -256,7 +244,10 @@ def load_model(path, registry):
             body, _, typetext = line[5:].rpartition(":")
             if not body:
                 raise MalformedSyntax("type line needs ':': %r" % line)
-            rows.append((parse_pattern(body, registry), parse_type(typetext)))
+            pattern = parse_pattern(body, registry)
+            if pattern.negated:
+                raise MalformedSyntax("type patterns cannot be negated: %r" % line)
+            rows.append((pattern, parse_type(typetext)))
         elif line.startswith("nonhead "):
             nonhead = frozenset(w.upper() for w in line[8:].split())
         else:

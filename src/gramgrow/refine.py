@@ -20,7 +20,7 @@ def candidate_scores(store, rule, registry=None):
     lookup(L, rhs_i) over the RHS positions."""
     rhs = [rule.rhs(i) for i in range(1, rule.arity + 1)]
     out = []
-    for lhs in expand(rule.lhs, registry, on_cap=lambda n: None):
+    for lhs in expand(rule.lhs, registry):
         score = geo_mean([store.lookup(Category((lhs,)), r) for r in rhs])
         out.append((lhs, score))
     return out
@@ -92,7 +92,7 @@ def refine_grammar(store, grammar, params=None, registry=None, labels=None):
     for rule in list(grammar.learnt):
         refined, winner, score = refine_lhs(store, rule, registry)
         if winner is not None:
-            n = len(expand(rule.lhs, registry, on_cap=lambda n: None))
+            n = len(expand(rule.lhs, registry))
             grammar.replace_learnt(rule.id, refined)
             report.append(
                 " Refining %d rules encoded in %s score: %r" % (n, rule.id, score)

@@ -11,9 +11,9 @@ are similarities, not probabilities.
 from __future__ import annotations
 
 import itertools
+import math
 
-from .fs import DEFAULT_EXPANSION_CAP
-from .fs import Category, FS, MalformedSyntax, expand, parse_cats, print_fs, unify, unify_cat
+from .fs import DEFAULT_EXPANSION_CAP, Category, MalformedSyntax, expand, parse_cats, print_fs, unify
 from .grammar import data_lines
 
 DEFAULT_DELTA = 0.001
@@ -36,20 +36,16 @@ class Triple:
 
 class TripleStore:
     def __init__(self, delta=DEFAULT_DELTA, omega=DEFAULT_OMEGA):
-        # the working invariant is 0 < delta < omega < 1; omega may be pushed
-        # to its closed bounds to probe always-accept / always-reject
-        if not 0 < delta < 1:
-            raise ValueError("delta must lie in (0,1)")
-        if not 0 <= omega <= 1:
-            raise ValueError("omega must lie in [0,1]")
+        if not 0 < delta < omega <= 1:
+            raise ValueError("triple stores need 0 < delta < omega <= 1")
         self.delta = delta
         self.omega = omega
         self.triples = []
         self._index = {}
-        # (a, b) -> [triples tested so far, the compatible ones among them];
-        # a lookup tests only the triples added since its last visit.
-        # (triple structure, query) -> _compatible()'s result, shared by
-        # mothers and daughters: a structure may be either
+        # (a, b) disjuncts -> [triples tested so far, the compatible ones
+        # among them]; a lookup tests only the triples added since its last
+        # visit.  (triple structure, query disjuncts) -> _compatible()'s
+        # result, shared by mothers and daughters: a structure may be either
         self._cache = {}
         self._compat = {}
         self.total = 0
@@ -66,28 +62,28 @@ class TripleStore:
         self.total += freq
 
     def lookup(self, a, b):
-        """Summed frequency of triples unifiable with the pair, over the
-        grand total; delta when no triple matches (or the store is empty)."""
+        """Summed frequency of the triples whose mother unifies with a
+        disjunct of category a and whose daughter with a disjunct of b, over
+        the grand total; delta when none does (or the store is empty)."""
         if self.total == 0:
             return self.delta
-        ka, kb = _cache_key(a), _cache_key(b)
+        ka, kb = a.disjuncts, b.disjuncts
         entry = self._cache.get((ka, kb))
         if entry is None:
             entry = self._cache[ka, kb] = [0, []]
         tested, found = entry
         for t in self.triples[tested:]:
-            if self._memo_compatible(t.mother, ka, a) and self._memo_compatible(t.daughter, kb, b):
+            if self._memo_compatible(t.mother, ka) and self._memo_compatible(t.daughter, kb):
                 found.append(t)
         entry[0] = len(self.triples)
         # frequencies are integers, so the sum is exact in any order
         acc = sum(t.freq for t in found)
         return acc / self.total if acc else self.delta
 
-    def _memo_compatible(self, t_fs, key, c):
-        """_compatible(t_fs, c), where key is c's cache key."""
-        hit = self._compat.get((t_fs, key))
+    def _memo_compatible(self, t_fs, disjuncts):
+        hit = self._compat.get((t_fs, disjuncts))
         if hit is None:
-            hit = self._compat[t_fs, key] = _compatible(t_fs, c)
+            hit = self._compat[t_fs, disjuncts] = _compatible(t_fs, disjuncts)
         return hit
 
     def save(self, path, registry=None):
@@ -101,22 +97,24 @@ class TripleStore:
 
     @classmethod
     def load(cls, path, registry):
-        store = cls()
+        params = {}
+        rows = []
         for line in data_lines(path):
             if line.startswith("params "):
                 words = line.split()
                 params = dict(zip(words[1::2], words[2::2]))
-                delta = float(params.get("delta", DEFAULT_DELTA))
-                omega = float(params.get("omega", DEFAULT_OMEGA))
-                if not 0 < delta < omega <= 1:
-                    raise MalformedSyntax("triple files need 0 < delta < omega <= 1")
-                store.delta, store.omega = delta, omega
             elif line.startswith("triple "):
-                body = line[7:].strip()
-                cats, freq = _parse_triple_body(body, registry)
-                store.add(cats[0], cats[1], freq)
+                rows.append(_parse_triple_body(line[7:].strip(), registry))
             else:
                 raise MalformedSyntax("unknown triple line: %r" % line)
+        delta = params.get("delta", DEFAULT_DELTA)
+        omega = params.get("omega", DEFAULT_OMEGA)
+        try:
+            store = cls(float(delta), float(omega))
+        except ValueError as err:
+            raise MalformedSyntax(str(err)) from None
+        for (mother, daughter), freq in rows:
+            store.add(mother, daughter, freq)
         return store
 
 
@@ -132,14 +130,8 @@ def _parse_triple_body(body, registry):
     return [c.disjuncts[0] for c in cats], int(words[1])
 
 
-def _cache_key(c):
-    return c if isinstance(c, FS) else c.disjuncts
-
-
-def _compatible(t_fs, c):
-    if isinstance(c, FS):
-        return unify(t_fs, c) is not None
-    return not unify_cat(Category((t_fs,)), c).is_bottom
+def _compatible(t_fs, disjuncts):
+    return any(unify(t_fs, d) is not None for d in disjuncts)
 
 
 # -- decomposition ----------------------------------------------------------
@@ -165,8 +157,6 @@ def decompose(tree):
 
 
 def _single(cat):
-    if isinstance(cat, FS):
-        return cat
     if cat.is_bottom:
         raise ValueError("bottom category in a tree")
     return cat.disjuncts[0]
@@ -205,35 +195,27 @@ def score_local(store, mother, daughters, registry=None, on_cap=None):
     `daughters` is a sequence of (category, subtree score or None); lexical
     (preterminal) daughters carry None and contribute lookup alone, interior
     daughters contribute lookup times their subtree score.  A disjunctive
-    node scores as the maximum over its non-disjunctive expansions.
+    node scores as the maximum over its non-disjunctive expansions, taken
+    over the first DEFAULT_EXPANSION_CAP combinations of them.
     """
-    silent = on_cap if on_cap is not None else (lambda n: None)
-    m_exps = expand(_as_cat(mother), registry, on_cap=silent)
-    d_exps = [expand(_as_cat(c), registry, on_cap=silent) for c, _ in daughters]
+    exps = [
+        [Category((e,)) for e in expand(c, registry, on_cap=on_cap)]
+        for c in [mother] + [c for c, _ in daughters]
+    ]
+    total = math.prod(len(e) for e in exps)
+    if total > DEFAULT_EXPANSION_CAP and on_cap is not None:
+        on_cap(total)
+    subs = [sub for _, sub in daughters]
     best = 0.0
-    seen = 0
-    total = len(m_exps)
-    for exps in d_exps:
-        total *= len(exps)
-    if total > DEFAULT_EXPANSION_CAP:
-        silent(total)  # the max runs over the enumerated prefix only
-    for m in m_exps:
-        for combo in itertools.product(*d_exps):
-            factors = []
-            for (cat, sub), d in zip(daughters, combo):
-                f = store.lookup(m, d)
-                if sub is not None:
-                    f *= sub
-                factors.append(f)
-            best = max(best, geo_mean(factors))
-            seen += 1
-            if seen >= DEFAULT_EXPANSION_CAP:
-                return best
+    for m, *combo in itertools.islice(itertools.product(*exps), DEFAULT_EXPANSION_CAP):
+        factors = []
+        for d, sub in zip(combo, subs):
+            f = store.lookup(m, d)
+            if sub is not None:
+                f *= sub
+            factors.append(f)
+        best = max(best, geo_mean(factors))
     return best
-
-
-def _as_cat(c):
-    return Category((c,)) if isinstance(c, FS) else c
 
 
 def score_tree(store, tree, registry=None):

@@ -264,7 +264,7 @@ TOY_LEX = {"d": "DET", "n": "N", "v": "V"}
 
 
 def _toy_grammar():
-    g = Grammar(TOY_REG, max_bar=1)
+    g = Grammar(TOY_REG)
     lex = Lexicon(TOY_REG)
     from gramgrow.grammar import parse_rule_line
 

@@ -158,6 +158,33 @@ def test_set_sbl_requires_triples():
     assert "error:" in out.getvalue()
 
 
+def test_commands_without_their_resources_keep_session_alive(tmp_path):
+    triples = tmp_path / "empty.triples"
+    triples.write_text("params delta 0.001 omega 0.35\n")
+    features = "load-features %s" % data_path("demo.features")
+    cases = [
+        ([], "load-model %s" % data_path("demo.model")),
+        ([], "load-lexicon %s" % data_path("demo.lexicon")),
+        ([], "load-triples %s" % triples),
+        ([], "load-paraphrase %s" % data_path("demo.labels")),
+        ([features, "load-triples %s" % triples], "refine-grammar"),
+        ([features, "load-triples %s" % triples], "save-learnt %s" % (tmp_path / "out.grammar")),
+        ([], "eval --random 2 3"),
+        ([features, "load-grammar %s" % data_path("demo.grammar")], "eval --random 2 3"),
+    ]
+    for setup, line in cases:
+        out = io.StringIO()
+        session = Session(out=out)
+        assert run_script(session, setup + [line, "flags", "quit"]) == EXIT_OK
+        text = out.getvalue()
+        assert text.count("error:") == 1, (line, text)
+        assert "Current flag settings:" in text.split("error:")[1], line
+    # the loaders refused before reading: nothing was loaded unvalidated
+    session = Session(out=io.StringIO())
+    run_script(session, [line for _, line in cases[:4]] + ["quit"])
+    assert (session.model, session.lexicon, session.store, session.labels) == (None,) * 4
+
+
 # -- eval -----------------------------------------------------------------------
 
 

@@ -6,7 +6,6 @@ from gramgrow.fs import (
     BOTTOM,
     Category,
     EMPTY_CAT,
-    ExpansionCapHit,
     FS,
     FeatureRegistry,
     MalformedSyntax,
@@ -15,7 +14,6 @@ from gramgrow.fs import (
     equal,
     equal_cat,
     expand,
-    expand_fs,
     fs_from_pairs,
     parse_fs,
     print_fs,
@@ -321,7 +319,7 @@ def test_equal_structures_share_their_node_tuples():
     assert a == copy and hash(a) == hash(copy) == hash(b)
     # sub-structures and expansions are interned too
     assert _same_nodes(a.get("CAT"), fs("[BAR {1, 2}, PER []]"))
-    assert _same_nodes(expand_fs(a.get("CAT"))[1], fs("[BAR 2, PER []]"))
+    assert _same_nodes(expand(Category((a.get("CAT"),)))[1], fs("[BAR 2, PER []]"))
 
 
 def test_equal_results_share_their_node_tuples_random():
@@ -404,11 +402,27 @@ def test_expand_cartesian_registry_order():
 
 def test_expand_cap():
     wide = cat("[BAR {0,1,2,3}, PER {1,2,3}, PLU {+,-}, N {+,-}, V {+,-}]")
-    with pytest.raises(ExpansionCapHit):
-        expand(wide, REG, cap=16)
     hits = []
     got = expand(wide, REG, cap=16, on_cap=hits.append)
     assert len(got) == 16 and hits == [96]
+    assert expand(wide, REG, cap=16) == got  # no handler: the same prefix, no raise
+
+
+def test_expand_cap_counts_every_disjunct():
+    reg = FeatureRegistry.from_text(
+        "feature A 1 2 3 4\nfeature B 1 2 3 4\nfeature C 1 2 3 4\nfeature D x"
+    )
+    c = parse_fs("{[A {1,2,3,4}, B {1,2,3,4}, C {1,2,3,4}], [D x]}", reg)
+    hits = []
+    got = expand(c, reg, on_cap=hits.append)
+    assert hits == [65]
+    assert got == expand(c, reg, cap=None)[:64]
+    assert [print_fs(Category((e,)), reg) for e in got[:2]] == ["[A 1, B 1, C 1]", "[A 1, B 1, C 2]"]
+    assert print_fs(Category((got[-1],)), reg) == "[A 4, B 4, C 4]"
+    hits = []
+    assert expand(c, reg, cap=None, on_cap=hits.append)[-1] == c.disjuncts[1]
+    assert expand(c, reg, cap=65, on_cap=hits.append)[-1] == c.disjuncts[1]
+    assert hits == []
 
 
 def test_expand_shared_value_set_single_choice():

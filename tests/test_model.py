@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from gramgrow.fs import Category, expand, matches, parse_fs, print_fs, subsumes
+from gramgrow.fs import Category, MalformedSyntax, expand, matches, parse_fs, print_fs, subsumes
 from gramgrow.model import (
     apply_type,
     compatible,
@@ -41,22 +41,22 @@ def lex1(lexicon, word):
 def test_match_requires_presence(demo):
     registry, _, lexicon, _, _ = demo
     p = parse_pattern("[SUBCAT *]", registry)
-    assert not match(p, lex1(lexicon, "the"))
-    assert match(p, lex1(lexicon, "chases"))
+    assert not match(p, Category((lex1(lexicon, "the"),)))
+    assert match(p, Category((lex1(lexicon, "chases"),)))
 
 
 def test_match_negation(demo):
     registry, _, lexicon, _, _ = demo
     p = parse_pattern("~[SUBCAT *]", registry)
-    assert match(p, lex1(lexicon, "the"))
-    assert not match(p, lex1(lexicon, "chases"))
+    assert match(p, Category((lex1(lexicon, "the"),)))
+    assert not match(p, Category((lex1(lexicon, "chases"),)))
 
 
 def test_match_value_disjunction_any_member(demo):
     registry, _, _, _, _ = demo
     p = parse_pattern("[BAR 1]", registry)
     d = parse_fs("[BAR {1,2}]", registry).disjuncts[0]
-    assert match(p, d)
+    assert match(p, Category((d,)))
 
 
 def test_matches_agrees_with_reference_on_demo_patterns(demo):
@@ -182,12 +182,22 @@ def test_typ_lookup_matches_uncached_reference(demo):
     cats = [Category((d,)) for w in lexicon.terminals for d in lexicon.lexical_categories(w)]
     cats += [rule.rhs(i) for rule in grammar.rules for i in range(1, rule.arity + 1)]
     structures = [d for c in cats for d in c.disjuncts]
-    structures += [e for c in cats for e in expand(c, registry, on_cap=lambda n: None)]
+    structures += [e for c in cats for e in expand(c, registry)]
     tm = model.typemap
     for _ in range(2):  # the second pass reads the memo
         for d in structures:
             assert tm.lookup(d) == _type_of(tm.rows, d)
     assert {tm.lookup(d) is None for d in structures} == {True, False}
+
+
+def test_negated_type_pattern_is_refused(demo, tmp_path):
+    registry = demo[0]
+    path = tmp_path / "negated.model"
+    path.write_text("type [N +] : e\ntype ~[N +] : e\n")
+    with pytest.raises(MalformedSyntax):
+        load_model(path, registry)
+    path.write_text("type [N +] : e\nlp LP1 : ~[N +] < [N +]\n")
+    assert len(load_model(path, registry).lp_rules) == 1
 
 
 def test_apply_type_det_nominal():

@@ -67,23 +67,23 @@ def test_refine_lhs_non_disjunctive_unchanged(store):
 
 
 def test_prune_low_score_bounds(store):
-    g = Grammar(REG, max_bar=2)
+    g = Grammar(REG)
     g.add_learnt(adj_noun_rule())
     assert prune_low_score(store, g, 1.0 - 1e-9, REG) == ["*binary1"]
-    g2 = Grammar(REG, max_bar=2)
+    g2 = Grammar(REG)
     g2.add_learnt(adj_noun_rule())
     assert prune_low_score(store, g2, 0.0, REG) == []  # scores >= delta > 0
 
 
 def test_prune_low_score_never_touches_originals(store):
-    g = Grammar(REG, max_bar=2)
+    g = Grammar(REG)
     g.add_original(learnt("rule G1 : [CAT S] -> [CAT NP] [CAT VP]"))
     removed = prune_low_score(store, g, 1.0 - 1e-9, REG)
     assert removed == [] and len(g.original) == 1
 
 
 def test_prune_unsupported_chain():
-    g = Grammar(REG, max_bar=2)
+    g = Grammar(REG)
     base = learnt("rule *b1 : [CAT NP] -> [CAT DET] [CAT N]", "*b1")
     mid = learnt("rule *b2 : [CAT VP] -> [CAT V] [CAT NP]", "*b2")
     top = learnt("rule *b3 : [CAT S] -> [CAT NP] [CAT VP]", "*b3")
@@ -98,7 +98,7 @@ def test_prune_unsupported_chain():
 def test_prune_unsupported_matches_reachability_oracle():
     rng = random.Random(59)
     for _ in range(30):
-        g = Grammar(REG, max_bar=2)
+        g = Grammar(REG)
         n = rng.randint(3, 12)
         ids = ["*r%d" % i for i in range(n)]
         deps = {}
@@ -134,13 +134,13 @@ def test_prune_unsupported_matches_reachability_oracle():
 
 
 def test_prune_unsupported_no_deletions():
-    g = Grammar(REG, max_bar=2)
+    g = Grammar(REG)
     g.add_learnt(adj_noun_rule(), SupportRecord("*binary1", (SupportRecord.LEXICAL,)))
     assert prune_unsupported(g) == []
 
 
 def test_refine_grammar_reports_and_is_idempotent(store):
-    g = Grammar(REG, max_bar=2)
+    g = Grammar(REG)
     g.add_learnt(adj_noun_rule(), SupportRecord("*binary1", (SupportRecord.LEXICAL,)))
     report = refine_grammar(store, g, RefineParams(), REG)
     assert any("Refining" in line for line in report)
@@ -150,5 +150,5 @@ def test_refine_grammar_reports_and_is_idempotent(store):
 
 
 def test_refine_grammar_empty_learnt_set(store):
-    g = Grammar(REG, max_bar=2)
+    g = Grammar(REG)
     assert refine_grammar(store, g, RefineParams(), REG) == []

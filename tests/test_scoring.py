@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import random
 
@@ -6,7 +7,7 @@ import pytest
 
 from gramgrow import scoring
 from gramgrow.chart import ParseTree
-from gramgrow.fs import Category, FS, FeatureRegistry, parse_fs, unify
+from gramgrow.fs import Category, FS, FeatureRegistry, MalformedSyntax, parse_fs, unify
 from gramgrow.scoring import (
     TripleStore,
     decompose,
@@ -134,8 +135,7 @@ def _recount(store, a, b):
     with the pair, over the total; delta when none is."""
 
     def compatible(t_fs, c):
-        disjuncts = c.disjuncts if isinstance(c, Category) else (c,)
-        return any(unify(t_fs, d) is not None for d in disjuncts)
+        return any(unify(t_fs, d) is not None for d in c.disjuncts)
 
     acc = sum(
         t.freq for t in store.triples if compatible(t.mother, a) and compatible(t.daughter, b)
@@ -147,21 +147,22 @@ def test_lookup_equals_recount_under_interleaved_adds(monkeypatch):
     reg = FeatureRegistry.from_text("feature CAT S NP VP\nfeature PLU + -")
     texts = ["[CAT S]", "[CAT NP]", "[CAT NP, PLU +]", "[CAT NP, PLU -]", "[CAT VP, PLU -]", "[]"]
     pool = [parse_fs(t, reg).disjuncts[0] for t in texts]
-    queries = pool + [parse_fs(t, reg) for t in ("{[CAT S], [CAT VP]}", "[PLU +]", "[]")]
+    queries = [Category((d,)) for d in pool]
+    queries += [parse_fs(t, reg) for t in ("{[CAT S], [CAT VP]}", "[PLU +]", "[]")]
     tested = collections.Counter()  # (triple structure, query) -> compatibility tests
     plain = scoring._compatible
 
-    def counting(t_fs, c):
-        tested[t_fs, c if isinstance(c, FS) else c.disjuncts] += 1
-        return plain(t_fs, c)
+    def counting(t_fs, disjuncts):
+        tested[t_fs, disjuncts] += 1
+        return plain(t_fs, disjuncts)
 
     monkeypatch.setattr(scoring, "_compatible", counting)
     rng = random.Random(7)
     store = TripleStore()
     # one structure as both the mother and the daughter of a triple
     store.add(pool[1], pool[1])
-    assert store.lookup(pool[1], pool[1]) == _recount(store, pool[1], pool[1]) == 1.0
-    assert tested == {(pool[1], pool[1]): 1}
+    assert store.lookup(queries[1], queries[1]) == _recount(store, queries[1], queries[1]) == 1.0
+    assert tested == {(pool[1], queries[1].disjuncts): 1}
     adds = lookups = 0
     for _ in range(400):
         if rng.random() < 0.3:
@@ -337,3 +338,34 @@ def test_store_rejects_bad_params():
         TripleStore(delta=0.0)
     with pytest.raises(ValueError):
         TripleStore(delta=0.1, omega=1.5)
+
+
+def test_store_refuses_what_load_would_refuse():
+    for delta, omega in [(0.001, 0.0), (0.5, 0.2), (0.3, 0.3), (0.0, 0.5), (0.5, 1.0 + 1e-9)]:
+        with pytest.raises(ValueError):
+            TripleStore(delta, omega)
+
+
+def test_every_store_the_constructor_accepts_reloads(tmp_path, six_triple_store):
+    path = tmp_path / "triples.txt"
+    tiny, below_one = 5e-324, math.nextafter(1.0, 0.0)
+    values = [0.0, tiny, 0.2, 0.5, math.nextafter(0.5, 1.0), below_one, 1.0]
+    accepted = []
+    for delta, omega in itertools.product(values, values):
+        try:
+            store = TripleStore(delta, omega)
+        except ValueError:
+            continue
+        accepted.append((delta, omega))
+        for t in six_triple_store.triples:
+            store.add(t.mother, t.daughter, t.freq)
+        store.save(path, ATOM_REG)
+        back = TripleStore.load(path, ATOM_REG)
+        assert (back.delta, back.omega) == (delta, omega)
+        assert back.total == store.total and len(back.triples) == 6
+    assert (tiny, 1.0) in accepted and (below_one, 1.0) in accepted
+    assert (0.5, math.nextafter(0.5, 1.0)) in accepted
+    for params in ("delta 0.5 omega 0.2", "delta 0.0", "omega 1.5", "delta x"):
+        path.write_text("params %s\n" % params)
+        with pytest.raises(MalformedSyntax):
+            TripleStore.load(path, ATOM_REG)
