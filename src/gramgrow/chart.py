@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from .constructor import Rejection, construct_binary_cat, construct_unary_cat
+from .constructor import construct_binary_cat, construct_unary_cat
 from .fs import Category, EMPTY_CAT, unify_cat
 from .grammar import LHS, SupportRecord, UnknownTerminal, slot, super_rule
-from .model import criticise_rhs
+from .model import DEFAULT_NONHEAD, criticise_rhs
 from . import scoring
 
 
@@ -272,21 +272,16 @@ class ChartParser:
         return rules
 
     def _run(self):
+        # bad edges never reach the agenda, actives_by_end or inactives_by_start
         while self.agenda:
             edge = self.chart.edge(self.agenda.popleft())
-            if edge.bad:
-                continue
             if edge.is_inactive:
                 self.propose(edge)
                 for active_id in list(self.chart.actives_by_end[edge.start]):
-                    active = self.chart.edge(active_id)
-                    if not active.bad:
-                        self.extend(active, edge)
+                    self.extend(self.chart.edge(active_id), edge)
             else:
                 for inactive_id in list(self.chart.inactives_by_start[edge.end]):
-                    inactive = self.chart.edge(inactive_id)
-                    if not inactive.bad:
-                        self.extend(edge, inactive)
+                    self.extend(edge, self.chart.edge(inactive_id))
 
     # -- the chart operations ------------------------------------------------
 
@@ -352,7 +347,6 @@ class ChartParser:
             self.criticise(edge)
         if not edge.bad:
             if edge.is_inactive:
-                edge.derivations = 1
                 for cid in children:
                     edge.derivations *= self.chart.edge(cid).derivations
                 if self.flags.data and self.store is not None and not edge.is_lexical:
@@ -384,36 +378,38 @@ class ChartParser:
     # -- criticism -------------------------------------------------------------
 
     def criticise(self, edge):
-        """Reject or refine a completed super-rule instantiation."""
+        """Give a completed super-rule instantiation a freshly built rule, or
+        mark it bad with the reason of the first step that rejects it."""
         rhs = [edge.slot_cat(i) for i in range(1, edge.arity + 1)]
-        if self._covered_by_original(edge.arity, rhs):
-            return self._mark_bad(edge, "redundant")
+        built = self._rule_or_reason(edge.arity, rhs)
+        if not isinstance(built, str) and self.flags.data and self.store is not None:
+            if not self._judge(edge, built):
+                built = "judged"
+        if isinstance(built, str):
+            edge.bad = True
+            edge.bad_reason = built
+        else:
+            edge.replace_instances(built.instances)
+            edge.built_rule = built
+
+    def _rule_or_reason(self, arity, rhs):
+        """The rule built over the RHS, or the bad_reason of the first check
+        it fails: redundancy, the model, then X-bar construction."""
+        if self._covered_by_original(arity, rhs):
+            return "redundant"
         if self.model is not None:
-            verdict = criticise_rhs(
+            reason = criticise_rhs(
                 rhs, self.model, self.grammar.registry, lp=self.flags.lp, types=self.flags.types
             )
-            if verdict is not True:
-                return self._mark_bad(edge, ";".join(verdict.reasons))
-        xbar = self._xbar()
-        rule_id = self.grammar.next_learnt_id(edge.arity)
-        if edge.arity == 1:
-            built = construct_unary_cat(rhs[0], xbar, rule_id)
-        else:
-            built = construct_binary_cat(rhs[0], rhs[1], xbar, rule_id)
-        if isinstance(built, Rejection):
-            return self._mark_bad(edge, built.reason)
-        if self.flags.data and self.store is not None:
-            if not self._judge(edge, built):
-                return self._mark_bad(edge, "judged")
-        edge.replace_instances(built.instances)
-        edge.built_rule = built
-
-    def _xbar(self):
-        if self.model is not None:
-            return self.model.xbar.with_hfc(self.flags.hfc)
-        from .constructor import XBarConfig
-
-        return XBarConfig(max_bar=self.grammar.max_bar, hfc=self.flags.hfc)
+            if reason is not None:
+                return reason
+        nonhead = None  # the HFC off: projections share nothing
+        if self.flags.hfc:
+            nonhead = self.model.nonhead if self.model is not None else DEFAULT_NONHEAD
+        rule_id = self.grammar.next_learnt_id(arity)
+        if arity == 1:
+            return construct_unary_cat(rhs[0], self.grammar.max_bar, nonhead, rule_id)
+        return construct_binary_cat(rhs[0], rhs[1], self.grammar.max_bar, nonhead, rule_id)
 
     def _covered_by_original(self, arity, rhs):
         """A same-arity original rule already licenses this RHS."""
@@ -447,10 +443,6 @@ class ChartParser:
         return scoring.score_local(
             self.store, edge.cat(), daughters, registry=self.grammar.registry, on_cap=self._on_cap
         )
-
-    def _mark_bad(self, edge, reason):
-        edge.bad = True
-        edge.bad_reason = reason
 
     # -- extraction ------------------------------------------------------------
 

@@ -4,44 +4,24 @@ The LHS of a learnt rule is the disjunction of the bar-raised (and, for
 binary rules, same-bar) projections of its major daughters.  Head features
 are shared between a projection and its source daughter when the head
 feature convention is compiled in.
+
+Construction yields a `Rule`, or the reason no rule could be built: one of
+the strings below, which the chart records as the edge's `bad_reason`.
 """
 
 from __future__ import annotations
 
-from .fs import FSError, _Graph
+from .fs import _Graph
 from .grammar import BAR, LHS, LEARNT, Rule, bar_of, slot
 
 MINOR = "MINOR"
 NONE = "NONE"  # the MINOR value of a major category
 
-DEFAULT_NONHEAD = frozenset({"NTYPE", "CASE", "CONJ", "NULL", BAR})
-
-
-class XBarConfig:
-    def __init__(self, max_bar, nonhead=DEFAULT_NONHEAD, hfc=False):
-        self.max_bar = max_bar
-        self.nonhead = frozenset(nonhead) | {BAR}
-        self.hfc = hfc
-
-    def with_hfc(self, hfc):
-        return XBarConfig(self.max_bar, self.nonhead, hfc)
-
-
-class Rejection:
-    """Why no rule could be constructed."""
-
-    MINOR = "minor"
-    MAX_BAR = "max-bar"
-    NO_BAR = "no-bar"
-    NO_HEAD = "no-head-candidate"
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason):
-        self.reason = reason
-
-    def __repr__(self):
-        return "Rejection(%s)" % self.reason
+# why no rule could be built
+MINOR_DAUGHTER = "minor"
+NO_BAR = "no-bar"
+MAX_BAR = "max-bar"
+NO_HEAD = "no-head-candidate"
 
 
 def is_minor(d):
@@ -55,80 +35,73 @@ def is_minor(d):
     return True
 
 
-def project(d, bar, cfg):
-    """Image of a major daughter at the given bar level."""
-    if is_minor(d):
-        raise FSError("cannot project a minor category")
-    if not 0 <= bar <= cfg.max_bar:
-        raise FSError("bar level %d out of range" % bar)
-    graph = _Graph()
-    return graph.freeze(_project_node(graph, graph.load(d), bar, cfg))
-
-
-def _project_node(graph, src, bar, cfg):
-    """Projection of the node src as a new node of the graph; with HFC on
-    the head-feature values are src's own nodes (shared), otherwise src must
-    be a private copy."""
+def _project_node(graph, src, bar, nonhead):
+    """Projection of the node src as a new node of the graph.  With the HFC
+    on (`nonhead` a set) the head-feature values are src's own nodes
+    (shared) and the non-head features are dropped; with it off (`nonhead`
+    None) src must be a private copy."""
     node = graph.add()
     feats = graph.feats[node]
     for feat, child in graph.feats[src].items():
         if feat == BAR:
             continue
-        if cfg.hfc and feat in cfg.nonhead:
+        if nonhead is not None and feat in nonhead:
             continue
         feats[feat] = child
     feats[BAR] = graph.add((str(bar),))
     return node
 
 
-def _candidate_bars(d, cfg, include_same_bar):
+def _candidate_bars(d, max_bar, include_same_bar):
+    """The bar levels a major daughter can project to, or the reason it
+    cannot head a rule."""
     if is_minor(d):
-        return None, Rejection.MINOR
+        return MINOR_DAUGHTER
     bar = bar_of(d)
     if bar is None:
-        return None, Rejection.NO_BAR
+        return NO_BAR
     bars = [bar, bar + 1] if include_same_bar else [bar + 1]
-    bars = [b for b in bars if b <= cfg.max_bar]
-    if not bars:
-        return None, Rejection.MAX_BAR
-    return bars, None
+    bars = [b for b in bars if b <= max_bar]
+    return bars or MAX_BAR
 
 
-def construct_unary_cat(c, cfg, rule_id="*unary?"):
+def construct_unary_cat(c, max_bar, nonhead, rule_id="*unary?"):
+    """A unary rule over c, or the reason of c's first disjunct."""
     instances = []
     reasons = []
     for d in c.disjuncts:
-        bars, why = _candidate_bars(d, cfg, include_same_bar=False)
-        if bars is None:
-            reasons.append(why)
+        bars = _candidate_bars(d, max_bar, include_same_bar=False)
+        if isinstance(bars, str):
+            reasons.append(bars)
             continue
         for b in bars:
-            instances.append(_instance(cfg, b, 0, [d]))
+            instances.append(_instance(nonhead, b, 0, [d]))
     if not instances:
-        return Rejection(reasons[0] if reasons else Rejection.NO_HEAD)
+        return reasons[0] if reasons else NO_HEAD
     return Rule(rule_id, 1, tuple(dict.fromkeys(instances)), LEARNT)
 
 
-def construct_binary_cat(c1, c2, cfg, rule_id="*binary?"):
+def construct_binary_cat(c1, c2, max_bar, nonhead, rule_id="*binary?"):
+    """A binary rule over c1 c2, or NO_HEAD when neither can head it."""
     instances = []
     any_candidate = False
     for head_pos, head_cat in ((0, c1), (1, c2)):
         other = c2 if head_pos == 0 else c1
         for d in head_cat.disjuncts:
-            bars, _ = _candidate_bars(d, cfg, include_same_bar=True)
-            if bars is None:
+            bars = _candidate_bars(d, max_bar, include_same_bar=True)
+            if isinstance(bars, str):
                 continue
             any_candidate = True
             for b in bars:
                 for o in other.disjuncts:
                     daughters = [d, o] if head_pos == 0 else [o, d]
-                    instances.append(_instance(cfg, b, head_pos, daughters))
+                    instances.append(_instance(nonhead, b, head_pos, daughters))
     if not any_candidate:
-        return Rejection(Rejection.NO_HEAD)
+        return NO_HEAD
     return Rule(rule_id, 2, tuple(dict.fromkeys(instances)), LEARNT)
 
 
-def _instance(cfg, bar, head_pos, daughters):
+def _instance(nonhead, bar, head_pos, daughters):
     """One rule instance: wrapper with the projection of daughters[head_pos]
     at `bar` as LHS.  With HFC the projection shares the head daughter's
     feature values."""
@@ -137,10 +110,9 @@ def _instance(cfg, bar, head_pos, daughters):
     roots = [graph.load(d) for d in daughters]
     for i, r in enumerate(roots, start=1):
         graph.feats[root][slot(i)] = r
-    if cfg.hfc:
+    if nonhead is not None:
         head_src = roots[head_pos]
     else:
         head_src = graph.load(daughters[head_pos])  # private copy: no sharing
-    graph.feats[root][LHS] = _project_node(graph, head_src, bar, cfg)
+    graph.feats[root][LHS] = _project_node(graph, head_src, bar, nonhead)
     return graph.freeze(root)
-

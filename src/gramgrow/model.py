@@ -7,10 +7,14 @@ unless it can prove the daughters implausible.
 from __future__ import annotations
 
 from .fs import MalformedSyntax, expand, matches, parse_fs, subsumes
-from .grammar import data_lines, max_bar_of
+from .grammar import BAR, data_lines
 
 E = "e"
 T = "t"
+
+# features the HFC does not share between a projection and its head
+# daughter, unless a model file names its own; BAR is always among them
+DEFAULT_NONHEAD = frozenset({"NTYPE", "CASE", "CONJ", "NULL", BAR})
 
 
 class Pattern:
@@ -64,27 +68,17 @@ class LPRule:
         return "LPRule(%s: %s < %s)" % (self.name, self.left.text, self.right.text)
 
 
-def lp_check(rhs, lp_rules):
-    """False iff some daughter that matches a rule's right side precedes a
-    daughter matching its left side."""
-    if len(rhs) < 2:
-        return True
-    for rule in lp_rules:
-        for i in range(len(rhs)):
-            if not match(rule.right, rhs[i]):
-                continue
-            for j in range(i + 1, len(rhs)):
-                if match(rule.left, rhs[j]):
-                    return False
-    return True
-
-
 def violated_lp(rhs, lp_rules):
-    out = []
-    for rule in lp_rules:
-        if not lp_check(rhs, [rule]):
-            out.append(rule.name)
-    return out
+    """Names of the LP rules the RHS violates: a daughter that matches a
+    rule's right side precedes a daughter matching its left side."""
+    return [
+        rule.name
+        for rule in lp_rules
+        if any(
+            match(rule.right, rhs[i]) and any(match(rule.left, later) for later in rhs[i + 1 :])
+            for i in range(len(rhs) - 1)
+        )
+    ]
 
 
 # -- semantic types ----------------------------------------------------------
@@ -179,32 +173,17 @@ def type_check(rhs, tm, registry=None):
 
 
 class ModelConfig:
-    def __init__(self, lp_rules, typemap, xbar):
+    def __init__(self, lp_rules, typemap, nonhead):
         self.lp_rules = lp_rules
         self.typemap = typemap
-        self.xbar = xbar
-
-
-class Reject:
-    __slots__ = ("reasons",)
-
-    def __init__(self, reasons):
-        self.reasons = tuple(reasons)
-
-    def __bool__(self):
-        return False
-
-    def __repr__(self):
-        return "Reject(%s)" % ", ".join(self.reasons)
-
-
-ACCEPT = True
+        self.nonhead = nonhead
 
 
 def criticise_rhs(rhs, model, registry=None, lp=True, types=True):
     """Conjunction of the enabled principle checks over an instantiated RHS.
 
-    Returns True or a Reject listing every failed principle.
+    Returns None when every check passes, else the failed principles joined
+    by ';': 'lp:' with the names of the violated LP rules, then 'type'.
     """
     reasons = []
     violated = violated_lp(rhs, model.lp_rules) if lp else ()
@@ -212,9 +191,7 @@ def criticise_rhs(rhs, model, registry=None, lp=True, types=True):
         reasons.append("lp:" + ",".join(violated))
     if types and not type_check(rhs, model.typemap, registry):
         reasons.append("type")
-    if reasons:
-        return Reject(reasons)
-    return ACCEPT
+    return ";".join(reasons) or None
 
 
 # -- model files -----------------------------------------------------------------
@@ -222,8 +199,6 @@ def criticise_rhs(rhs, model, registry=None, lp=True, types=True):
 
 def load_model(path, registry):
     """Model file: 'lp NAME : P < P', 'type P : TYPE', 'nonhead F1 F2 ...'."""
-    from .constructor import DEFAULT_NONHEAD, XBarConfig
-
     lp_rules = []
     rows = []
     nonhead = DEFAULT_NONHEAD
@@ -249,8 +224,10 @@ def load_model(path, registry):
                 raise MalformedSyntax("type patterns cannot be negated: %r" % line)
             rows.append((pattern, parse_type(typetext)))
         elif line.startswith("nonhead "):
-            nonhead = frozenset(w.upper() for w in line[8:].split())
+            names = [w.upper() for w in line[8:].split()]
+            for name in names:
+                registry.check(name)
+            nonhead = frozenset(names) | {BAR}
         else:
             raise MalformedSyntax("unknown model line: %r" % line)
-    xbar = XBarConfig(max_bar_of(registry), nonhead=nonhead)
-    return ModelConfig(lp_rules, TypeMap(rows), xbar)
+    return ModelConfig(lp_rules, TypeMap(rows), nonhead)

@@ -101,8 +101,11 @@ class TripleStore:
         rows = []
         for line in data_lines(path):
             if line.startswith("params "):
-                words = line.split()
-                params = dict(zip(words[1::2], words[2::2]))
+                words = line.split()[1:]
+                names = words[::2]
+                if len(words) % 2 or len(set(names)) < len(names) or set(names) - {"delta", "omega"}:
+                    raise MalformedSyntax("params takes delta X and omega Y only: %r" % line)
+                params = dict(zip(names, words[1::2]))
             elif line.startswith("triple "):
                 rows.append(_parse_triple_body(line[7:].strip(), registry))
             else:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -7,7 +8,7 @@ from gramgrow import fs as fs_module, grammar as grammar_module
 from gramgrow.fs import Category, FeatureRegistry, parse_fs, unify, unify_cat
 from gramgrow.grammar import LHS, Grammar, Lexicon, UnknownTerminal, cat_at, slot
 from gramgrow.model import load_model
-from gramgrow.resources import data_path, load_demo
+from gramgrow.resources import data_path, load_claws, load_demo
 
 
 @pytest.fixture()
@@ -367,10 +368,10 @@ def test_hfc_holds_for_every_rule_learnt_under_hfc(demo):
     )
     assert res.learnt
     for rule in res.learnt:
-        assert hfc_check(rule, model.xbar)
+        assert hfc_check(rule, model.nonhead)
         for d in rule.lhs.disjuncts:
             for feat in d.root_features:
-                assert feat == "BAR" or feat not in model.xbar.nonhead
+                assert feat == "BAR" or feat not in model.nonhead
 
 
 def test_learning_without_model_uses_xbar_only(demo):
@@ -484,6 +485,54 @@ def test_combine_memo_keeps_learning_unchanged(demo):
     assert [(r.id, r.instances) for r in memoised.learnt] == [
         (r.id, r.instances) for r in unmemoised.learnt
     ]
+
+
+def _rejections_and_learnt_ids(g, lexicon, model, sentences):
+    flags = SessionFlags(learning=True, hfc=True, unary_super=True)
+    rejected = collections.Counter()
+    for sentence in sentences:
+        res = parse(
+            sentence.split(), g, lexicon, model, flags=flags, limits=ParserLimits.learning_default()
+        )
+        rejected.update(e.bad_reason for e in res.chart.edges if e.bad)
+    return dict(rejected), [r.id for r in g.learnt]
+
+
+def test_rejection_histogram_and_learnt_ids_are_pinned(demo):
+    registry, _, lexicon, _, model = demo
+    with_model, without_model = Grammar(registry), Grammar(registry)
+    for g in (with_model, without_model):
+        g.load_rules(data_path("demo.grammar"))
+    assert _rejections_and_learnt_ids(with_model, lexicon, model, C11_TRAIN) == (
+        {
+            "lp:LP1": 143, "lp:LP1,LP2": 2, "lp:LP1;type": 21, "lp:LP2": 1, "lp:LP3": 3,
+            "lp:LP3;type": 5, "lp:LP4": 1, "max-bar": 31, "no-bar": 7, "redundant": 73,
+            "type": 81,
+        },
+        [
+            "*unary2", "*unary12", "*binary9", "*binary31", "*binary55", "*unary99",
+            "*binary122", "*unary129", "*unary131", "*binary153", "*binary194", "*unary196",
+            "*unary202", "*binary230", "*binary237",
+        ],
+    )
+    assert _rejections_and_learnt_ids(without_model, lexicon, None, C11_TRAIN) == (
+        {"max-bar": 17, "no-bar": 7, "redundant": 36},
+        [
+            "*binary7", "*binary14", "*binary66", "*binary74", "*binary115", "*binary171",
+            "*binary194", "*binary215", "*unary218", "*binary357",
+        ],
+    )
+    claws_registry, claws_lexicon, _ = load_claws()
+    claws_sentences = ["AT NN1 VVZ AT NN1", "AT JJ NN1", "AT AT NN1", "II AT NN1"]
+    assert _rejections_and_learnt_ids(
+        Grammar(claws_registry), claws_lexicon, None, claws_sentences
+    ) == (
+        {"minor": 6, "no-head-candidate": 1},
+        [
+            "*binary6", "*unary3", "*binary34", "*binary63", "*binary70", "*binary81",
+            "*unary91", "*binary101",
+        ],
+    )
 
 
 def test_edge_categories_equal_a_fresh_cat_at(demo):

@@ -110,6 +110,12 @@ def test_unbalanced_quote_keeps_session_alive():
     assert _survives("Sam don't chases")
 
 
+def test_undeclared_nonhead_feature_keeps_session_alive(tmp_path):
+    model = tmp_path / "typo.model"
+    model.write_text("nonhead NTYPEE CASE\n")
+    assert _survives("load-model %s" % model)
+
+
 def test_sentence_with_apostrophe_parses(tmp_path):
     with open(data_path("demo.lexicon"), encoding="utf-8") as f:
         entries = f.read()

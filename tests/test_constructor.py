@@ -1,15 +1,17 @@
 import pytest
 
 from gramgrow.constructor import (
-    Rejection,
-    XBarConfig,
+    MAX_BAR,
+    MINOR_DAUGHTER,
+    NO_BAR,
+    NO_HEAD,
     construct_binary_cat,
     construct_unary_cat,
     is_minor,
-    project,
 )
-from gramgrow.fs import Category, FSError, equal, parse_fs
+from gramgrow.fs import Category, equal, parse_fs
 from gramgrow.grammar import bar_of
+from gramgrow.model import DEFAULT_NONHEAD
 from gramgrow.resources import load_demo
 
 
@@ -24,12 +26,13 @@ def lex(demo):
     return {t: lexicon.lexical_categories(t)[0] for t in lexicon.terminals}
 
 
-CFG = XBarConfig(max_bar=3)
-CFG_HFC = CFG.with_hfc(True)
-
-
 def one(d):
     return Category((d,))
+
+
+def raised(d, nonhead):
+    """The LHS of the unary rule over d: d projected one bar level up."""
+    return construct_unary_cat(one(d), 3, nonhead).lhs.disjuncts[0]
 
 
 def test_bar_of_and_minor(demo, lex):
@@ -46,13 +49,13 @@ def test_bar_of_value_set(demo):
 
 
 def test_project_replaces_bar(demo, lex):
-    got = project(lex["cat"], 2, CFG)
+    got = raised(lex["cat"], None)
     assert got.get("BAR") == "2"
     assert got.get("NTYPE") == "COUNT"  # HFC off keeps non-head features
 
 
 def test_project_hfc_drops_nonhead(demo, lex):
-    got = project(lex["cat"], 2, CFG_HFC)
+    got = raised(lex["cat"], DEFAULT_NONHEAD)
     assert got.get("BAR") == "2"
     assert got.get("NTYPE") is None
     assert got.get("PER") == "3"
@@ -60,17 +63,14 @@ def test_project_hfc_drops_nonhead(demo, lex):
 
 def test_project_identity_at_own_bar(demo, lex):
     cat_fs = lex["cat"]
-    assert equal(project(cat_fs, 1, CFG), cat_fs)
-
-
-def test_project_rejects_out_of_range(demo, lex):
-    with pytest.raises(FSError):
-        project(lex["cat"], 4, CFG)
+    # "the" has no bar, so cat heads, and max_bar 1 leaves only its own bar
+    rule = construct_binary_cat(one(cat_fs), one(lex["the"]), 1, None)
+    assert len(rule.lhs) == 1 and equal(rule.lhs.disjuncts[0], cat_fs)
 
 
 def test_construct_unary_raises_bar(demo, lex):
-    rule = construct_unary_cat(one(lex["happy"]), XBarConfig(max_bar=2), "*unary1")
-    assert not isinstance(rule, Rejection)
+    rule = construct_unary_cat(one(lex["happy"]), 2, None, "*unary1")
+    assert not isinstance(rule, str)
     assert rule.arity == 1
     lhs = rule.lhs
     assert len(lhs) == 1 and lhs.disjuncts[0].get("BAR") == "2"
@@ -79,20 +79,20 @@ def test_construct_unary_raises_bar(demo, lex):
 
 
 def test_construct_unary_boundary(demo, lex):
-    got = construct_unary_cat(one(lex["Sam"]), XBarConfig(max_bar=2), "*unary2")
-    assert isinstance(got, Rejection) and got.reason == Rejection.MAX_BAR
+    got = construct_unary_cat(one(lex["Sam"]), 2, None, "*unary2")
+    assert got == MAX_BAR == "max-bar"
 
 
 def test_construct_unary_no_bar(demo, lex):
-    got = construct_unary_cat(one(lex["the"]), CFG, "*unary3")
-    assert isinstance(got, Rejection) and got.reason == Rejection.NO_BAR
+    got = construct_unary_cat(one(lex["the"]), 3, None, "*unary3")
+    assert got == NO_BAR == "no-bar"
 
 
 def test_construct_unary_minor():
     registry, lexicon, _ = __claws()
     det = lexicon.lexical_categories("AT")[0]
-    got = construct_unary_cat(one(det), XBarConfig(max_bar=3), "*unary4")
-    assert isinstance(got, Rejection) and got.reason == Rejection.MINOR
+    got = construct_unary_cat(one(det), 3, None, "*unary4")
+    assert got == MINOR_DAUGHTER == "minor"
 
 
 def __claws():
@@ -103,8 +103,8 @@ def __claws():
 
 def test_construct_binary_worked_example(demo, lex):
     registry, _, _, labels = demo
-    rule = construct_binary_cat(one(lex["happy"]), one(lex["cat"]), XBarConfig(max_bar=2), "*binary1")
-    assert not isinstance(rule, Rejection)
+    rule = construct_binary_cat(one(lex["happy"]), one(lex["cat"]), 2, None, "*binary1")
+    assert not isinstance(rule, str)
     got = {labels.paraphrase(d) for d in rule.lhs.disjuncts}
     assert got == {"AP", "NP", "Adj", "N1"}
     assert labels.paraphrase_cat(rule.rhs(1)) == "Adj"
@@ -121,28 +121,28 @@ def test_construct_binary_worked_example(demo, lex):
 
 def test_construct_binary_minor_daughter_skipped(demo, lex):
     registry, _, _, labels = demo
-    rule = construct_binary_cat(one(lex["the"]), one(lex["cat"]), XBarConfig(max_bar=2), "*binary2")
-    assert not isinstance(rule, Rejection)
+    rule = construct_binary_cat(one(lex["the"]), one(lex["cat"]), 2, None, "*binary2")
+    assert not isinstance(rule, str)
     assert {labels.paraphrase(d) for d in rule.lhs.disjuncts} == {"N1", "NP"}
 
 
 def test_construct_binary_two_minor_daughters(demo, lex):
-    got = construct_binary_cat(one(lex["the"]), one(lex["the"]), CFG, "*binary3")
-    assert isinstance(got, Rejection) and got.reason == Rejection.NO_HEAD
+    got = construct_binary_cat(one(lex["the"]), one(lex["the"]), 3, None, "*binary3")
+    assert got == NO_HEAD == "no-head-candidate"
 
 
 def test_construct_binary_hfc_lhs_is_pure_head(demo, lex):
-    rule = construct_binary_cat(one(lex["happy"]), one(lex["cat"]), XBarConfig(max_bar=2, hfc=True), "*b4")
+    rule = construct_binary_cat(one(lex["happy"]), one(lex["cat"]), 2, DEFAULT_NONHEAD, "*b4")
     for d in rule.lhs.disjuncts:
         assert d.get("NTYPE") is None
         for feat in d.root_features:
-            assert feat == "BAR" or feat not in CFG_HFC.nonhead
+            assert feat == "BAR" or feat not in DEFAULT_NONHEAD
 
 
 def test_construct_binary_disjunctive_daughter(demo):
     registry, _, _, labels = demo
     c1 = parse_fs("[N -, V +, BAR 0, DET -]", registry)
     c2 = parse_fs("{[N -, V -, BAR 2, DET -], [N +, V -, BAR 3, DET -]}", registry)
-    rule = construct_binary_cat(c1, c2, CFG, "*b5")
+    rule = construct_binary_cat(c1, c2, 3, None, "*b5")
     labels_got = {labels.paraphrase(d) for d in rule.lhs.disjuncts}
     assert labels_got == {"V0", "VP", "PP", "P3", "N3"}

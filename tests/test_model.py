@@ -4,17 +4,17 @@ import re
 
 import pytest
 
-from gramgrow.fs import Category, MalformedSyntax, expand, matches, parse_fs, print_fs, subsumes
+from gramgrow.fs import Category, MalformedSyntax, UndeclaredFeature, expand, matches, parse_fs, print_fs, subsumes
 from gramgrow.model import (
     apply_type,
     compatible,
     criticise_rhs,
     load_model,
-    lp_check,
     match,
     parse_pattern,
     parse_type,
     type_check,
+    violated_lp,
 )
 from gramgrow.grammar import parse_rule_line
 from gramgrow.resources import data_path, load_demo
@@ -91,40 +91,55 @@ def test_matches_agrees_with_reference_on_wildcard_patterns():
     assert seen == {True, False}
 
 
-# -- lp_check -------------------------------------------------------------------
+# -- linear precedence ----------------------------------------------------------
+
+
+def lp_check(rhs, lp_rules):
+    """The LP reference: False iff some daughter that matches a rule's right
+    side precedes a daughter matching its left side."""
+    if len(rhs) < 2:
+        return True
+    for rule in lp_rules:
+        for i in range(len(rhs)):
+            if not match(rule.right, rhs[i]):
+                continue
+            for j in range(i + 1, len(rhs)):
+                if match(rule.left, rhs[j]):
+                    return False
+    return True
 
 
 def test_lp1_det_n1_order(demo):
     registry, _, lexicon, _, model = demo
     det = Category((lex1(lexicon, "the"),))
     n1 = Category((lex1(lexicon, "cat"),))
-    assert lp_check([det, n1], model.lp_rules)
+    assert not violated_lp([det, n1], model.lp_rules)
     # the demo "the" carries no SUBCAT binding, so the subcategorisation LP
     # rule cannot fire against it; the verb supplies the lexical daughter
     v0 = Category((lex1(lexicon, "chases"),))
-    assert not lp_check([n1, v0], model.lp_rules)
-    assert lp_check([v0, n1], model.lp_rules)
+    assert violated_lp([n1, v0], model.lp_rules)
+    assert not violated_lp([v0, n1], model.lp_rules)
 
 
 def test_lp4_pp_before_s(demo):
     registry, _, _, _, model = demo
     pp = parse_fs("[N -, V -, BAR 2, DET -]", registry)
     s = parse_fs("[N -, V +, BAR 2, DET -, VFORM FIN]", registry)
-    assert lp_check([pp, s], model.lp_rules)
-    assert not lp_check([s, pp], model.lp_rules)
+    assert not violated_lp([pp, s], model.lp_rules)
+    assert violated_lp([s, pp], model.lp_rules)
 
 
 def test_lp_vacuous_on_single_daughter(demo):
     registry, _, _, _, model = demo
     s = parse_fs("[N -, V +, BAR 2]", registry)
-    assert lp_check([s], model.lp_rules)
+    assert not violated_lp([s], model.lp_rules)
 
 
 def test_lp_ignores_unmentioned_features(demo):
     registry, _, lexicon, _, model = demo
     det = Category((lex1(lexicon, "the"),))
     n1 = parse_fs("[N +, V -, BAR 1, DET -, PER 2, PLU +, PRD +]", registry)
-    assert lp_check([det, n1], model.lp_rules) == lp_check(
+    assert violated_lp([det, n1], model.lp_rules) == violated_lp(
         [det, parse_fs("[N +, V -, BAR 1]", registry)], model.lp_rules
     )
 
@@ -200,6 +215,16 @@ def test_negated_type_pattern_is_refused(demo, tmp_path):
     assert len(load_model(path, registry).lp_rules) == 1
 
 
+def test_nonhead_names_must_be_declared(demo, tmp_path):
+    registry = demo[0]
+    path = tmp_path / "nonhead.model"
+    path.write_text("nonhead NTYPEE CASE\n")
+    with pytest.raises(UndeclaredFeature):
+        load_model(path, registry)
+    path.write_text("nonhead ntype case\n")
+    assert load_model(path, registry).nonhead == {"NTYPE", "CASE", "BAR"}
+
+
 def test_apply_type_det_nominal():
     det = parse_type("<<e,t>,<<e,t>,t>>")
     n1 = parse_type("<e,t>")
@@ -238,6 +263,18 @@ def test_type_check_disjunctive_any_expansion(demo):
     assert type_check([det, mixed], model.typemap, registry)
 
 
+def test_violated_lp_names_each_rule_the_reference_rejects(demo):
+    registry, _, lexicon, _, model = demo
+    words = [Category((lex1(lexicon, w),)) for w in lexicon.terminals]
+    for rhs in itertools.chain(
+        itertools.product(words, repeat=1),
+        itertools.product(words, repeat=2),
+        itertools.product(words, repeat=3),
+    ):
+        expect = [r.name for r in model.lp_rules if not lp_check(list(rhs), [r])]
+        assert violated_lp(list(rhs), model.lp_rules) == expect
+
+
 def test_type_check_permissive_when_undefined(demo):
     registry, _, lexicon, _, model = demo
     down = Category((lex1(lexicon, "down"),))
@@ -255,10 +292,11 @@ def test_hfc_check_on_projected_rule(demo):
     rule = construct_binary_cat(
         Category((lex1(lexicon, "happy"),)),
         Category((lex1(lexicon, "cat"),)),
-        model.xbar.with_hfc(True),
+        3,
+        model.nonhead,
         "*b1",
     )
-    assert hfc_check(rule, model.xbar)
+    assert hfc_check(rule, model.nonhead)
 
 
 def test_hfc_check_violation(demo):
@@ -266,7 +304,7 @@ def test_hfc_check_violation(demo):
     rule = parse_rule_line(
         "rule bad : [N +, V -, BAR 2] -> [N -, V +, BAR 1]", registry, origin="learnt"
     )
-    assert not hfc_check(rule, model.xbar)
+    assert not hfc_check(rule, model.nonhead)
 
 
 # -- criticise_rhs ----------------------------------------------------------------
@@ -281,7 +319,7 @@ def test_criticise_rhs_all_off_accepts_everything(demo):
     registry, _, lexicon, _, model = demo
     for a, b in _pairs(lexicon):
         rhs = [Category((lex1(lexicon, a),)), Category((lex1(lexicon, b),))]
-        assert criticise_rhs(rhs, model, registry, lp=False, types=False) is True
+        assert criticise_rhs(rhs, model, registry, lp=False, types=False) is None
 
 
 def test_criticise_rhs_matches_conjunction_oracle(demo):
@@ -292,7 +330,7 @@ def test_criticise_rhs_matches_conjunction_oracle(demo):
             expect = (not lp_on or lp_check(rhs, model.lp_rules)) and (
                 not types_on or type_check(rhs, model.typemap, registry)
             )
-            assert (criticise_rhs(rhs, model, registry, lp_on, types_on) is True) == expect
+            assert (criticise_rhs(rhs, model, registry, lp_on, types_on) is None) == expect
 
 
 def test_adding_principles_never_grows_accepted_set(demo):
@@ -302,7 +340,7 @@ def test_adding_principles_never_grows_accepted_set(demo):
         out = set()
         for a, b in _pairs(lexicon):
             rhs = [Category((lex1(lexicon, a),)), Category((lex1(lexicon, b),))]
-            if criticise_rhs(rhs, model, registry, lp_on, types_on) is True:
+            if criticise_rhs(rhs, model, registry, lp_on, types_on) is None:
                 out.add((a, b))
         return out
 
@@ -315,10 +353,10 @@ def test_np_v_rejected_full_model(demo):
     registry, _, lexicon, _, model = demo
     rhs = [Category((lex1(lexicon, "Sam"),)), Category((lex1(lexicon, "chases"),))]
     got = criticise_rhs(rhs, model, registry)
-    assert got is not True and any(r.startswith("lp") for r in got.reasons)
+    assert got is not None and any(r.startswith("lp") for r in got.split(";"))
 
 
 def test_adj_n1_accepted_full_model(demo):
     registry, _, lexicon, _, model = demo
     rhs = [Category((lex1(lexicon, "happy"),)), Category((lex1(lexicon, "cat"),))]
-    assert criticise_rhs(rhs, model, registry) is True
+    assert criticise_rhs(rhs, model, registry) is None

@@ -324,6 +324,17 @@ def test_store_load_keeps_triples_before_params(tmp_path):
         TripleStore.load(path, ATOM_REG)
 
 
+def test_params_takes_delta_and_omega_with_one_value_each(tmp_path):
+    path = tmp_path / "triples.txt"
+    for params in ("delat 0.2 omega 0.5", "delta", "delta 0.2 omega", "delta 0.1 delta 0.2"):
+        path.write_text("params %s\n" % params)
+        with pytest.raises(MalformedSyntax):
+            TripleStore.load(path, ATOM_REG)
+    path.write_text("params omega 0.5\n")
+    back = TripleStore.load(path, ATOM_REG)
+    assert (back.delta, back.omega) == (scoring.DEFAULT_DELTA, 0.5)
+
+
 def test_lookup_bookkeeping_reconstructs_frequencies(six_triple_store):
     # atomic categories do not cross-unify, so each stored pair's lookup
     # recovers exactly its own frequency share
