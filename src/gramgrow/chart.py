@@ -13,11 +13,22 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from .constructor import construct_binary_cat, construct_unary_cat
+from .constructor import (
+    MAX_BAR,
+    MINOR_DAUGHTER,
+    NO_BAR,
+    NO_HEAD,
+    construct_binary_cat,
+    construct_unary_cat,
+)
 from .fs import Category, EMPTY_CAT, unify_cat
 from .grammar import LHS, SupportRecord, UnknownTerminal, slot, super_rule
 from .model import DEFAULT_NONHEAD, criticise_rhs
 from . import scoring
+
+
+# the reasons of a failed construction, which has drawn a learnt id
+_CONSTRUCTION_REASONS = frozenset((MINOR_DAUGHTER, NO_BAR, MAX_BAR, NO_HEAD))
 
 
 class ParserLimits:
@@ -394,7 +405,27 @@ class ChartParser:
 
     def _rule_or_reason(self, arity, rhs):
         """The rule built over the RHS, or the bad_reason of the first check
-        it fails: redundancy, the model, then X-bar construction."""
+        it fails: redundancy, the model, then X-bar construction.
+
+        The verdict depends only on the RHS, the model, the flags and the
+        original rules, so the grammar's critic_memo keeps it for the
+        session.  A learnt id is drawn, hit or miss, whenever the verdict
+        is a rule or a construction reason, so ids are those of a run
+        without the memo."""
+        flags = self.flags
+        key = (tuple(c.disjuncts for c in rhs), self.model, flags.lp, flags.types, flags.hfc)
+        memo = self.grammar.critic_memo
+        built = memo.get(key)
+        if built is None:
+            built = memo[key] = self._uncached_rule_or_reason(arity, rhs)
+        if isinstance(built, str):
+            if built in _CONSTRUCTION_REASONS:
+                self.grammar.next_learnt_id(arity)
+            return built
+        return built.renamed(self.grammar.next_learnt_id(arity))
+
+    def _uncached_rule_or_reason(self, arity, rhs):
+        """_rule_or_reason's verdict, with the rule under a placeholder id."""
         if self._covered_by_original(arity, rhs):
             return "redundant"
         if self.model is not None:
@@ -406,10 +437,9 @@ class ChartParser:
         nonhead = None  # the HFC off: projections share nothing
         if self.flags.hfc:
             nonhead = self.model.nonhead if self.model is not None else DEFAULT_NONHEAD
-        rule_id = self.grammar.next_learnt_id(arity)
         if arity == 1:
-            return construct_unary_cat(rhs[0], self.grammar.max_bar, nonhead, rule_id)
-        return construct_binary_cat(rhs[0], rhs[1], self.grammar.max_bar, nonhead, rule_id)
+            return construct_unary_cat(rhs[0], self.grammar.max_bar, nonhead)
+        return construct_binary_cat(rhs[0], rhs[1], self.grammar.max_bar, nonhead)
 
     def _covered_by_original(self, arity, rhs):
         """A same-arity original rule already licenses this RHS."""

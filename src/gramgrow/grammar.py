@@ -79,6 +79,7 @@ class Rule:
         self.origin = origin
         self.support = support
         self._cats = {}
+        self._atoms = None
 
     @property
     def lhs(self):
@@ -92,6 +93,33 @@ class Rule:
         if hit is None:
             hit = self._cats[feat] = cat_at(self.instances, feat)
         return hit
+
+    def renamed(self, rule_id):
+        """The same rule under another id, sharing its categories: they
+        depend on the instances alone."""
+        twin = Rule(rule_id, self.arity, self.instances, self.origin, self.support)
+        twin._cats = self._cats
+        return twin
+
+    def root_atoms(self):
+        """(position, feature) -> atom mask, for each feature that every
+        instance restricts to atoms at the root of that rule position: the
+        union of those atoms.  See atoms_clash."""
+        if self._atoms is None:
+            found = None
+            for inst in self.instances:
+                mine = {}
+                for pos in inst.root_features:
+                    value = inst.get(pos)
+                    if isinstance(value, FS):
+                        for feat, mask in value.root_atoms().items():
+                            mine[pos, feat] = mask
+                if found is None:
+                    found = mine
+                else:
+                    found = {k: mask | mine[k] for k, mask in found.items() if k in mine}
+            self._atoms = found
+        return self._atoms
 
     @property
     def rhs_cats(self):
@@ -155,6 +183,20 @@ def rule_subsumes(r, s):
     return all(subsumes_cat(r.rhs(i), s.rhs(i)) for i in range(1, r.arity + 1))
 
 
+def atoms_clash(r, s):
+    """Some position and feature that both rules restrict to atoms admits no
+    common atom, so neither rule covers the other: every expansion of every
+    disjunct there keeps its atoms apart from the other rule's."""
+    a, b = r.root_atoms(), s.root_atoms()
+    if len(b) < len(a):
+        a, b = b, a
+    for key, mask in a.items():
+        other = b.get(key)
+        if other is not None and not mask & other:
+            return True
+    return False
+
+
 def max_bar_of(registry):
     """The largest digit-only BAR value the registry declares, or 1 when it
     declares none."""
@@ -173,13 +215,19 @@ class Grammar:
         self._by_id = {}
         self._learn_counter = 0
         self.max_bar = max_bar_of(registry)
-        # (rule instances, slot, daughter disjuncts) -> narrow()'s result,
-        # filled by survivors(), and (instances, slot) -> cat_at()'s result,
-        # filled by category_at().  Keys are values, so entries never go
-        # stale, and interned nodes keep them small: adding rules leaves the
-        # memo alone, so it serves a whole learning session.  Removing or
-        # replacing a learnt rule (refinement) empties it.
+        # Two memos serve a whole learning session.  Interned nodes keep
+        # their value keys small.
+        # combine_memo: (rule instances, slot, daughter disjuncts) ->
+        # narrow()'s result, filled by survivors(), and (instances, slot) ->
+        # cat_at()'s result, filled by category_at().  Keys are values, so
+        # entries never go stale and adding rules leaves the memo alone.
+        # Removing or replacing a learnt rule (refinement) empties it.
+        # critic_memo: (RHS disjuncts, model, lp, types, hfc) -> the chart's
+        # critic verdict, a bad_reason string or a rule built under a
+        # placeholder id.  The redundancy check reads the original rules, so
+        # adding an original rule empties it; learnt rules never reach it.
         self.combine_memo = {}
+        self.critic_memo = {}
 
     def __contains__(self, rule_id):
         return rule_id in self._by_id
@@ -199,6 +247,7 @@ class Grammar:
 
     def add_original(self, rule):
         self._add(rule, self.original)
+        self.critic_memo.clear()
 
     def next_learnt_id(self, arity):
         """A fresh id; ids of rules loaded from a learnt file are skipped."""
@@ -223,9 +272,7 @@ class Grammar:
             n = 2
             while "%s_%d" % (base, n) in self._by_id:
                 n += 1
-            rule = Rule(
-                "%s_%d" % (base, n), rule.arity, rule.instances, rule.origin, rule.support
-            )
+            rule = rule.renamed("%s_%d" % (base, n))
         if support is not None:
             rule.support = support
         self._add(rule, self.learnt)
@@ -243,8 +290,10 @@ class Grammar:
         self.combine_memo.clear()
 
     def subsumer_of(self, rule):
+        """The first rule, original then learnt, that covers `rule`; rules
+        whose root atoms clash with it are skipped untested."""
         for existing in self.rules:
-            if rule_subsumes(existing, rule):
+            if not atoms_clash(existing, rule) and rule_subsumes(existing, rule):
                 return existing
         return None
 
@@ -285,6 +334,8 @@ class Grammar:
             ids.add(rule.id)
         for rule in rules:
             self._add(rule, self.original if origin == ORIGINAL else self.learnt)
+        if origin == ORIGINAL:
+            self.critic_memo.clear()
 
 
 def format_rule(rule, registry=None):

@@ -6,7 +6,16 @@ import pytest
 from gramgrow.chart import ChartParser, ParseTree, ParserLimits, SessionFlags, parse
 from gramgrow import fs as fs_module, grammar as grammar_module
 from gramgrow.fs import Category, FeatureRegistry, parse_fs, unify, unify_cat
-from gramgrow.grammar import LHS, Grammar, Lexicon, UnknownTerminal, cat_at, slot
+from gramgrow.grammar import (
+    LHS,
+    Grammar,
+    Lexicon,
+    UnknownTerminal,
+    cat_at,
+    format_rule,
+    make_rule,
+    slot,
+)
 from gramgrow.model import load_model
 from gramgrow.resources import data_path, load_claws, load_demo
 
@@ -611,6 +620,145 @@ def test_a_refused_rule_is_aliased_from_its_one_subsumption_scan(demo, monkeypat
         assert plain_subsumes(g.rule(alias), rule)
     # every subsumption test belongs to some add_learnt's scan
     assert calls["all"] == calls["in_add_learnt"] > 0
+
+
+CLAWS_SENTENCES = ["AT NN1 VVZ AT NN1", "AT JJ NN1", "AT AT NN1", "II AT NN1"]
+
+
+def test_subsumer_scan_skips_only_rules_that_cannot_cover(demo, monkeypatch):
+    registry, _, lexicon, _, model = demo
+    plain_subsumes = grammar_module.rule_subsumes
+    plain_scan = Grammar.subsumer_of
+    counts = {"tested": 0, "scanned": 0}
+
+    def counting_subsumes(r, s):
+        counts["tested"] += 1
+        return plain_subsumes(r, s)
+
+    def checked_scan(self, rule):
+        got = plain_scan(self, rule)
+        covering = [r for r in self.rules if plain_subsumes(r, rule)]
+        assert got is (covering[0] if covering else None)
+        counts["scanned"] += len(self.rules)
+        return got
+
+    monkeypatch.setattr(grammar_module, "rule_subsumes", counting_subsumes)
+    monkeypatch.setattr(Grammar, "subsumer_of", checked_scan)
+    g = _c11_grammar(registry, lexicon, model)
+    claws_registry, claws_lexicon, _ = load_claws()
+    _rejections_and_learnt_ids(Grammar(claws_registry), claws_lexicon, None, CLAWS_SENTENCES)
+    assert g.learnt
+    # the prefilter spared most of the full tests
+    assert 0 < counts["tested"] < counts["scanned"] / 2
+
+
+# -- the critic memo -----------------------------------------------------------------
+
+
+def _criticised(g, lexicon, model, sentences, flags, limits=None):
+    """(bad_reason, built rule id, instances) of every edge, and how many
+    edges were criticised."""
+    out = []
+    criticised = 0
+    for sentence in sentences:
+        res = parse(sentence.split(), g, lexicon, model, flags=flags, limits=limits)
+        for e in res.chart.edges:
+            built = e.built_rule
+            out.append((e.bad_reason, built and built.id, e.instances))
+            criticised += e.bad_reason is not None or built is not None
+    return out, criticised
+
+
+def test_critic_memo_keeps_learning_unchanged(demo):
+    registry, _, lexicon, _, model = demo
+    claws_registry, claws_lexicon, _ = load_claws()
+    demo_grammars = [Grammar(registry), Grammar(registry)]
+    for g in demo_grammars:
+        g.load_rules(data_path("demo.grammar"))
+    runs = [
+        (demo_grammars, lexicon, model, C11_TRAIN, SessionFlags(learning=True, hfc=True), None),
+        (
+            [Grammar(claws_registry), Grammar(claws_registry)],
+            claws_lexicon,
+            None,
+            CLAWS_SENTENCES,
+            SessionFlags(learning=True, hfc=True, unary_super=True),
+            ParserLimits.learning_default(),
+        ),
+    ]
+    for (memoised, unmemoised), lex, mod, sentences, flags, limits in runs:
+        unmemoised.critic_memo = _NoMemo()  # add_original clears it, never rebinds it
+        got, criticised = _criticised(memoised, lex, mod, sentences, flags, limits)
+        want, _ = _criticised(unmemoised, lex, mod, sentences, flags, limits)
+        assert got == want
+        assert [(r.id, r.instances) for r in memoised.learnt] == [
+            (r.id, r.instances) for r in unmemoised.learnt
+        ]
+        assert memoised.learnt and 0 < len(memoised.critic_memo) < criticised  # some hits
+
+
+def _signature(chart, edge):
+    """An edge by its span and its children's spans and rules, which stay
+    put when the chart gains other edges."""
+    kids = tuple(
+        (c.start, c.end, c.rule_id, c.token) for c in map(chart.edge, edge.children)
+    )
+    return edge.start, edge.end, edge.rule_id, kids
+
+
+@pytest.mark.parametrize("how", ["add_original", "load_rules"])
+def test_adding_an_original_rule_empties_the_critic_memo(demo, tmp_path, how):
+    registry, grammar, lexicon, _, model = demo
+    words = "Sam chases the happy cat".split()
+    first = parse(words, grammar, lexicon, model, flags=full_flags())
+    (learnt,) = first.learnt
+    (builder,) = [e for e in first.chart.edges if e.built_rule and e.built_rule.id == learnt.id]
+    # an original rule over the learnt RHS whose mother no rule takes:
+    # phase one still fails, and the same super edge is criticised again
+    rhs = learnt.rhs_cats
+    cover = make_rule("COVER", rhs[0], rhs)
+    if how == "add_original":
+        grammar.add_original(cover)
+    else:
+        path = tmp_path / "cover.rules"
+        path.write_text(format_rule(cover, registry) + "\n")
+        grammar.load_rules(path)
+    again = parse(words, grammar, lexicon, model, flags=full_flags())
+    (same,) = [
+        e for e in again.chart.edges
+        if _signature(again.chart, e) == _signature(first.chart, builder)
+    ]
+    assert same.bad_reason == "redundant" and same.built_rule is None
+
+
+def test_critic_verdicts_follow_the_flags_and_the_model(demo):
+    registry, _, lexicon, _, model = demo
+    sentences = C11_TRAIN[:5]
+    limits = ParserLimits.learning_default()
+    settings = [
+        (model, {}),
+        (model, {"lp": False}),
+        (model, {"types": False}),
+        (model, {"hfc": False}),
+        (None, {}),
+        (load_model(data_path("demo.model"), registry), {"lp": False}),
+        (model, {}),
+    ]
+    session = Grammar(registry)
+    session.load_rules(data_path("demo.grammar"))
+    seen = set()
+    for mod, changed in settings:
+        flags = full_flags(**changed)
+        fresh = Grammar(registry)
+        fresh.load_rules(data_path("demo.grammar"))
+        got, _ = _criticised(session, lexicon, mod, sentences, flags, limits)
+        want, _ = _criticised(fresh, lexicon, mod, sentences, flags, limits)
+        # learnt ids run on in the session; reasons and instances do not
+        assert [(r, i) for r, _, i in got] == [(r, i) for r, _, i in want]
+        seen.add(tuple((r, i) for r, _, i in want))
+    # five distinct verdict lists: the reloaded model with LP off reads like
+    # the first with LP off, and the last setting like the first
+    assert len(seen) == 5
 
 
 # -- the redundancy check ------------------------------------------------------------

@@ -3,12 +3,22 @@ import random
 import pytest
 
 from gramgrow.chart import ParserLimits, SessionFlags, parse
-from gramgrow.fs import FS, FeatureRegistry, MalformedSyntax, equal_cat, parse_cats, parse_fs, print_fs
+from gramgrow.fs import (
+    FS,
+    Category,
+    FeatureRegistry,
+    MalformedSyntax,
+    equal_cat,
+    parse_cats,
+    parse_fs,
+    print_fs,
+)
 from gramgrow.grammar import (
     LHS,
     Grammar,
     GrammarError,
     SupportRecord,
+    atoms_clash,
     format_rule,
     make_rule,
     narrow,
@@ -20,7 +30,7 @@ from gramgrow.grammar import (
 from gramgrow.model import load_model
 from gramgrow.resources import data_path, load_claws, load_demo
 
-from genfs import GEN_REGISTRY, random_category
+from genfs import GEN_REGISTRY, random_category, random_extension
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +131,26 @@ def test_rule_subsumes_positional(demo):
     )
     assert not rule_subsumes(det_n1, det_np)
     assert not rule_subsumes(det_np, det_n1)
+
+
+def test_atoms_clash_only_where_neither_rule_covers_the_other():
+    rng = random.Random(7)
+    clashes = covers = 0
+    for n in range(600):
+        arity = rng.randint(1, 2)
+        cats = [random_category(rng, max_disjuncts=2) for _ in range(arity + 1)]
+        r = make_rule("r%d" % n, cats[0], cats[1:])
+        if rng.random() < 0.5:  # often covered by r
+            cats = [Category([random_extension(rng, d) for d in c.disjuncts]) for c in cats]
+        else:
+            cats = [random_category(rng, max_disjuncts=1) for _ in range(arity + 1)]
+        s = make_rule("s%d" % n, cats[0], cats[1:])
+        covered = rule_subsumes(r, s) or rule_subsumes(s, r)
+        if atoms_clash(r, s):
+            clashes += 1
+            assert not covered, (format_rule(r), format_rule(s))
+        covers += covered
+    assert clashes > 50 and covers > 200
 
 
 # -- retention ---------------------------------------------------------------
