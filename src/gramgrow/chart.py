@@ -438,8 +438,13 @@ class ChartParser:
         if self.flags.hfc:
             nonhead = self.model.nonhead if self.model is not None else DEFAULT_NONHEAD
         if arity == 1:
-            return construct_unary_cat(rhs[0], self.grammar.max_bar, nonhead)
-        return construct_binary_cat(rhs[0], rhs[1], self.grammar.max_bar, nonhead)
+            built = construct_unary_cat(rhs[0], self.grammar.max_bar, nonhead)
+        else:
+            built = construct_binary_cat(rhs[0], rhs[1], self.grammar.max_bar, nonhead)
+        if not isinstance(built, str):
+            # the grammar's memo: edges with these instances read it too
+            built.category_at = self._category_at
+        return built
 
     def _covered_by_original(self, arity, rhs):
         """A same-arity original rule already licenses this RHS."""

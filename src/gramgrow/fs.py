@@ -517,21 +517,12 @@ def unify_cat(c, c2):
 
 
 def simplify(c):
-    """Drop disjuncts absorbed by a more general disjunct (and duplicates)."""
-    kept = []
-    for i, d in enumerate(c.disjuncts):
-        absorbed = False
-        for j, e in enumerate(c.disjuncts):
-            if i == j:
-                continue
-            if subsumes(e, d):
-                if subsumes(d, e) and i < j:
-                    continue  # mutually equal: the first occurrence survives
-                absorbed = True
-                break
-        if not absorbed and not any(o == d for o in kept):
-            kept.append(d)
-    return Category(kept)
+    """Drop duplicate disjuncts, the first occurrence staying, then each
+    remaining disjunct that another remaining one subsumes.  Distinct
+    canonical structures never subsume each other both ways (see equal), so
+    no two remaining disjuncts absorb each other."""
+    unique = tuple(dict.fromkeys(c.disjuncts))
+    return Category([d for d in unique if not any(e is not d and subsumes(e, d) for e in unique)])
 
 
 # -- expansion ---------------------------------------------------------------

@@ -78,6 +78,9 @@ class Rule:
         self.instances = tuple(instances)  # tuple of wrapper FS, never reassigned
         self.origin = origin
         self.support = support
+        # computes a category from (instances, position): cat_at, or for a
+        # rule the chart builds its grammar's memoised category_at
+        self.category_at = cat_at
         self._cats = {}
         self._atoms = None
 
@@ -91,13 +94,14 @@ class Rule:
     def _cat(self, feat):
         hit = self._cats.get(feat)
         if hit is None:
-            hit = self._cats[feat] = cat_at(self.instances, feat)
+            hit = self._cats[feat] = self.category_at(self.instances, feat)
         return hit
 
     def renamed(self, rule_id):
         """The same rule under another id, sharing its categories: they
         depend on the instances alone."""
         twin = Rule(rule_id, self.arity, self.instances, self.origin, self.support)
+        twin.category_at = self.category_at
         twin._cats = self._cats
         return twin
 
@@ -152,17 +156,27 @@ def make_rule(rule_id, lhs_cat, rhs_cats, origin=ORIGINAL, support=None):
     return Rule(rule_id, len(rhs_cats), instances, origin, support)
 
 
-def narrow(instances, feat, disjuncts):
+_UNSEEN = object()
+
+
+def narrow(instances, feat, disjuncts, memo=None):
     """The instances that accept a daughter at one rule position: each
     instance unified with each daughter disjunct at `feat`, instances first,
-    without repeats.  Pairs whose root atoms clash are never unified."""
+    without repeats.  Pairs whose root atoms clash are never unified; the
+    result of every other (instance, feat, disjunct) pair is looked up in
+    `memo`, a dict, and stored there (None included) on a miss."""
+    if memo is None:
+        memo = {}
     found = []
     for inst in instances:
         slot_fs = inst.get(feat)
         for d in disjuncts:
             if isinstance(slot_fs, FS) and fsmod.clashes(slot_fs, d):
                 continue
-            u = fsmod.unify(inst, d, at=feat)
+            key = (inst, feat, d)
+            u = memo.get(key, _UNSEEN)
+            if u is _UNSEEN:
+                u = memo[key] = fsmod.unify(inst, d, at=feat)
             if u is not None:
                 found.append(u)
     return tuple(dict.fromkeys(found))
@@ -217,11 +231,14 @@ class Grammar:
         self.max_bar = max_bar_of(registry)
         # Two memos serve a whole learning session.  Interned nodes keep
         # their value keys small.
-        # combine_memo: (rule instances, slot, daughter disjuncts) ->
-        # narrow()'s result, filled by survivors(), and (instances, slot) ->
-        # cat_at()'s result, filled by category_at().  Keys are values, so
-        # entries never go stale and adding rules leaves the memo alone.
-        # Removing or replacing a learnt rule (refinement) empties it.
+        # combine_memo holds three kinds of entry, told apart by key shape:
+        # (rule instances, slot, daughter disjuncts) -> narrow()'s result,
+        # filled by survivors(); (instance, slot, disjunct) -> fs.unify()'s
+        # result or None, for each pair narrow() unifies on a survivors()
+        # miss; and (instances, slot) -> cat_at()'s result, filled by
+        # category_at().  Keys are values, so entries never go stale and
+        # adding rules leaves the memo alone.  Removing or replacing a
+        # learnt rule (refinement) empties it.
         # critic_memo: (RHS disjuncts, model, lp, types, hfc) -> the chart's
         # critic verdict, a bad_reason string or a rule built under a
         # placeholder id.  The redundancy check reads the original rules, so
@@ -298,13 +315,16 @@ class Grammar:
         return None
 
     def survivors(self, instances, feat, disjuncts):
-        """narrow(), memoised: a pure function of three values, so each
-        rule/daughter pair is unified once per session, across spans and
-        parses (the empty result included).  Callers may share the tuple."""
+        """narrow(), memoised: a pure function of three values, kept for
+        the session (the empty result included).  A miss looks each
+        instance/disjunct pair up in the same memo, so each rule/daughter
+        pair is unified once per session, across spans, parses and the
+        tuples that share it.  Callers may share the tuple."""
+        memo = self.combine_memo
         key = (instances, feat, disjuncts)
-        hit = self.combine_memo.get(key)
+        hit = memo.get(key)
         if hit is None:
-            hit = self.combine_memo[key] = narrow(instances, feat, disjuncts)
+            hit = memo[key] = narrow(instances, feat, disjuncts, memo)
         return hit
 
     def category_at(self, instances, feat):

@@ -1,0 +1,63 @@
+"""tools/bench_compare.py prints both files' metrics per workload with their
+ratio, and warns when the files come from different hosts or Pythons."""
+
+import json
+import os
+import subprocess
+import sys
+
+TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_compare.py")
+
+
+def _run(workload, trace, metrics, outcomes=None):
+    info = {"workload": workload, "trace": trace}
+    if outcomes is not None:
+        info["outcomes_round0"] = outcomes
+    return {
+        "workload": workload,
+        "trace": trace,
+        "exit_code": 0,
+        "info": info,
+        "result": {"correct": True, "metrics": {k: {"unit": "x", "value": v} for k, v in metrics.items()}},
+    }
+
+
+def _record(host, per_s, unify_calls, parses):
+    return {
+        "host": host,
+        "python": "3.11.7",
+        "runs": [
+            _run("learn", 0, {"sentences_per_s": per_s, "setup_s": 0.0}),
+            _run("learn", 1, {"fs.unify.calls": unify_calls}, {"parses": parses}),
+        ],
+    }
+
+
+def _compare(tmp_path, old, new):
+    paths = []
+    for name, record in (("old.json", old), ("new.json", new)):
+        path = tmp_path / name
+        path.write_text(json.dumps(record))
+        paths.append(str(path))
+    done = subprocess.run([sys.executable, TOOL, *paths], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return [line.split() for line in done.stdout.splitlines()]
+
+
+def test_prints_each_metric_of_both_files_with_the_ratio(tmp_path):
+    rows = _compare(tmp_path, _record("vm", 80.0, 1642, 26), _record("vm", 120.0, 821, 26))
+    assert rows == [
+        ["==", "learn"],
+        ["metric", "old", "new", "new/old"],
+        ["sentences_per_s", "80", "120", "1.500"],
+        ["setup_s", "0", "0", "-"],
+        ["fs.unify.calls", "1642", "821", "0.500"],
+        ["outcomes_round0:", "same"],
+    ]
+
+
+def test_warns_when_the_host_differs_and_notes_changed_outcomes(tmp_path):
+    rows = _compare(tmp_path, _record("vm", 80.0, 1642, 26), _record("other", 80.5, 1642, 25))
+    assert rows[0] == ["WARNING:", "host", "differs:", "'vm'", "->", "'other'"]
+    assert ["sentences_per_s", "80", "80.5", "1.006"] in rows
+    assert rows[-1] == ["outcomes_round0:", "differ"]

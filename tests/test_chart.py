@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from gramgrow.chart import ChartParser, ParseTree, ParserLimits, SessionFlags, parse
+from gramgrow.evaluate import undergen
 from gramgrow import fs as fs_module, grammar as grammar_module
 from gramgrow.fs import Category, FeatureRegistry, parse_fs, unify, unify_cat
 from gramgrow.grammar import (
@@ -494,6 +495,33 @@ def test_combine_memo_keeps_learning_unchanged(demo):
     assert [(r.id, r.instances) for r in memoised.learnt] == [
         (r.id, r.instances) for r in unmemoised.learnt
     ]
+
+
+def test_each_instance_disjunct_pair_is_unified_once_per_grammar(demo, monkeypatch):
+    registry, _, lexicon, _, model = demo
+    calls = collections.Counter()
+    unify_at = grammar_module.fsmod.unify
+
+    def counting(d, d2, at=None):
+        if at is not None:
+            calls[d, at, d2] += 1
+        return unify_at(d, d2, at)
+
+    monkeypatch.setattr(grammar_module.fsmod, "unify", counting)
+    g = _c11_grammar(registry, lexicon, model)
+    assert undergen(g, lexicon, C11_HELD_OUT, limits=ParserLimits.learning_default()) > 0
+    assert len(calls) > 100
+    assert max(calls.values()) == 1
+
+
+def test_rules_the_chart_builds_share_the_grammars_categories(demo):
+    registry, _, lexicon, _, model = demo
+    g = _c11_grammar(registry, lexicon, model)
+    assert g.learnt
+    for rule in g.learnt:
+        cats = [(LHS, rule.lhs)] + [(slot(i), rule.rhs(i)) for i in range(1, rule.arity + 1)]
+        for feat, cat in cats:
+            assert cat is g.category_at(rule.instances, feat)
 
 
 def _rejections_and_learnt_ids(g, lexicon, model, sentences):

@@ -499,6 +499,48 @@ def test_disjunction_laws_random():
         assert subsumes_cat(b, a) == _same_denotation(union, b)
 
 
+def _pairwise_simplify(c):
+    """simplify as it was before duplicates were dropped first: every
+    ordered pair of disjuncts is tested, duplicates included."""
+    kept = []
+    for i, d in enumerate(c.disjuncts):
+        absorbed = False
+        for j, e in enumerate(c.disjuncts):
+            if i == j:
+                continue
+            if subsumes(e, d):
+                if subsumes(d, e) and i < j:
+                    continue  # mutually equal: the first occurrence survives
+                absorbed = True
+                break
+        if not absorbed and not any(o == d for o in kept):
+            kept.append(d)
+    return Category(kept)
+
+
+def test_simplify_matches_the_pairwise_reference_random():
+    """The same disjuncts, in the same order, as the same objects, over
+    categories with repeated disjuncts, equal structures built separately
+    and absorbed disjuncts."""
+    rng = random.Random(37)
+    seen = {"repeated": 0, "equal copies": 0, "absorbed": 0}
+    for _ in range(400):
+        seeds = [rng.randrange(10**6) for _ in range(rng.randint(1, 3))]
+        pool = [random_fs(random.Random(s)) for s in seeds]
+        pool += [random_fs(random.Random(s)) for s in seeds]  # equal, not identical
+        pool += [random_extension(rng, rng.choice(pool)) for _ in range(rng.randint(0, 2))]
+        c = Category([rng.choice(pool) for _ in range(rng.randint(1, 7))])
+        got, want = simplify(c), _pairwise_simplify(c)
+        assert len(got) == len(want)
+        assert all(g is w for g, w in zip(got.disjuncts, want.disjuncts))
+        ds = c.disjuncts
+        pairs = [(a, b) for i, a in enumerate(ds) for b in ds[i + 1:]]
+        seen["repeated"] += any(a is b for a, b in pairs)
+        seen["equal copies"] += any(a == b and a is not b for a, b in pairs)
+        seen["absorbed"] += any(a != b and subsumes(b, a) for a in ds for b in ds)
+    assert min(seen.values()) >= 50, seen
+
+
 def test_simplify_preserves_denotation_random():
     rng = random.Random(31)
     for _ in range(200):
