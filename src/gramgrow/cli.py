@@ -13,14 +13,7 @@ import shlex
 import sys
 
 from .chart import ParserLimits, SessionFlags, harvest_local_trees, parse
-from .evaluate import (
-    EvalReport,
-    gen_random,
-    overgen,
-    parse_benchmark,
-    plausibility,
-    undergen,
-)
+from .evaluate import EvalReport, benchmark_pairs, gen_random, overgen, plausibility, undergen
 from .fs import FSError, FeatureRegistry, MalformedSyntax
 from .grammar import Grammar, Lexicon, ParaphraseMap, UnknownTerminal
 from .model import load_model
@@ -45,7 +38,12 @@ class Session:
         self.labels = None
         self.flags = SessionFlags(learning=True)
         self.limits = ParserLimits()
-        self.seed = seed if seed is not None else int(os.environ.get("GG_SEED", DEFAULT_SEED))
+        if seed is None:
+            try:
+                seed = int(os.environ.get("GG_SEED", DEFAULT_SEED))
+            except ValueError:
+                raise MalformedSyntax("GG_SEED must be an integer") from None
+        self.seed = seed
         self.out = out or sys.stdout
         self.trace = trace
         self.last_result = None
@@ -249,7 +247,7 @@ def cmd_eval(session, test_path=None, plausible_path=None, random_count=0, rando
             session.grammar, session.lexicon, strings, session.limits, session.model, report
         )
     if plausible_path is not None:
-        pairs = _read_pairs(plausible_path)
+        pairs = benchmark_pairs(_read_lines(plausible_path))
         scores, mean, sd = plausibility(
             session.grammar, session.lexicon, pairs, k, session.labels,
             session.limits, session.model, report,
@@ -262,38 +260,13 @@ def cmd_eval(session, test_path=None, plausible_path=None, random_count=0, rando
             for line in report.lines():
                 f.write(line + "\n")
         with open(out_prefix + ".txt", "w", encoding="utf-8") as f:
-            f.write(_summary(report))
+            f.write(report.summary())
     return report
-
-
-def _summary(report):
-    out = []
-    if report.undergen_fraction is not None:
-        out.append("Generated %.1f%% of the test corpus." % (100 * report.undergen_fraction))
-    else:
-        out.append("Undergeneration: undefined (empty test corpus).")
-    if report.overgen_fraction is not None:
-        out.append("Generated %.1f%% of the random strings." % (100 * report.overgen_fraction))
-    if report.plausibility_mean is not None:
-        out.append(
-            "Plausibility mean %.3f, sd %.3f over %d sentence(s)."
-            % (report.plausibility_mean, report.plausibility_sd or 0.0, len(report.plausibility_scores))
-        )
-    out.append("Edges created: %d." % report.edges)
-    return "\n".join(out) + "\n"
 
 
 def _read_lines(path):
     with open(path, encoding="utf-8") as f:
         return [line.strip() for line in f if line.strip()]
-
-
-def _read_pairs(path):
-    """Benchmark file: sentence line, then its bracketed tree line."""
-    lines = _read_lines(path)
-    if len(lines) % 2:
-        raise FSError("plausibility files pair a sentence line with a tree line")
-    return [(lines[i], parse_benchmark(lines[i + 1])) for i in range(0, len(lines), 2)]
 
 
 # -- the REPL ----------------------------------------------------------------------
@@ -305,7 +278,7 @@ USAGE = """commands:
   load-bundle NAME      flags                 set FLAG on|off
   limits N M            parse "SENTENCE"      !*parses*
   learn-corpus FILE     train-corpus FILE     refine-grammar
-  eval [--test F] [--plausible F] [--random K L] [--k N] [--out PREFIX]
+  eval [--test F] [--plausible F] [--random K L] [--k N] [--seed N] [--out PREFIX]
   save-learnt FILE      quit
 a bare line is parsed as a sentence"""
 
@@ -379,10 +352,8 @@ def _dispatch(session, line):
         session.refine()
         return False
     elif cmd == "eval":
-        ap = _eval_args()
-        ap.add_argument("--seed", type=int)
-        report = _run_eval(session, ap.parse_args(_words(line)[1:]))
-        session.say(_summary(report).rstrip("\n"))
+        report = _run_eval(session, _eval_args().parse_args(_words(line)[1:]))
+        session.say(report.summary().rstrip("\n"))
         return False
     elif cmd == "parse":
         words = _words(line)
@@ -425,6 +396,9 @@ def _eval_args():
     ap.add_argument("--plausible")
     ap.add_argument("--random", nargs=2, type=int, metavar=("COUNT", "LENGTH"))
     ap.add_argument("--k", type=int, default=10)
+    # absent unless given, so that it leaves a seed given before the eval
+    # subcommand in place
+    ap.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     ap.add_argument("--out")
     return ap
 
@@ -437,7 +411,7 @@ def _run_eval(session, ns):
     count, length = ns.random or (0, 6)
     if count < 0 or length < 1:
         raise MalformedSyntax("--random needs COUNT >= 0 and LENGTH >= 1")
-    return cmd_eval(session, ns.test, ns.plausible, count, length, ns.k, ns.seed, ns.out)
+    return cmd_eval(session, ns.test, ns.plausible, count, length, ns.k, getattr(ns, "seed", None), ns.out)
 
 
 def main(argv=None):
@@ -459,11 +433,11 @@ def main(argv=None):
     ev.add_argument("--limits", nargs=2, metavar=("N", "M"))
     ns = ap.parse_args(argv)
 
-    session = Session(trace=ns.trace, seed=ns.seed)
     try:
+        session = Session(trace=ns.trace, seed=ns.seed)
         if ns.command == "eval":
             _load_for_eval(session, ns)
-            sys.stdout.write(_summary(_run_eval(session, ns)))
+            sys.stdout.write(_run_eval(session, ns).summary())
             return EXIT_OK
         if ns.command in (None, "repl"):
             bundle = getattr(ns, "bundle", None)

@@ -15,7 +15,9 @@ import random
 import re
 
 from .chart import SessionFlags, parse
+from .fs import MalformedSyntax
 from .grammar import UnknownTerminal
+
 
 class EvalReport:
     def __init__(self):
@@ -28,6 +30,7 @@ class EvalReport:
         self.warnings = []
 
     def lines(self):
+        """The tab-separated report, one line a figure."""
         out = []
         if self.undergen_fraction is not None:
             out.append("undergen\t%.6f" % self.undergen_fraction)
@@ -45,28 +48,51 @@ class EvalReport:
             out.append("warning\t%s" % w)
         return out
 
+    def summary(self):
+        """The report in sentences, newline-terminated."""
+        out = []
+        if self.undergen_fraction is not None:
+            out.append("Generated %.1f%% of the test corpus." % (100 * self.undergen_fraction))
+        else:
+            out.append("Undergeneration: undefined (empty test corpus).")
+        if self.overgen_fraction is not None:
+            out.append("Generated %.1f%% of the random strings." % (100 * self.overgen_fraction))
+        if self.plausibility_mean is not None:
+            out.append(
+                "Plausibility mean %.3f, sd %.3f over %d sentence(s)."
+                % (self.plausibility_mean, self.plausibility_sd or 0.0, len(self.plausibility_scores))
+            )
+        out.append("Edges created: %d." % self.edges)
+        return "\n".join(out) + "\n"
 
-def _eval_flags():
-    # measurement never learns
-    return SessionFlags(learning=False)
 
-
-def undergen(grammar, lexicon, corpus, limits=None, model=None, report=None):
-    """Fraction of corpus lines with at least one parse (learning disabled)."""
-    if not corpus:
-        return None
-    hits = 0
-    for line in corpus:
+def _measured(lines, grammar, lexicon, limits, model, report):
+    """Each line parsed with learning off, its edges added to the report:
+    the parse result, or the UnknownTerminal error for a line with a token
+    the lexicon lacks."""
+    for line in lines:
         tokens = line.split() if isinstance(line, str) else list(line)
         try:
-            res = parse(tokens, grammar, lexicon, model, flags=_eval_flags(), limits=limits)
+            res = parse(tokens, grammar, lexicon, model, flags=SessionFlags(learning=False), limits=limits)
         except UnknownTerminal as err:
-            if report is not None:
-                report.warnings.append("unparsed (unknown tag): %s" % err)
+            yield err
             continue
         if report is not None:
             report.edges += res.edges_created
-        if res.n_parses > 0:
+        yield res
+
+
+def undergen(grammar, lexicon, corpus, limits=None, model=None, report=None):
+    """Fraction of corpus lines with at least one parse; a line with an
+    unknown word counts as unparsed, with a warning on the report."""
+    if not corpus:
+        return None
+    hits = 0
+    for res in _measured(corpus, grammar, lexicon, limits, model, report):
+        if isinstance(res, UnknownTerminal):
+            if report is not None:
+                report.warnings.append("unparsed (unknown tag): %s" % res)
+        elif res.n_parses > 0:
             hits += 1
     return hits / len(corpus)
 
@@ -88,17 +114,8 @@ def overgen(grammar, lexicon, strings, limits=None, model=None, report=None):
     """Fraction of the given strings with at least one parse."""
     if not strings:
         return None
-    hits = 0
-    for line in strings:
-        tokens = line.split() if isinstance(line, str) else list(line)
-        try:
-            res = parse(tokens, grammar, lexicon, model, flags=_eval_flags(), limits=limits)
-        except UnknownTerminal:
-            continue
-        if report is not None:
-            report.edges += res.edges_created
-        if res.n_parses > 0:
-            hits += 1
+    results = _measured(strings, grammar, lexicon, limits, model, report)
+    hits = sum(not isinstance(res, UnknownTerminal) and res.n_parses > 0 for res in results)
     return hits / len(strings)
 
 
@@ -185,16 +202,12 @@ def plausibility(grammar, lexicon, pairs, k, pm, limits=None, model=None, report
     """Best-of-k parse match per (sentence, benchmark tree) pair; unparsed
     sentences score zero.  Returns (scores, mean, sample sd)."""
     scores = []
-    for sentence, bench in pairs:
-        tokens = sentence.split() if isinstance(sentence, str) else list(sentence)
-        bench_seq = flatten_benchmark(bench)
-        try:
-            res = parse(tokens, grammar, lexicon, model, flags=_eval_flags(), limits=limits)
-        except UnknownTerminal:
+    sentences = [sentence for sentence, _ in pairs]
+    for res, (_, bench) in zip(_measured(sentences, grammar, lexicon, limits, model, report), pairs):
+        if isinstance(res, UnknownTerminal):
             scores.append(0.0)
             continue
-        if report is not None:
-            report.edges += res.edges_created
+        bench_seq = flatten_benchmark(bench)
         best = 0.0
         for tree in res.trees[:k]:
             best = max(best, match_parse(normalize_tree(pm, tree), bench_seq))
@@ -224,59 +237,56 @@ def t_test(a, b):
 # -- benchmark tree files -------------------------------------------------------------
 
 
-_PAREN_TOKEN = re.compile(r"\(|\)|[^\s()\[\]]+|\[|\]")
+# the tokens of each bracket style: brackets, and runs of other non-space
+# characters; a paren tree also splits square brackets off its words
+_TOKEN = {
+    "(": re.compile(r"[()\[\]]|[^\s()\[\]]+"),
+    "[": re.compile(r"[\[\]]|[^\s\[\]]+"),
+}
 
 
 def parse_benchmark(text):
-    """A benchmark tree: '(S (NP Sam) (VP died))' or SEC-style
-    '[N Sam_NP1 N]' bracketing (converted)."""
+    """A benchmark tree, (label, children) or a leaf token, from
+    '(S (NP Sam) (VP died))' or SEC bracketing '[N some_DD scientists_NN2 N]'.
+    A SEC bracket may close with its label before the ']', and its leaves are
+    the tags of the tagged words.  Unbalanced, empty or trailing input raises
+    MalformedSyntax."""
     text = text.strip()
-    if text.startswith("["):
-        return _convert_sec(text)
-    tokens = _PAREN_TOKEN.findall(text)
-    tree, rest = _parse_paren(tokens, 0)
-    if rest != len(tokens):
-        raise ValueError("trailing input in benchmark tree: %r" % text)
-    return tree
-
-
-def _parse_paren(tokens, i):
-    if tokens[i] != "(":
-        return tokens[i], i + 1
-    label = tokens[i + 1]
-    i += 2
-    children = []
-    while tokens[i] != ")":
-        child, i = _parse_paren(tokens, i)
-        children.append(child)
-    return (label, children), i + 1
-
-
-def _convert_sec(text):
-    """SEC bracketing: '[N some_DD scientists_NN2 N]' nests labelled brackets
-    around tagged words; tags become the leaf tokens."""
-    tokens = text.replace("[", " [ ").replace("]", " ] ").split()
-    tree, rest = _parse_sec(tokens, 0)
-    if rest != len(tokens):
-        raise ValueError("trailing input in SEC tree: %r" % text)
-    return tree
-
-
-def _parse_sec(tokens, i):
-    if tokens[i] != "[":
-        word = tokens[i]
-        tag = word.rpartition("_")[2] if "_" in word else word
-        return tag, i + 1
-    label = tokens[i + 1]
-    i += 2
-    children = []
-    while True:
-        if tokens[i] == "]":
+    sec = text.startswith("[")
+    opening, closing = "[]" if sec else "()"
+    tokens = _TOKEN[opening].findall(text)
+    top = []
+    stack = [(None, top)]
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        label, children = stack[-1]
+        if tok == opening:
+            label = tokens[i + 1] if i + 1 < len(tokens) else closing
+            if label in (opening, closing):
+                raise MalformedSyntax("unlabelled bracket in benchmark tree: %r" % text)
+            node = (label, [])
+            children.append(node)
+            stack.append(node)
+            i += 2
+        elif tok == closing or (sec and tok == label and tokens[i + 1 : i + 2] == [closing]):
+            if len(stack) == 1:
+                raise MalformedSyntax("unbalanced benchmark tree: %r" % text)
+            stack.pop()
+            i += 1 if tok == closing else 2
+        else:
+            children.append(tok.rpartition("_")[2] if sec else tok)
             i += 1
-            break
-        if tokens[i] == label and i + 1 < len(tokens) and tokens[i + 1] == "]":
-            i += 2  # closing "N]" pair
-            break
-        child, i = _parse_sec(tokens, i)
-        children.append(child)
-    return (label, children), i
+    if len(stack) > 1:
+        raise MalformedSyntax("unbalanced benchmark tree: %r" % text)
+    if len(top) != 1:
+        raise MalformedSyntax("benchmark tree must be one tree: %r" % text)
+    return top[0]
+
+
+def benchmark_pairs(lines):
+    """(sentence, benchmark tree) pairs from the non-blank lines of a
+    plausibility file, where each sentence line is followed by its tree."""
+    if len(lines) % 2:
+        raise MalformedSyntax("plausibility files pair a sentence line with a tree line")
+    return [(lines[i], parse_benchmark(lines[i + 1])) for i in range(0, len(lines), 2)]

@@ -123,8 +123,8 @@ class TripleStore:
 
 def _parse_triple_body(body, registry):
     words = body.rsplit(None, 1)
-    if len(words) != 2 or not words[1].isdigit():
-        raise MalformedSyntax("triple count must be an integer: %r" % body)
+    if len(words) != 2 or not words[1].isdecimal() or int(words[1]) < 1:
+        raise MalformedSyntax("triple count must be a positive integer: %r" % body)
     cats = parse_cats(words[0], registry)
     if len(cats) != 2:
         raise MalformedSyntax("triple line needs two categories and a count: %r" % body)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 from gramgrow.cli import EXIT_OK, EXIT_RESOURCE, Session, cmd_eval, main, run_repl
@@ -315,3 +316,125 @@ def test_full_learning_session_matches_trace_shape(tmp_path):
     assert "Refining and deleting rules ..." in text
     assert "Refining 4 rules encoded in" in text
     assert "rule is N1 -> Adj N1" in text
+
+
+# -- eval inputs and options ------------------------------------------------------
+
+
+BAD_TREES = ["(S (NP Sam)", "()", "(S x) y", "[N Sam_NP1"]
+
+
+def test_malformed_plausibility_file_keeps_session_alive(tmp_path):
+    for i, tree in enumerate(BAD_TREES):
+        pairs = tmp_path / ("bad%d.pairs" % i)
+        pairs.write_text("Sam chases the cat\n%s\n" % tree)
+        assert _survives("eval --plausible %s" % pairs), tree
+    odd = tmp_path / "odd.pairs"
+    odd.write_text("Sam chases the cat\n")
+    assert _survives("eval --plausible %s" % odd)
+
+
+def test_main_eval_malformed_plausibility_file(tmp_path, capsys):
+    for i, tree in enumerate(BAD_TREES):
+        pairs = tmp_path / ("bad%d.pairs" % i)
+        pairs.write_text("Sam chases the cat\n%s\n" % tree)
+        assert main(["eval", "--bundle", "demo", "--plausible", str(pairs)]) == EXIT_RESOURCE
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_zero_count_triple_keeps_session_alive(tmp_path):
+    triples = tmp_path / "zero.triples"
+    triples.write_text("triple [N +] [V +] 0\n")
+    assert _survives("load-triples %s" % triples)
+
+
+def test_non_integer_gg_seed_is_a_resource_error(monkeypatch, capsys):
+    monkeypatch.setenv("GG_SEED", "seven")
+    assert main(["eval", "--bundle", "demo"]) == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("error: GG_SEED")
+    # an explicit seed does not read the variable
+    assert main(["--seed", "7", "eval", "--bundle", "demo"]) == EXIT_OK
+
+
+def _report_bytes(prefix):
+    with open(prefix + ".tsv", "rb") as tsv, open(prefix + ".txt", "rb") as txt:
+        return tsv.read(), txt.read()
+
+
+def test_eval_seed_after_subcommand_equals_seed_before(tmp_path, capsys):
+    test_file = tmp_path / "test.corpus"
+    test_file.write_text("Sam chases the cat\n")
+    common = ["--bundle", "demo", "--test", str(test_file), "--random", "20", "2"]
+    a, b, c = (str(tmp_path / name) for name in "abc")
+    assert main(["eval"] + common + ["--seed", "7", "--out", a]) == EXIT_OK
+    assert main(["--seed", "7", "eval"] + common + ["--out", b]) == EXIT_OK
+    assert main(["--seed", "8", "eval"] + common + ["--out", c]) == EXIT_OK
+    assert _report_bytes(a) == _report_bytes(b)
+    assert _report_bytes(a) != _report_bytes(c)
+
+
+def _eval_inputs(tmp_path):
+    test_file = tmp_path / "test.corpus"
+    test_file.write_text(
+        "Sam chases the cat\nSam chases the zebra\nSam chases the happy cat\nThe cat chases Sam\n"
+    )
+    pairs = tmp_path / "plausible.pairs"
+    pairs.write_text(
+        "Sam chases the cat\n(S (NP Sam) (VP (V0 chases) (NP (Det the) (N1 cat))))\n"
+        "The cat chases Sam\n[S [NP The_Det cat_N1 NP] [VP chases_V0 Sam_NP VP] S]\n"
+        "Sam chases the happy cat\n"
+        "(S (NP Sam) (VP (V0 chases) (NP (Det the) (N1 (Adj happy) (N1 cat)))))\n"
+    )
+    return str(test_file), str(pairs)
+
+
+# sha256 of the .tsv and .txt reports of seed 7 on the demo bundle, from the
+# code as it was before the measuring loop and the tree reader were merged
+PINNED_REPORTS = {
+    "test": ("c32115d34a14bc5ea2c36cf5882af48b75a708e2835b7d11c2a7d1af6234e7f0",
+             "ae79e838bdd642712f5b29686f901fc8a50d838ebea8cc90c3d09f2009d4ef49"),
+    "random": ("b02d4704bcb3238d10870e784e79798862e1f5ccb8c1f68080a9db7001e73042",
+               "8b574b626af2de7bebffa5233a1057253c9cc6efb7d6d82a300c1d425df69ae3"),
+    "plausible": ("693ef95c6361db873aa4384f8b111ec272699571133aaa2db0e67c997af3d9df",
+                  "8fecd791cac98b07f13000ed1a1a7d4de95c1f53ef00c56b1d2ab74de59d6c68"),
+}
+
+
+def test_eval_reports_are_pinned(tmp_path):
+    test_path, pairs_path = _eval_inputs(tmp_path)
+    runs = {
+        "test": dict(test_path=test_path),
+        "random": dict(random_count=20, random_length=2),
+        "plausible": dict(plausible_path=pairs_path),
+    }
+    for name, kwargs in runs.items():
+        session, _ = fresh_session()
+        prefix = str(tmp_path / name)
+        cmd_eval(session, seed=7, out_prefix=prefix, **kwargs)
+        got = tuple(hashlib.sha256(data).hexdigest() for data in _report_bytes(prefix))
+        assert got == PINNED_REPORTS[name], name
+
+
+def test_cmd_eval_parses_each_input_once_in_order(tmp_path, monkeypatch):
+    # the per-input timer of the eval benchmark wraps evaluate.parse this way
+    from gramgrow import evaluate
+
+    original = vars(evaluate)["parse"]
+    calls = []
+
+    def timed(*args, **kwargs):
+        calls.append((list(args[0]), args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "parse", timed)
+    test_path, pairs_path = _eval_inputs(tmp_path)
+    session, _ = fresh_session()
+    cmd_eval(session, test_path, pairs_path, 5, 3, seed=7)
+    with open(test_path) as f:
+        corpus = f.read().splitlines()
+    with open(pairs_path) as f:
+        sentences = f.read().splitlines()[::2]
+    # a line with an unknown word is parsed, and fails, like any other
+    want = corpus + evaluate.gen_random(session.lexicon, 3, 5, 7) + sentences
+    assert [tokens for tokens, _ in calls] == [line.split() for line in want]
+    assert all(grammar is session.grammar for _, grammar in calls)

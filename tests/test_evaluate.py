@@ -5,6 +5,7 @@ import pytest
 
 from gramgrow.chart import SessionFlags, parse
 from gramgrow.evaluate import (
+    benchmark_pairs,
     flatten_benchmark,
     gen_random,
     match_parse,
@@ -15,6 +16,7 @@ from gramgrow.evaluate import (
     t_test,
     undergen,
 )
+from gramgrow.fs import MalformedSyntax
 from gramgrow.grammar import Grammar, parse_rule_line
 from gramgrow.model import load_model
 from gramgrow.resources import data_path, load_demo
@@ -246,3 +248,18 @@ def test_parse_benchmark_sec_nested():
     text = "[V 's_VBZ [N a_AT1 reminder_NN1 N]V]"
     t = parse_benchmark(text)
     assert flatten_benchmark(t) == ["V", "VBZ", "N", "AT1", "NN1"]
+
+
+@pytest.mark.parametrize(
+    "text", ["(S (NP Sam)", "()", "(S x) y", "[N Sam_NP1", "", "(", ")", "[]", "[N x N] ]", "(S x))"]
+)
+def test_parse_benchmark_malformed(text):
+    with pytest.raises(MalformedSyntax):
+        parse_benchmark(text)
+
+
+def test_benchmark_pairs():
+    pairs = benchmark_pairs(["Sam died", "(S (NP Sam) (VP died))"])
+    assert pairs == [("Sam died", ("S", [("NP", ["Sam"]), ("VP", ["died"])]))]
+    with pytest.raises(MalformedSyntax):
+        benchmark_pairs(["Sam died"])

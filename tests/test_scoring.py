@@ -335,6 +335,16 @@ def test_params_takes_delta_and_omega_with_one_value_each(tmp_path):
     assert (back.delta, back.omega) == (scoring.DEFAULT_DELTA, 0.5)
 
 
+def test_triple_count_below_one_is_malformed(tmp_path):
+    path = tmp_path / "triples.txt"
+    for count in ("0", "00", "-1", "x", "\u00b2"):
+        path.write_text("triple [CAT S] [CAT NP] %s\n" % count, encoding="utf-8")
+        with pytest.raises(MalformedSyntax):
+            TripleStore.load(path, ATOM_REG)
+    path.write_text("triple [CAT S] [CAT NP] 1\n")
+    assert TripleStore.load(path, ATOM_REG).total == 1
+
+
 def test_lookup_bookkeeping_reconstructs_frequencies(six_triple_store):
     # atomic categories do not cross-unify, so each stored pair's lookup
     # recovers exactly its own frequency share
