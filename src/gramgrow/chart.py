@@ -226,12 +226,13 @@ class ChartParser:
         self._category_at = grammar.category_at  # one bound method for every edge
         self.chart = None
         self.agenda = deque()
-        self.supers = []
+        self.supers = ()
         if self.flags.unary_super:
-            self.supers.append(super_rule(1))
+            self.supers += (super_rule(1),)
         if self.flags.binary_super:
-            self.supers.append(super_rule(2))
+            self.supers += (super_rule(2),)
         self.seeded = False
+        self._rules = None  # the phase's _proposal_rules(), built on first use
         self.spanning = []  # (edge, its category forced by the root), in creation order
         self.parses_found = 0
         self.resource_bounded = False
@@ -275,9 +276,9 @@ class ChartParser:
                 self._add_edge(None, i, i + 1, 0, 0, (d,), (), token=tok)
 
     def _proposal_rules(self):
-        rules = list(self.grammar.original)
+        rules = tuple(self.grammar.original)
         if not self.flags.learning:
-            rules += self.grammar.learnt
+            rules += tuple(self.grammar.learnt)
         if self.seeded:
             rules += self.supers
         return rules
@@ -302,44 +303,40 @@ class ChartParser:
         detection."""
         if inactive.bad:
             return
-        for rule in rules if rules is not None else self._proposal_rules():
-            self._combine(rule.id, rule.arity, rule.instances, 0, (), inactive)
+        if rules is None:
+            if self._rules is None:
+                self._rules = self._proposal_rules()
+            rules = self._rules
+        for rule, survivors in self.grammar.proposals(rules, inactive.cat().disjuncts):
+            self._add_edge(
+                rule.id, inactive.start, inactive.end, rule.arity, 1, survivors, (inactive.id,)
+            )
 
     def extend(self, active, inactive):
         """Move the head of the active edge's needed list to found if the
         inactive edge's category unifies with it."""
         if active.end != inactive.start or inactive.bad:
             return
-        self._combine(
-            active.rule_id,
-            active.arity,
-            active.instances,
-            active.nfound,
-            active.children,
-            inactive,
-            start=active.start,
-        )
-
-    def _combine(self, rule_id, arity, instances, nfound, children, inactive, start=None):
         # edges may share this tuple: Edge.replace_instances rebinds
-        survivors = self.grammar.survivors(instances, slot(nfound + 1), inactive.cat().disjuncts)
-        if not survivors:
-            return None
-        return self._add_edge(
-            rule_id,
-            inactive.start if start is None else start,
-            inactive.end,
-            arity,
-            nfound + 1,
-            survivors,
-            children + (inactive.id,),
-        )
+        nfound = active.nfound + 1
+        survivors = self.grammar.survivors(active.instances, slot(nfound), inactive.cat().disjuncts)
+        if survivors:
+            self._add_edge(
+                active.rule_id,
+                active.start,
+                inactive.end,
+                active.arity,
+                nfound,
+                survivors,
+                active.children + (inactive.id,),
+            )
 
     def seed_super(self):
         """After a failed parse, propose the enabled super rules from every
         inactive edge in the chart.  The new active edges extend with the
         existing inactive edges when they come off the agenda."""
         self.seeded = True
+        self._rules = None
         for edge in list(self.chart.edges):
             if edge.is_inactive and not edge.bad:
                 self.propose(edge, rules=self.supers)

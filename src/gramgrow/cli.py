@@ -14,7 +14,7 @@ import sys
 
 from .chart import ParserLimits, SessionFlags, harvest_local_trees, parse
 from .evaluate import EvalReport, benchmark_pairs, gen_random, overgen, plausibility, undergen
-from .fs import FSError, FeatureRegistry, MalformedSyntax
+from .fs import FSError, FeatureRegistry, MalformedSyntax, read_text
 from .grammar import Grammar, Lexicon, ParaphraseMap, UnknownTerminal
 from .model import load_model
 from .refine import RefineParams, refine_grammar
@@ -265,8 +265,7 @@ def cmd_eval(session, test_path=None, plausible_path=None, random_count=0, rando
 
 
 def _read_lines(path):
-    with open(path, encoding="utf-8") as f:
-        return [line.strip() for line in f if line.strip()]
+    return [line.strip() for line in read_text(path).split("\n") if line.strip()]
 
 
 # -- the REPL ----------------------------------------------------------------------

@@ -95,8 +95,16 @@ class FeatureRegistry:
 
     @classmethod
     def load(cls, path):
+        return cls.from_text(read_text(path))
+
+
+def read_text(path):
+    """The text of a resource file; a file that is not UTF-8 is malformed."""
+    try:
         with open(path, encoding="utf-8") as f:
-            return cls.from_text(f.read())
+            return f.read()
+    except UnicodeDecodeError as err:
+        raise MalformedSyntax("%s is not UTF-8 text: %s" % (path, err)) from None
 
 
 # Atoms are interned once per process, not per feature or registry: a tag can

@@ -9,6 +9,7 @@ left-hand side for free.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 
@@ -22,6 +23,7 @@ from .fs import (
     fs_from_pairs,
     parse_cats,
     parse_fs,
+    read_text,
     simplify,
     subsumes_cat,
 )
@@ -45,8 +47,7 @@ _COMMENT = re.compile(r"#(?!\d)")
 def data_lines(path):
     """The non-blank lines of a resource file, stripped and without '#'
     comments; '#<digits>' is a reentrancy tag, not a comment."""
-    with open(path, encoding="utf-8") as f:
-        lines = [_COMMENT.split(line, 1)[0].strip() for line in f]
+    lines = [_COMMENT.split(line, 1)[0].strip() for line in read_text(path).split("\n")]
     return [line for line in lines if line]
 
 
@@ -164,15 +165,22 @@ def narrow(instances, feat, disjuncts, memo=None):
     instance unified with each daughter disjunct at `feat`, instances first,
     without repeats.  Pairs whose root atoms clash are never unified; the
     result of every other (instance, feat, disjunct) pair is looked up in
-    `memo`, a dict, and stored there (None included) on a miss."""
+    `memo`, a dict, and stored there (None included) on a miss.  Instances
+    that share a value at `feat` share its clash tests."""
     if memo is None:
         memo = {}
+    unclashed = {}  # value at feat -> the disjuncts whose root atoms it admits
     found = []
     for inst in instances:
         slot_fs = inst.get(feat)
-        for d in disjuncts:
-            if isinstance(slot_fs, FS) and fsmod.clashes(slot_fs, d):
-                continue
+        ds = unclashed.get(slot_fs)
+        if ds is None:
+            if isinstance(slot_fs, FS):
+                ds = [d for d in disjuncts if not fsmod.clashes(slot_fs, d)]
+            else:
+                ds = disjuncts
+            unclashed[slot_fs] = ds
+        for d in ds:
             key = (inst, feat, d)
             u = memo.get(key, _UNSEEN)
             if u is _UNSEEN:
@@ -182,7 +190,10 @@ def narrow(instances, feat, disjuncts, memo=None):
     return tuple(dict.fromkeys(found))
 
 
+@functools.cache
 def super_rule(arity):
+    """The super rule of an arity: one object per process, so the chart's
+    proposal keys in Grammar.combine_memo repeat across parses."""
     origin = SUPER_UNARY if arity == 1 else SUPER_BINARY
     cats = [EMPTY_CAT] * arity
     return make_rule("*super-%s*" % ("unary" if arity == 1 else "binary"), EMPTY_CAT, cats, origin)
@@ -231,14 +242,18 @@ class Grammar:
         self.max_bar = max_bar_of(registry)
         # Two memos serve a whole learning session.  Interned nodes keep
         # their value keys small.
-        # combine_memo holds three kinds of entry, told apart by key shape:
+        # combine_memo holds four kinds of entry, told apart by key shape:
         # (rule instances, slot, daughter disjuncts) -> narrow()'s result,
         # filled by survivors(); (instance, slot, disjunct) -> fs.unify()'s
         # result or None, for each pair narrow() unifies on a survivors()
-        # miss; and (instances, slot) -> cat_at()'s result, filled by
-        # category_at().  Keys are values, so entries never go stale and
-        # adding rules leaves the memo alone.  Removing or replacing a
-        # learnt rule (refinement) empties it.
+        # miss; (instances, slot) -> cat_at()'s result, filled by
+        # category_at(); and (tuple of Rule objects, daughter disjuncts) ->
+        # proposals()'s result.  Keys are values, so entries never go stale
+        # and adding rules leaves the memo alone.  A Rule compares by
+        # identity, which is sound here: a rule's instances are never
+        # reassigned, and the key keeps its rules alive, so no new object
+        # can take over a key's identities.  Removing or replacing a learnt
+        # rule (refinement) empties the memo.
         # critic_memo: (RHS disjuncts, model, lp, types, hfc) -> the chart's
         # critic verdict, a bad_reason string or a rule built under a
         # placeholder id.  The redundancy check reads the original rules, so
@@ -325,6 +340,23 @@ class Grammar:
         hit = memo.get(key)
         if hit is None:
             hit = memo[key] = narrow(instances, feat, disjuncts, memo)
+        return hit
+
+    def proposals(self, rules, disjuncts):
+        """(rule, survivors) for each of `rules`, a tuple, in order, whose
+        first daughter accepts a category with these disjuncts; rules that
+        accept none of it are left out.  Memoised like survivors(), under
+        the rules themselves (see __init__)."""
+        key = (rules, disjuncts)
+        hit = self.combine_memo.get(key)
+        if hit is None:
+            first = slot(1)
+            found = []
+            for rule in rules:
+                insts = self.survivors(rule.instances, first, disjuncts)
+                if insts:
+                    found.append((rule, insts))
+            hit = self.combine_memo[key] = tuple(found)
         return hit
 
     def category_at(self, instances, feat):

@@ -1,5 +1,6 @@
 """tools/bench_compare.py prints both files' metrics per workload with their
-ratio, and warns when the files come from different hosts or Pythons."""
+ratio, says whether round 0's outcomes and report hash agree, and warns when
+the files come from different hosts or Pythons."""
 
 import json
 import os
@@ -9,10 +10,12 @@ import sys
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_compare.py")
 
 
-def _run(workload, trace, metrics, outcomes=None):
+def _run(workload, trace, metrics, outcomes=None, tsv=None):
     info = {"workload": workload, "trace": trace}
     if outcomes is not None:
         info["outcomes_round0"] = outcomes
+    if tsv is not None:
+        info["tsv_sha256"] = tsv
     return {
         "workload": workload,
         "trace": trace,
@@ -61,3 +64,33 @@ def test_warns_when_the_host_differs_and_notes_changed_outcomes(tmp_path):
     assert rows[0] == ["WARNING:", "host", "differs:", "'vm'", "->", "'other'"]
     assert ["sentences_per_s", "80", "80.5", "1.006"] in rows
     assert rows[-1] == ["outcomes_round0:", "differ"]
+
+
+def _eval_record(tsv):
+    record = _record("vm", 80.0, 1642, 26)
+    record["runs"] += [
+        _run("eval", 0, {"sentences_per_s": 180.0}, tsv=tsv),
+        _run("eval", 1, {"fs.clashes.calls": 45076}, {"parses": 36}, tsv=tsv),
+    ]
+    return record
+
+
+def test_notes_whether_the_eval_report_hash_is_the_same(tmp_path):
+    same = _compare(tmp_path, _eval_record("7eb4ce38"), _eval_record("7eb4ce38"))
+    assert same[same.index(["==", "eval"]):] == [
+        ["==", "eval"],
+        ["metric", "old", "new", "new/old"],
+        ["sentences_per_s", "180", "180", "1.000"],
+        ["fs.clashes.calls", "45076", "45076", "1.000"],
+        ["outcomes_round0:", "same"],
+        ["tsv_sha256:", "same"],
+    ]
+    # no row for a workload whose runs record no hash
+    assert same[:same.index(["==", "eval"])][-1] == ["outcomes_round0:", "same"]
+    differ = _compare(tmp_path, _eval_record("7eb4ce38"), _eval_record("86b54e61"))
+    assert differ[-1] == ["tsv_sha256:", "differ"]
+    # one file without the hash differs from one with it
+    older = _eval_record("7eb4ce38")
+    for run in older["runs"]:
+        run["info"].pop("tsv_sha256", None)
+    assert _compare(tmp_path, older, _eval_record("7eb4ce38"))[-1] == ["tsv_sha256:", "differ"]

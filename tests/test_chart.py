@@ -1,9 +1,11 @@
 import collections
+import io
 import itertools
 
 import pytest
 
 from gramgrow.chart import ChartParser, ParseTree, ParserLimits, SessionFlags, parse
+from gramgrow.cli import Session, run_repl
 from gramgrow.evaluate import undergen
 from gramgrow import fs as fs_module, grammar as grammar_module
 from gramgrow.fs import Category, FeatureRegistry, parse_fs, unify, unify_cat
@@ -11,11 +13,13 @@ from gramgrow.grammar import (
     LHS,
     Grammar,
     Lexicon,
+    Rule,
     UnknownTerminal,
     cat_at,
     format_rule,
     make_rule,
     slot,
+    super_rule,
 )
 from gramgrow.model import load_model
 from gramgrow.resources import data_path, load_claws, load_demo
@@ -787,6 +791,74 @@ def test_critic_verdicts_follow_the_flags_and_the_model(demo):
     # five distinct verdict lists: the reloaded model with LP off reads like
     # the first with LP off, and the last setting like the first
     assert len(seen) == 5
+
+
+# -- proposals ---------------------------------------------------------------------
+
+
+class _PerRuleParser(ChartParser):
+    """Proposes as the chart did before Grammar.proposals: one survivors
+    lookup per rule, an edge for each rule that accepts the category."""
+
+    def propose(self, inactive, rules=None):
+        if inactive.bad:
+            return
+        for rule in rules if rules is not None else self._proposal_rules():
+            found = self.grammar.survivors(rule.instances, slot(1), inactive.cat().disjuncts)
+            if found:
+                self._add_edge(
+                    rule.id, inactive.start, inactive.end, rule.arity, 1, found, (inactive.id,)
+                )
+
+
+def _parse_trace(res):
+    return (
+        [(e.rule_id, e.start, e.end, e.children, e.instances, e.bad_reason) for e in res.chart.edges],
+        res.resource_bounded,
+        [t.display() for t in res.trees],
+        [(r.id, r.instances) for r in res.learnt],
+    )
+
+
+def test_proposals_match_the_per_rule_reference(demo):
+    registry, _, lexicon, _, model = demo
+    grammars = []
+    for _ in range(2):
+        g = Grammar(registry)
+        g.load_rules(data_path("demo.grammar"))
+        grammars.append(g)
+    learning = SessionFlags(learning=True, hfc=True)
+    runs = [(s, learning, ParserLimits()) for s in C11_TRAIN]
+    runs += [(s, None, ParserLimits(max_edges=3000)) for s in DEMO_SENTENCES]
+    runs += [(s, None, ParserLimits.learning_default()) for s in C11_HELD_OUT]
+    bounded = seeded = 0
+    for sentence, flags, limits in runs:
+        got, want = (
+            cls(g, lexicon, model, flags=flags, limits=limits).parse(sentence.split())
+            for cls, g in zip((ChartParser, _PerRuleParser), grammars)
+        )
+        assert _parse_trace(got) == _parse_trace(want), sentence
+        bounded += got.resource_bounded
+        seeded += any(e.rule_id.startswith("*super-") for e in got.chart.edges if e.rule_id)
+    assert bounded >= 1 and seeded >= 5
+    assert [r.id for r in grammars[0].learnt] == [r.id for r in grammars[1].learnt]
+
+
+def test_proposal_memo_stays_bounded_in_a_learning_session(tmp_path):
+    corpus = tmp_path / "c11.train"
+    corpus.write_text("\n".join(C11_TRAIN) + "\n")
+    session = Session(out=io.StringIO())
+    session.load_bundle("demo")
+    run_repl(session, ["set learning on", "set hfc on", "limits off off", "learn-corpus %s" % corpus])
+    assert session.grammar.learnt
+    tuples = {
+        key[0]
+        for key in session.grammar.combine_memo
+        if len(key) == 2 and all(isinstance(r, Rule) for r in key[0])
+    }
+    assert len(tuples) <= 3
+    assert super_rule(2) is super_rule(2)
+    assert any(super_rule(2) in rules for rules in tuples)
 
 
 # -- the redundancy check ------------------------------------------------------------

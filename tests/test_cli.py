@@ -348,6 +348,26 @@ def test_zero_count_triple_keeps_session_alive(tmp_path):
     assert _survives("load-triples %s" % triples)
 
 
+def test_non_utf8_file_keeps_session_alive(tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xffSam chases the cat\n")
+    # _read_lines, grammar.data_lines, FeatureRegistry.load and a reader
+    # built on data_lines
+    for command in ("learn-corpus", "load-grammar", "load-features", "load-model"):
+        session, out = fresh_session()
+        code = run_script(session, ["%s %s" % (command, bad), "Sam chases the cat", "quit"])
+        text = out.getvalue()
+        assert code == EXIT_OK and "1 parse(s)" in text, command
+        assert "error: %s is not UTF-8 text" % bad in text, command
+
+
+def test_main_eval_non_utf8_test_file(tmp_path, capsys):
+    bad = tmp_path / "latin1.corpus"
+    bad.write_bytes(b"\xffSam chases the cat\n")
+    assert main(["eval", "--bundle", "demo", "--test", str(bad)]) == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("error: %s is not UTF-8 text" % bad)
+
+
 def test_non_integer_gg_seed_is_a_resource_error(monkeypatch, capsys):
     monkeypatch.setenv("GG_SEED", "seven")
     assert main(["eval", "--bundle", "demo"]) == EXIT_RESOURCE

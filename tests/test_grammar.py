@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from gramgrow.fs import (
     parse_cats,
     parse_fs,
     print_fs,
+    unify,
 )
 from gramgrow.grammar import (
     LHS,
@@ -27,6 +29,7 @@ from gramgrow.grammar import (
     slot,
     super_rule,
 )
+from gramgrow import grammar as grammar_module
 from gramgrow.model import load_model
 from gramgrow.resources import data_path, load_claws, load_demo
 
@@ -98,6 +101,63 @@ def test_narrow_keeps_an_instance_a_daughter_adds_nothing_to(demo):
     (sam,) = lexicon.lexical_categories("Sam")
     (got,) = narrow((inst,), slot(1), (sam,))
     assert got != inst
+
+
+def _pairwise_narrow(instances, feat, disjuncts, memo, clashes):
+    """narrow() as it was: the clash test for every instance/disjunct pair."""
+    found = []
+    for inst in instances:
+        slot_fs = inst.get(feat)
+        for d in disjuncts:
+            if isinstance(slot_fs, FS) and clashes(slot_fs, d):
+                continue
+            key = (inst, feat, d)
+            if key not in memo:
+                memo[key] = unify(inst, d, at=feat)
+            if memo[key] is not None:
+                found.append(memo[key])
+    return tuple(dict.fromkeys(found))
+
+
+def test_narrow_matches_the_pairwise_reference_random(monkeypatch):
+    """The same result, in the same order, and the same memo entries, with
+    each (slot value, disjunct) clash test made at most once per call.  The
+    disjuncts are distinct, as every category's are."""
+    plain = grammar_module.fsmod.clashes
+    tested = collections.Counter()
+
+    def counting(d, d2):
+        tested[d, d2] += 1
+        return plain(d, d2)
+
+    monkeypatch.setattr(grammar_module.fsmod, "clashes", counting)
+    rng = random.Random(53)
+    seen = {"shared values": 0, "refused": 0, "unconstrained": 0, "kept": 0}
+    for n in range(300):
+        arity = rng.randint(1, 2)
+        cats = [random_category(rng, max_disjuncts=2) for _ in range(arity + 1)]
+        if rng.random() < 0.2:
+            cats[1] = Category(cats[1].disjuncts + (FS.empty(),))
+        rule = make_rule("r%d" % n, cats[0], cats[1:])
+        feat = slot(rng.randint(1, arity))
+        values = [inst.get(feat) for inst in rule.instances]
+        daughters = [random_extension(rng, v) for v in values if isinstance(v, FS)]
+        daughters += random_category(rng).disjuncts
+        drawn = rng.sample(daughters, min(len(daughters), rng.randint(1, 4)))
+        disjuncts = tuple(dict.fromkeys(drawn))
+        memo, want_memo = {}, {}
+        for _ in range(2):  # cold, then warm
+            tested.clear()
+            got = narrow(rule.instances, feat, disjuncts, memo)
+            assert max(tested.values(), default=0) <= 1
+            want = _pairwise_narrow(rule.instances, feat, disjuncts, want_memo, plain)
+            assert got == want
+            assert memo == want_memo
+        seen["shared values"] += len(set(values)) < len(values)
+        seen["refused"] += any(isinstance(v, FS) and plain(v, d) for v in values for d in disjuncts)
+        seen["unconstrained"] += None in values
+        seen["kept"] += bool(got)
+    assert min(seen.values()) >= 30, seen
 
 
 # -- rule subsumption ----------------------------------------------------------

@@ -5,15 +5,20 @@
 For each workload, prints every end-to-end metric of the untraced run and
 every per-layer metric of the traced run, from both files, with the ratio
 new/old ("-" where a file lacks the metric or the old value is 0).  It says
-whether round 0's outcome counts are the same, and warns first when the two
-files were recorded on different hosts or Python versions.  Standard
-library only.
+whether round 0's outcome counts and, for `eval`, its `.tsv` report's
+SHA-256 are the same in both files, and warns first when the two files were
+recorded on different hosts or Python versions.  Standard library only.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+
+
+# outputs of the traced run's round 0 that must not change: a row each, for a
+# workload where either file records them
+INFO_ROWS = ("outcomes_round0", "tsv_sha256")
 
 
 def _runs(record):
@@ -57,11 +62,11 @@ def compare(old, new):
             for name in dict.fromkeys(k for m in names for k in m):
                 a, b = _value(o, name), _value(n, name)
                 lines.append("  %-32s %12s %12s %8s" % (name, _fmt(a), _fmt(b), _ratio(a, b)))
-        outcomes = [
-            (r or {}).get("info", {}).get("outcomes_round0")
-            for r in (old_runs.get((workload, 1)), new_runs.get((workload, 1)))
-        ]
-        lines.append("  outcomes_round0: %s" % ("same" if outcomes[0] == outcomes[1] else "differ"))
+        traced = (old_runs.get((workload, 1)), new_runs.get((workload, 1)))
+        for name in INFO_ROWS:
+            a, b = [(r or {}).get("info", {}).get(name) for r in traced]
+            if a is not None or b is not None:
+                lines.append("  %s: %s" % (name, "same" if a == b else "differ"))
     return lines
 
 
