@@ -256,11 +256,14 @@ def cmd_eval(session, test_path=None, plausible_path=None, random_count=0, rando
         report.plausibility_mean = mean
         report.plausibility_sd = sd
     if out_prefix:
+        # both reports are built before either file is opened, so an error
+        # leaves no partial report behind
+        tsv = "".join(line + "\n" for line in report.lines())
+        txt = report.summary()
         with open(out_prefix + ".tsv", "w", encoding="utf-8") as f:
-            for line in report.lines():
-                f.write(line + "\n")
+            f.write(tsv)
         with open(out_prefix + ".txt", "w", encoding="utf-8") as f:
-            f.write(report.summary())
+            f.write(txt)
     return report
 
 

@@ -42,7 +42,10 @@ class EvalReport:
             out.append("plausible\tP%d\t%.6f" % (i, s))
         if self.plausibility_mean is not None:
             out.append("plausibility_mean\t%.6f" % self.plausibility_mean)
-            out.append("plausibility_sd\t%.6f" % self.plausibility_sd)
+            if self.plausibility_sd is not None:
+                out.append("plausibility_sd\t%.6f" % self.plausibility_sd)
+            else:  # a sample sd needs two scores
+                out.append("plausibility_sd\tundefined")
         out.append("edges\t%d" % self.edges)
         for w in self.warnings:
             out.append("warning\t%s" % w)
@@ -103,7 +106,7 @@ def gen_random(lexicon, length, count, seed):
     rng = random.Random(seed)
     inventory = lexicon.terminals
     if not inventory:
-        raise ValueError("empty lexicon")
+        raise MalformedSyntax("random strings need a lexicon with at least one terminal")
     return [
         " ".join(inventory[rng.randrange(len(inventory))] for _ in range(length))
         for _ in range(count)

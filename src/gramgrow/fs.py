@@ -1,8 +1,9 @@
 """Disjunctive feature structures: parsing, printing, subsumption, unification.
 
-A feature structure is stored as a frozen rooted DAG.  Reentrancy is plain
-node sharing, so tag scoping never leaks between structures: tags exist only
-in the text form.  A Category is a finite disjunction of feature structures;
+A feature structure is a frozen rooted DAG, stored as a tree of interned
+nodes in which a node reached by more than one path carries a tag numbered
+within its structure, so tag scoping never leaks between structures.  A
+Category is a finite disjunction of feature structures;
 the empty disjunction is the inconsistent category (bottom).
 """
 
@@ -138,16 +139,107 @@ def _atoms(mask):
 
 _WILD = _mask((WILDCARD,))
 
-# Node tuples are interned once per process too: equal nodes are one object,
-# so structures built apart share their nodes, equal structures compare node
-# by node by identity, and a memo keyed by structures holds each node once.
-# The table grows with the distinct nodes seen, not with the structures made.
-_NODES = {}  # (payload, feats) -> the one shared copy
+# Nodes are interned once per process too.  A node's children are the child
+# node objects themselves, so equal sub-structures are one object wherever
+# they occur, and a memo keyed by structures finds its entry by identity.  A
+# node that its structure reaches by more than one path carries a tag: its
+# number among the shared nodes, by first visit in a DFS that takes features
+# alphabetically (0: not shared).  Sharing stays explicit that way, so
+# equality and hashing stay structural.  The table is strong and grows with
+# the distinct nodes seen, not with the structures made.
+class _Node:
+    """An interned node: payload (None or an atom bitmask), feats (a tuple of
+    (feature, child node) pairs in feature order) and tag; `tagged` is true
+    when the node or a node below it has a tag.  `fs` is the structure rooted
+    here, and `sub` the one rooted here with its tags renumbered within it,
+    each made on first use."""
+
+    __slots__ = ("payload", "feats", "tag", "tagged", "hash", "fs", "sub")
 
 
-def _node(payload, feats):
+_NODES = {}  # (payload, feats, tag) -> the one _Node
+
+
+def _node(payload, feats, tag=0):
+    key = (payload, feats, tag)
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = _Node()
+        node.payload, node.feats, node.tag = payload, feats, tag
+        node.tagged = bool(tag) or any(c.tagged for _, c in feats)
+        node.hash = hash((payload, tuple([(f, c.hash) for f, c in feats]), tag))
+        node.fs = node.sub = None
+    return node
+
+
+def _fs(root):
+    """The one FS rooted at the node root."""
+    fs = root.fs
+    if fs is None:
+        fs = root.fs = FS(root)
+    return fs
+
+
+def _sub(node):
+    """The structure under node, as a value of its own: a tag that occurs
+    only once below node is dropped and the others are renumbered."""
+    hit = node.sub
+    if hit is None:
+        hit = node.sub = _from_view(_view(node)) if node.tagged else _fs(node)
+    return hit
+
+
+_VIEW = {}  # (payload, feats by index) -> the one shared copy
+
+
+def _view_node(payload, feats):
     node = (payload, feats)
-    return _NODES.setdefault(node, node)
+    return _VIEW.setdefault(node, node)
+
+
+def _view(root):
+    """The structure under root as a tuple of (payload, feats) nodes numbered
+    by first visit in a DFS that takes features alphabetically (root 0), with
+    feats a tuple of (feature, child number) pairs."""
+    index = {}  # tagged node -> its number
+    nodes = []
+
+    def visit(node):
+        if node.tag:
+            i = index.get(node)
+            if i is not None:
+                return i
+            index[node] = len(nodes)
+        i = len(nodes)
+        nodes.append(None)
+        nodes[i] = _view_node(node.payload, tuple([(f, visit(c)) for f, c in node.feats]))
+        return i
+
+    visit(root)
+    return tuple(nodes)
+
+
+def _from_view(nodes):
+    """The FS of a node tuple numbered as `_view` numbers it."""
+    refs = [0] * len(nodes)
+    for _, feats in nodes:
+        for _, child in feats:
+            refs[child] += 1
+    built = {}
+    tags = [0]
+
+    def build(i):
+        hit = built.get(i)
+        if hit is None:
+            tag = 0
+            if refs[i] > 1:
+                tags[0] += 1
+                tag = tags[0]
+            payload, feats = nodes[i]
+            hit = built[i] = _node(payload, tuple([(f, build(c)) for f, c in feats]), tag)
+        return hit
+
+    return _fs(build(0))
 
 
 class _Bottom(Exception):
@@ -159,29 +251,60 @@ class _Graph:
 
     A node is an id with a payload (None or an atom bitmask), a feature dict
     (feature -> node id) and a union-find link; merged nodes forward to their
-    representative, and only `freeze` copies out.
+    representative, and only `freeze` copies out.  A loaded node keeps its
+    source node and gets its feature dict only when `merge` or `freeze`
+    needs it, so `freeze` returns an untouched tag-free sub-structure as it
+    is, without a walk.
     """
 
-    __slots__ = ("payload", "feats", "link")
+    __slots__ = ("payload", "feats", "link", "src", "scope")
 
     def __init__(self):
         self.payload = []
-        self.feats = []
+        self.feats = []  # None: a loaded node not yet expanded
         self.link = []
+        self.src = []  # the source node of a loaded node, else None
+        self.scope = []  # tag -> node id, one dict per loaded structure
 
     def add(self, atoms=()):
         self.payload.append(_mask(atoms))
         self.feats.append({})
         self.link.append(len(self.link))
+        self.src.append(None)
+        self.scope.append(None)
         return len(self.link) - 1
 
+    def _loaded(self, node, scope):
+        i = len(self.link)
+        self.payload.append(node.payload)
+        self.feats.append(None)
+        self.link.append(i)
+        self.src.append(node)
+        self.scope.append(scope)
+        return i
+
+    def _expand(self, i):
+        """Give the loaded node i its feature dict; a tagged child becomes
+        the one id of its tag in the structure it was loaded from."""
+        scope = self.scope[i]
+        feats = {}
+        for feat, child in self.src[i].feats:
+            if child.tag:
+                j = scope.get(child.tag)
+                if j is None:
+                    j = scope[child.tag] = self._loaded(child, scope)
+                feats[feat] = j
+            else:
+                feats[feat] = self._loaded(child, scope)
+        self.feats[i] = feats
+        return feats
+
     def load(self, fs):
-        """Copy a frozen structure in; returns the id of its root."""
-        base = len(self.link)
-        self.payload.extend(payload for payload, _ in fs._nodes)
-        self.feats.extend({f: base + c for f, c in feats} for _, feats in fs._nodes)
-        self.link.extend(range(base, len(self.payload)))
-        return base
+        """Copy a frozen structure in; returns the id of its root, whose
+        feature dict is there to read."""
+        root = self._loaded(fs.root, {})
+        self._expand(root)
+        return root
 
     def find(self, i):
         link = self.link
@@ -210,6 +333,10 @@ class _Graph:
                         raise _Bottom()
                 payload[a] = pb
             fa, fb = feats[a], feats[b]
+            if fa is None:
+                fa = self._expand(a)
+            if fb is None:
+                fb = self._expand(b)
             if payload[a] is not None and (fa or fb):
                 raise _Bottom()
             for feat, child in fb.items():
@@ -219,124 +346,125 @@ class _Graph:
                     fa[feat] = child
 
     def freeze(self, root):
-        """The FS under root, numbered by first visit in a DFS that takes
-        features alphabetically; _Bottom if the graph is cyclic."""
-        payload, feats, find = self.payload, self.feats, self.find
-        intern = _NODES.setdefault  # _node(), inlined
-        index = {}
-        nodes = []
+        """The FS under root; _Bottom if the graph is cyclic.  One walk
+        counts the paths into each node, a second builds the nodes, tagging
+        those with more than one path in first-visit order."""
+        payload, feats, src, find = self.payload, self.feats, self.src, self.find
+        refs = {}
         on_path = set()
 
-        def visit(i):
-            i = find(i)
-            n = index.get(i)
+        def count(i):
+            n = refs.get(i)
             if n is not None:
                 if i in on_path:
                     raise _Bottom()  # cyclic
-                return n
-            n = index[i] = len(nodes)
-            nodes.append(None)
+                refs[i] = n + 1
+                return
+            refs[i] = 1
+            fi = feats[i]
+            if fi is None:
+                if not src[i].tagged:
+                    return  # untouched and tag-free: frozen as it is
+                fi = self._expand(i)
             on_path.add(i)
-            node = (payload[i], tuple([(f, visit(c)) for f, c in sorted(feats[i].items())]))
-            nodes[n] = intern(node, node)
+            for child in fi.values():
+                count(find(child))
             on_path.discard(i)
-            return n
 
-        visit(root)
-        return FS(tuple(nodes))
+        nodes = _NODES
+        built = {}
+        tags = [0]
+
+        def build(i):
+            node = built.get(i)
+            if node is not None:
+                return node
+            tag = 0
+            if refs[i] > 1:
+                tags[0] += 1
+                tag = tags[0]
+            fi = feats[i]
+            if fi is None:
+                node = src[i]
+                if tag:
+                    node = _node(node.payload, node.feats, tag)
+            else:
+                key = (payload[i], tuple([(f, build(find(c))) for f, c in sorted(fi.items())]), tag)
+                node = nodes.get(key) or _node(*key)
+            built[i] = node
+            return node
+
+        root = find(root)
+        count(root)
+        return _fs(build(root))
 
 
 class FS:
-    """Immutable feature structure.
+    """Immutable feature structure: an interned root node (see _Node).
 
-    Nodes are numbered canonically (first visit in a DFS that orders features
-    alphabetically), node 0 is the root.  Each node is (payload, feats) where
-    payload is None or an atom bitmask (one bit: an atom; more: a value
-    disjunction), and feats is a tuple of (feature, child index) pairs.
+    Equal structures have the same root node, so the package, which makes
+    every FS through `_fs`, has one FS per value; equality and hashing read
+    the root node.  `_nodes` is the same structure as a tuple of (payload,
+    feats) nodes numbered canonically (first visit in a DFS that takes
+    features alphabetically, node 0 the root), with feats a tuple of
+    (feature, child index) pairs; printing, pattern matching and expansion
+    read it.
     """
 
-    __slots__ = ("_nodes", "_hash", "_subs", "_rootmap")
+    __slots__ = ("root", "_rootmap", "_view")
 
-    def __init__(self, nodes):
-        self._nodes = nodes
-        self._hash = hash(nodes)
-        self._subs = None
+    def __init__(self, root):
+        self.root = root
         self._rootmap = None
+        self._view = None
 
     @staticmethod
     def empty():
         return _EMPTY_FS
 
+    @property
+    def _nodes(self):
+        if self._view is None:
+            self._view = _view(self.root)
+        return self._view
+
     # -- structure accessors -------------------------------------------------
 
     @property
     def root_features(self):
-        return tuple(f for f, _ in self._nodes[0][1])
+        return tuple(f for f, _ in self.root.feats)
 
     def get(self, feature, default=None):
         """Value at a root feature: atom str, frozenset, nested FS, or None for
         an unconstrained shared node."""
-        for f, child in self._nodes[0][1]:
+        for f, child in self.root.feats:
             if f == feature:
-                return self._value_at(child)
+                if child.payload is not None:
+                    atoms = _atoms(child.payload)
+                    return atoms[0] if len(atoms) == 1 else frozenset(atoms)
+                if child.feats:
+                    return _sub(child)
+                return None
         return default
-
-    def _value_at(self, idx):
-        payload, feats = self._nodes[idx]
-        if payload is not None:
-            atoms = _atoms(payload)
-            return atoms[0] if len(atoms) == 1 else frozenset(atoms)
-        if feats:
-            return self._sub_fs(idx)
-        return None
-
-    def _sub_fs(self, idx):
-        # stored feats are in feature order, so numbering by first visit is
-        # the canonical numbering of the sub-structure
-        if self._subs is None:
-            self._subs = {}
-        hit = self._subs.get(idx)
-        if hit is None:
-            index = {}
-
-            def visit(i):
-                if i not in index:
-                    index[i] = len(index)
-                    for _, child in self._nodes[i][1]:
-                        visit(child)
-
-            visit(idx)
-            nodes = []
-            for i in index:
-                payload, feats = self._nodes[i]
-                nodes.append(_node(payload, tuple([(f, index[c]) for f, c in feats])))
-            hit = FS(tuple(nodes))
-            self._subs[idx] = hit
-        return hit
 
     def root_atoms(self):
         """Root features with atom payloads (masks), for cheap
         incompatibility checks."""
         if self._rootmap is None:
-            out = {}
-            for feat, child in self._nodes[0][1]:
-                payload = self._nodes[child][0]
-                if payload is not None:
-                    out[feat] = payload
-            self._rootmap = out
+            self._rootmap = {f: c.payload for f, c in self.root.feats if c.payload is not None}
         return self._rootmap
 
     def __eq__(self, other):
-        return isinstance(other, FS) and self._nodes == other._nodes
+        return isinstance(other, FS) and self.root is other.root
 
     def __hash__(self):
-        return self._hash
+        return self.root.hash
 
     def __repr__(self):
         return "FS(%s)" % print_fs(Category((self,)))
 
 
-_EMPTY_FS = FS((_node(None, ()),))
+_EMPTY_FS = _fs(_node(None, ()))
 
 
 class Category:
@@ -385,25 +513,30 @@ def fs_from_pairs(pairs):
 
 def subsumes(d, d2):
     """True iff d is at most as informative as d2 (d generalizes d2)."""
-    mapping = {}
+    mapping = {}  # tag in d -> the node of d2 it maps to
 
-    def rec(i, j):
-        if i in mapping:
-            return mapping[i] == j
-        mapping[i] = j
-        payload, feats = d._nodes[i]
-        payload2, feats2 = d2._nodes[j]
+    def rec(node, node2):
+        if node is node2 and not node.tagged:
+            return True
+        if node.tag:
+            hit = mapping.get(node.tag)
+            if hit is not None:
+                # the same node of d2 again: one object with a tag
+                return hit is node2 and node2.tag != 0
+            mapping[node.tag] = node2
+        payload, payload2 = node.payload, node2.payload
         if payload is not None and (payload2 is None or payload2 & ~payload):
             return False
-        f2 = dict(feats2)
-        for feat, child in feats:
-            if feat not in f2:
-                return False
-            if not rec(child, f2[feat]):
+        if not node.feats:
+            return True
+        f2 = dict(node2.feats)
+        for feat, child in node.feats:
+            child2 = f2.get(feat)
+            if child2 is None or not rec(child, child2):
                 return False
         return True
 
-    return rec(0, 0)
+    return rec(d.root, d2.root)
 
 
 def equal(d, d2):
@@ -494,9 +627,9 @@ def unify(d, d2, at=None):
         if subsumes(d, d2):
             return d2
     else:
-        for feat, child in d._nodes[0][1]:
+        for feat, child in d.root.feats:
             if feat == at:
-                if subsumes(d2, d._sub_fs(child)):
+                if subsumes(d2, _sub(child)):
                     return d
                 break
     graph = _Graph()
@@ -610,8 +743,8 @@ def expand(c, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
             # payload nodes have no feats, so the numbering stays canonical
             nodes = list(d._nodes)
             for (idx, _), value in zip(choices, combo):
-                nodes[idx] = _node(value, ())
-            out.append(FS(tuple(nodes)))
+                nodes[idx] = _view_node(value, ())
+            out.append(_from_view(nodes))
     if cap is not None and total > cap and on_cap is not None:
         on_cap(total)
     return out

@@ -614,7 +614,8 @@ def test_node_table_stops_growing_when_a_session_is_repeated(demo):
         g = _c11_grammar(registry, lexicon, model)
         for sentence in DEMO_SENTENCES:
             parse(sentence.split(), g, lexicon, model, flags=full_flags())
-        sizes.append(len(fs_module._NODES))
+        values = sum(node.fs is not None for node in fs_module._NODES.values())
+        sizes.append((len(fs_module._NODES), values))
     assert sizes[0] == sizes[1]
 
 

@@ -458,3 +458,42 @@ def test_cmd_eval_parses_each_input_once_in_order(tmp_path, monkeypatch):
     want = corpus + evaluate.gen_random(session.lexicon, 3, 5, 7) + sentences
     assert [tokens for tokens, _ in calls] == [line.split() for line in want]
     assert all(grammar is session.grammar for _, grammar in calls)
+
+
+def test_one_pair_plausibility_file_with_out(tmp_path, capsys):
+    pairs = tmp_path / "one.pairs"
+    pairs.write_text("Sam chases the cat\n(S (NP Sam) (VP (V0 chases) (NP (Det the) (N1 cat))))\n")
+    prefix = str(tmp_path / "one")
+    assert main(["eval", "--bundle", "demo", "--plausible", str(pairs), "--out", prefix]) == EXIT_OK
+    tsv, txt = _report_bytes(prefix)
+    assert b"plausibility_sd\tundefined\n" in tsv and b"sd 0.000 over 1 sentence(s)" in txt
+    session, out = fresh_session()
+    code = run_script(session, ["eval --plausible %s --out %s" % (pairs, prefix), "Sam chases the cat", "quit"])
+    assert code == EXIT_OK and "1 parse(s)" in out.getvalue()
+
+
+def test_a_failing_report_leaves_no_report_file(tmp_path, monkeypatch, capsys):
+    from gramgrow.evaluate import EvalReport
+    from gramgrow.fs import FSError
+
+    def broken(self):
+        raise FSError("no summary")
+
+    monkeypatch.setattr(EvalReport, "summary", broken)
+    prefix = tmp_path / "r"
+    assert main(["eval", "--bundle", "demo", "--random", "2", "2", "--out", str(prefix)]) == EXIT_RESOURCE
+    assert not list(tmp_path.iterdir())
+
+
+def test_eval_random_over_an_empty_lexicon(tmp_path, capsys):
+    empty = tmp_path / "empty.lexicon"
+    empty.write_text("")
+    argv = ["eval", "--features", str(data_path("demo.features")), "--grammar",
+            str(data_path("demo.grammar")), "--lexicon", str(empty), "--random", "3", "2"]
+    assert main(argv) == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("error:")
+    session, out = fresh_session()
+    lines = ["load-lexicon %s" % empty, "eval --random 3 2", "load-lexicon %s" % data_path("demo.lexicon"),
+             "Sam chases the cat", "quit"]
+    assert run_script(session, lines) == EXIT_OK
+    assert "error:" in out.getvalue() and "1 parse(s)" in out.getvalue()

@@ -311,12 +311,12 @@ def _same_nodes(a, b):
 def test_equal_structures_share_their_node_tuples():
     text = "[PER #1, CAT [PER #1, BAR {1, 2}], N +]"
     a, b = fs(text), fs(text)
-    assert a is not b and _same_nodes(a, b)
+    assert a is b and _same_nodes(a, b)
     assert print_fs(a, REG) == print_fs(b, REG) == "[N +, PER #1, CAT [BAR {1, 2}, PER #1]]"
-    # equality and hashing read values only: a copy outside the table agrees
-    copy = FS(tuple((payload, tuple(list(feats))) for payload, feats in a._nodes))
-    assert not any(x is y for x, y in zip(a._nodes, copy._nodes))
-    assert a == copy and hash(a) == hash(copy) == hash(b)
+    # equality and hashing read the interned root node: a copy outside the
+    # table agrees
+    copy = FS(a.root)
+    assert copy is not a and a == copy and hash(a) == hash(copy) == hash(b)
     # sub-structures and expansions are interned too
     assert _same_nodes(a.get("CAT"), fs("[BAR {1, 2}, PER []]"))
     assert _same_nodes(expand(Category((a.get("CAT"),)))[1], fs("[BAR 2, PER []]"))
@@ -333,6 +333,10 @@ def test_equal_results_share_their_node_tuples_random():
         if ab is not None:
             assert ab == ba and _same_nodes(ab, ba) and hash(ab) == hash(ba)
             assert print_fs(ab, GEN_REGISTRY) == print_fs(ba, GEN_REGISTRY)
+            # equal values from parse, unify, get and expand are one object
+            values = [ab, ba] + [ab.get(f) for f in ab.root_features] + expand(Category((ab,)))
+            values = [v for v in values if isinstance(v, FS)]
+            assert all(parse_fs(print_fs(v, GEN_REGISTRY), GEN_REGISTRY).disjuncts[0] is v for v in values)
             shared += 1
     assert shared > 50
 
@@ -527,7 +531,7 @@ def test_simplify_matches_the_pairwise_reference_random():
     for _ in range(400):
         seeds = [rng.randrange(10**6) for _ in range(rng.randint(1, 3))]
         pool = [random_fs(random.Random(s)) for s in seeds]
-        pool += [random_fs(random.Random(s)) for s in seeds]  # equal, not identical
+        pool += [FS(d.root) for d in pool]  # equal, not identical: outside the table
         pool += [random_extension(rng, rng.choice(pool)) for _ in range(rng.randint(0, 2))]
         c = Category([rng.choice(pool) for _ in range(rng.randint(1, 7))])
         got, want = simplify(c), _pairwise_simplify(c)
