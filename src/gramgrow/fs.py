@@ -2,9 +2,12 @@
 
 A feature structure is a frozen rooted DAG, stored as a tree of interned
 nodes in which a node reached by more than one path carries a tag numbered
-within its structure, so tag scoping never leaks between structures.  A
-Category is a finite disjunction of feature structures;
-the empty disjunction is the inconsistent category (bottom).
+within its structure, so tag scoping never leaks between structures.  The
+tree is the only form of a structure: parsing and unification build it
+through a scratch graph, and subsumption, matching, expansion and printing
+walk it.  Equal structures are one object.  A Category is a finite
+disjunction of feature structures; the empty disjunction is the
+inconsistent category (bottom).
 """
 
 from __future__ import annotations
@@ -144,17 +147,18 @@ _WILD = _mask((WILDCARD,))
 # they occur, and a memo keyed by structures finds its entry by identity.  A
 # node that its structure reaches by more than one path carries a tag: its
 # number among the shared nodes, by first visit in a DFS that takes features
-# alphabetically (0: not shared).  Sharing stays explicit that way, so
-# equality and hashing stay structural.  The table is strong and grows with
-# the distinct nodes seen, not with the structures made.
+# alphabetically (0: not shared).  Sharing stays explicit that way, so equal
+# structures are one node and identity is equality.  The table is strong and
+# grows with the distinct nodes seen, not with the structures made.
 class _Node:
     """An interned node: payload (None or an atom bitmask), feats (a tuple of
-    (feature, child node) pairs in feature order) and tag; `tagged` is true
-    when the node or a node below it has a tag.  `fs` is the structure rooted
-    here, and `sub` the one rooted here with its tags renumbered within it,
-    each made on first use."""
+    (feature, child node) pairs in alphabetical feature order) and tag.
+    `tagged` is true when the node or a node below it has a tag, and `vset`
+    when the node or a node below it holds a value disjunction (two atoms or
+    more).  `fs` is the structure rooted here, and `sub` the one rooted here
+    with its tags renumbered within it, each made on first use."""
 
-    __slots__ = ("payload", "feats", "tag", "tagged", "hash", "fs", "sub")
+    __slots__ = ("payload", "feats", "tag", "tagged", "vset", "fs", "sub")
 
 
 _NODES = {}  # (payload, feats, tag) -> the one _Node
@@ -167,7 +171,7 @@ def _node(payload, feats, tag=0):
         node = _NODES[key] = _Node()
         node.payload, node.feats, node.tag = payload, feats, tag
         node.tagged = bool(tag) or any(c.tagged for _, c in feats)
-        node.hash = hash((payload, tuple([(f, c.hash) for f, c in feats]), tag))
+        node.vset = bool(payload and payload & (payload - 1)) or any(c.vset for _, c in feats)
         node.fs = node.sub = None
     return node
 
@@ -185,61 +189,13 @@ def _sub(node):
     only once below node is dropped and the others are renumbered."""
     hit = node.sub
     if hit is None:
-        hit = node.sub = _from_view(_view(node)) if node.tagged else _fs(node)
+        if node.tagged:
+            graph = _Graph()
+            hit = graph.freeze(graph._loaded(node, {}))
+        else:
+            hit = _fs(node)
+        node.sub = hit
     return hit
-
-
-_VIEW = {}  # (payload, feats by index) -> the one shared copy
-
-
-def _view_node(payload, feats):
-    node = (payload, feats)
-    return _VIEW.setdefault(node, node)
-
-
-def _view(root):
-    """The structure under root as a tuple of (payload, feats) nodes numbered
-    by first visit in a DFS that takes features alphabetically (root 0), with
-    feats a tuple of (feature, child number) pairs."""
-    index = {}  # tagged node -> its number
-    nodes = []
-
-    def visit(node):
-        if node.tag:
-            i = index.get(node)
-            if i is not None:
-                return i
-            index[node] = len(nodes)
-        i = len(nodes)
-        nodes.append(None)
-        nodes[i] = _view_node(node.payload, tuple([(f, visit(c)) for f, c in node.feats]))
-        return i
-
-    visit(root)
-    return tuple(nodes)
-
-
-def _from_view(nodes):
-    """The FS of a node tuple numbered as `_view` numbers it."""
-    refs = [0] * len(nodes)
-    for _, feats in nodes:
-        for _, child in feats:
-            refs[child] += 1
-    built = {}
-    tags = [0]
-
-    def build(i):
-        hit = built.get(i)
-        if hit is None:
-            tag = 0
-            if refs[i] > 1:
-                tags[0] += 1
-                tag = tags[0]
-            payload, feats = nodes[i]
-            hit = built[i] = _node(payload, tuple([(f, build(c)) for f, c in feats]), tag)
-        return hit
-
-    return _fs(build(0))
 
 
 class _Bottom(Exception):
@@ -402,31 +358,20 @@ class _Graph:
 class FS:
     """Immutable feature structure: an interned root node (see _Node).
 
-    Equal structures have the same root node, so the package, which makes
-    every FS through `_fs`, has one FS per value; equality and hashing read
-    the root node.  `_nodes` is the same structure as a tuple of (payload,
-    feats) nodes numbered canonically (first visit in a DFS that takes
-    features alphabetically, node 0 the root), with feats a tuple of
-    (feature, child index) pairs; printing, pattern matching and expansion
-    read it.
+    Equal structures have the same root node, and only `_fs` makes an FS,
+    one per root node, so equal structures are one FS: `==` and `hash` are
+    those of the object.
     """
 
-    __slots__ = ("root", "_rootmap", "_view")
+    __slots__ = ("root", "_rootmap")
 
     def __init__(self, root):
         self.root = root
         self._rootmap = None
-        self._view = None
 
     @staticmethod
     def empty():
         return _EMPTY_FS
-
-    @property
-    def _nodes(self):
-        if self._view is None:
-            self._view = _view(self.root)
-        return self._view
 
     # -- structure accessors -------------------------------------------------
 
@@ -453,12 +398,6 @@ class FS:
         if self._rootmap is None:
             self._rootmap = {f: c.payload for f, c in self.root.feats if c.payload is not None}
         return self._rootmap
-
-    def __eq__(self, other):
-        return isinstance(other, FS) and self.root is other.root
-
-    def __hash__(self):
-        return self.root.hash
 
     def __repr__(self):
         return "FS(%s)" % print_fs(Category((self,)))
@@ -568,9 +507,9 @@ def matches(p, d, presence):
     value there, and the wildcard accepts any value.  presence=True: every
     feature of p must be present in d; presence=False: absent ones pass."""
 
-    def rec(i, j):
-        payload, feats = p._nodes[i]
-        payload2, feats2 = d._nodes[j]
+    def rec(node, node2):
+        payload, feats = node.payload, node.feats
+        payload2, feats2 = node2.payload, node2.feats
         if payload is not None:
             if payload == _WILD:
                 return True
@@ -590,7 +529,7 @@ def matches(p, d, presence):
                 return False
         return True
 
-    return rec(0, 0)
+    return rec(p.root, d.root)
 
 
 # -- unification -----------------------------------------------------------
@@ -669,51 +608,89 @@ def simplify(c):
 # -- expansion ---------------------------------------------------------------
 
 
-def _vset_nodes(fs, registry):
-    """Value-disjunction node ids in deterministic (registry) walk order."""
-    if not any(payload is not None and payload & (payload - 1) for payload, _ in fs._nodes):
-        return []  # the common case, found without the ordered walk
-    order = []
-    seen = set()
+def _in_order(feats, registry):
+    """A node's (feature, child) pairs in registry order (alphabetical
+    without a registry, as a node keeps them)."""
+    if registry is None:
+        return feats
+    return sorted(feats, key=lambda fc: registry.feature_key(fc[0]))
 
-    def key(feat):
-        return registry.feature_key(feat) if registry else (0, feat)
 
-    def rec(idx):
-        if idx in seen:
-            return
-        seen.add(idx)
-        payload, feats = fs._nodes[idx]
-        if payload is not None and payload & (payload - 1):  # two bits or more
-            order.append(idx)
-        for feat, child in sorted(feats, key=lambda fc: key(fc[0])):
-            rec(child)
+def _first_features(root):
+    """Tag -> the feature of the first edge into its node, in canonical order:
+    nodes by first visit in a DFS that takes features alphabetically, and
+    each node's edges alphabetically."""
+    first = {}
+    visited = set()
 
-    rec(0)
-    return order
+    def rec(node):
+        for feat, child in node.feats:
+            if child.tag:
+                first.setdefault(child.tag, feat)
+        for _, child in node.feats:
+            if child.tagged and child.tag not in visited:
+                if child.tag:
+                    visited.add(child.tag)
+                rec(child)
+
+    rec(root)
+    return first
 
 
 def _choices(fs, registry):
-    """(node id, one-atom masks) per value disjunction of fs, in registry walk
-    order, the masks in declared value order where known."""
+    """One list of one-atom masks per value disjunction of fs, in registry
+    walk order (a shared one once), the masks in declared value order where
+    known.  A shared disjunction takes the value order of the feature of its
+    first edge in canonical order."""
     out = []
-    for idx in _vset_nodes(fs, registry):
-        vals = _atoms(fs._nodes[idx][0])
-        if registry is not None:
-            feat = _feature_of(fs, idx)
-            vals = sorted(vals, key=lambda v: registry.value_key(feat, v))
-        else:
-            vals = sorted(vals)
-        out.append((idx, [_BITS[v] for v in vals]))
+    seen = set()  # tags walked
+    first = None
+
+    def rec(node, feat):
+        nonlocal first
+        if node.tag:
+            if node.tag in seen:
+                return
+            seen.add(node.tag)
+        if node.payload is not None:  # rec sees vset nodes only: a value disjunction
+            vals = _atoms(node.payload)
+            if registry is None:
+                vals.sort()
+            else:
+                if node.tag:
+                    first = first or _first_features(fs.root)
+                    feat = first[node.tag]
+                vals.sort(key=lambda v: registry.value_key(feat, v))
+            out.append([_BITS[v] for v in vals])
+        for f, child in _in_order(node.feats, registry):
+            if child.vset:
+                rec(child, f)
+
+    rec(fs.root, "")
     return out
 
 
-def _feature_of(fs, idx):
-    for _, feats in fs._nodes:
-        for feat, child in feats:
-            if child == idx:
-                return feat
-    return ""
+def _resolved(root, registry, values):
+    """root with its value disjunctions set, in `_choices`'s walk order, to
+    values.  Only the nodes on paths to them are made anew; the shape stays,
+    so every tag keeps its number."""
+    values = iter(values)
+    done = {}  # tag -> its new node
+
+    def rec(node):
+        hit = done.get(node.tag)
+        if hit is not None:
+            return hit
+        if node.feats:
+            new = {f: rec(c) for f, c in _in_order(node.feats, registry) if c.vset}
+            hit = _node(None, tuple([(f, new.get(f, c)) for f, c in node.feats]), node.tag)
+        else:
+            hit = _node(next(values), (), node.tag)
+        if node.tag:
+            done[node.tag] = hit
+        return hit
+
+    return rec(root)
 
 
 def expand(c, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
@@ -729,22 +706,18 @@ def expand(c, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
         room = None if cap is None else cap - len(out)
         if room == 0 and on_cap is None:
             break
-        choices = _choices(d, registry)
-        if not choices:
+        if not d.root.vset:
             total += 1
             if room != 0:
                 out.append(d)
             continue
+        choices = _choices(d, registry)
         fanout = 1
-        for _, vals in choices:
+        for vals in choices:
             fanout *= len(vals)
         total += fanout
-        for combo in itertools.islice(itertools.product(*[vals for _, vals in choices]), room):
-            # payload nodes have no feats, so the numbering stays canonical
-            nodes = list(d._nodes)
-            for (idx, _), value in zip(choices, combo):
-                nodes[idx] = _view_node(value, ())
-            out.append(_from_view(nodes))
+        for combo in itertools.islice(itertools.product(*choices), room):
+            out.append(_fs(_resolved(d.root, registry, combo)))
     if cap is not None and total > cap and on_cap is not None:
         on_cap(total)
     return out
@@ -929,28 +902,26 @@ class _Printer:
         self.registry = registry
         self.next_tag = 1
 
-    def _key(self, feat):
-        return self.registry.feature_key(feat) if self.registry else (0, feat)
-
     def _vkey(self, feat, value):
         return self.registry.value_key(feat, value) if self.registry else (0, value)
 
-    def fs_text(self, fs, root=0, shared=None, tagno=None):
-        if shared is None:
-            shared = _shared_nodes(fs)
+    def fs_text(self, root, tagno=None):
+        """The text of the structure under the node root.  A tagged node
+        prints as its number in tagno (node -> number), given it on first
+        print."""
         if tagno is None:
             tagno = {}
         out = []
 
-        def emit(idx, feat_ctx):
-            payload, feats = fs._nodes[idx]
-            if idx in shared:
-                if idx in tagno:
-                    out.append("#%d" % tagno[idx])
+        def emit(node, feat_ctx):
+            payload, feats = node.payload, node.feats
+            if node.tag:
+                if node in tagno:
+                    out.append("#%d" % tagno[node])
                     return
-                tagno[idx] = self.next_tag
+                tagno[node] = self.next_tag
                 self.next_tag += 1
-                out.append("#%d" % tagno[idx])
+                out.append("#%d" % tagno[node])
                 if payload is None and not feats:
                     return
                 out.append("=")
@@ -960,7 +931,7 @@ class _Printer:
             else:
                 out.append("[")
                 first = True
-                for feat, child in sorted(feats, key=lambda fc: self._key(fc[0])):
+                for feat, child in _in_order(feats, self.registry):
                     if not first:
                         out.append(", ")
                     first = False
@@ -968,16 +939,13 @@ class _Printer:
                     emit(child, feat)
                 out.append("]")
 
-        payload, feats = fs._nodes[root]
-        if payload is None and not feats and root not in shared:
-            return "[]"
         emit(root, "")
         return "".join(out)
 
     def cat_text(self, cat):
         if cat.is_bottom:
             return "⊥"
-        texts = [self.fs_text(d) for d in cat.disjuncts]
+        texts = [self.fs_text(d.root) for d in cat.disjuncts]
         if len(texts) == 1:
             return texts[0]
         return "{" + ", ".join(texts) + "}"
@@ -993,23 +961,10 @@ def print_parts(fs, part_features, registry=None):
     """Print the subgraphs under the given root features of one structure,
     with sharing between the parts surfaced as common tags."""
     printer = _Printer(registry)
-    shared = _shared_nodes(fs)
     tagno = {}
-    roots = dict(fs._nodes[0][1])
+    roots = dict(fs.root.feats)
     out = {}
     for feat in part_features:
-        idx = roots.get(feat)
-        if idx is None:
-            out[feat] = "[]"
-        else:
-            out[feat] = printer.fs_text(fs, idx, shared, tagno)
+        node = roots.get(feat)
+        out[feat] = "[]" if node is None else printer.fs_text(node, tagno)
     return out
-
-
-def _shared_nodes(fs):
-    counts = {}
-    # count incoming references along all feature edges
-    for i, (_, feats) in enumerate(fs._nodes):
-        for _, child in feats:
-            counts[child] = counts.get(child, 0) + 1
-    return {i for i, n in counts.items() if n > 1}

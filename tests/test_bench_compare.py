@@ -1,6 +1,7 @@
 """tools/bench_compare.py prints both files' metrics per workload with their
 ratio, says whether round 0's outcomes and report hash agree, and warns when
-the files come from different hosts or Pythons."""
+the files come from different hosts or Pythons.  Both it and
+tools/bench_record.py carry the package's line count, `src_lines`."""
 
 import json
 import os
@@ -94,3 +95,22 @@ def test_notes_whether_the_eval_report_hash_is_the_same(tmp_path):
     for run in older["runs"]:
         run["info"].pop("tsv_sha256", None)
     assert _compare(tmp_path, older, _eval_record("7eb4ce38"))[-1] == ["tsv_sha256:", "differ"]
+
+
+def test_records_and_prints_the_package_line_count(tmp_path):
+    from test_bench_record import _record as record_checkout
+
+    pkg = tmp_path / "src" / "gramgrow"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("not\na module\n")
+    code, recorded = record_checkout(tmp_path, ["learn"])
+    assert code == 0 and recorded["src_lines"] == 4
+    old, new = _record("vm", 80.0, 1642, 26), _record("vm", 80.0, 1642, 26)
+    old["src_lines"], new["src_lines"] = 3728, 3678
+    rows = _compare(tmp_path, old, new)
+    assert rows[:2] == [["src_lines", "3728", "3678", "0.987"], ["==", "learn"]]
+    # a file without the count prints "-" for it
+    del old["src_lines"]
+    assert _compare(tmp_path, old, new)[0] == ["src_lines", "-", "3678", "-"]

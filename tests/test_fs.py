@@ -1,4 +1,6 @@
+import hashlib
 import random
+import warnings
 
 import pytest
 
@@ -15,8 +17,10 @@ from gramgrow.fs import (
     equal_cat,
     expand,
     fs_from_pairs,
+    matches,
     parse_fs,
     print_fs,
+    print_parts,
     simplify,
     subsumes,
     subsumes_cat,
@@ -304,8 +308,8 @@ def test_unify_commutative_associative_idempotent():
 
 
 def _same_nodes(a, b):
-    """Node tuples pairwise the same objects."""
-    return len(a._nodes) == len(b._nodes) and all(x is y for x, y in zip(a._nodes, b._nodes))
+    """One root node, so every node is the same object."""
+    return a.root is b.root
 
 
 def test_equal_structures_share_their_node_tuples():
@@ -313,10 +317,6 @@ def test_equal_structures_share_their_node_tuples():
     a, b = fs(text), fs(text)
     assert a is b and _same_nodes(a, b)
     assert print_fs(a, REG) == print_fs(b, REG) == "[N +, PER #1, CAT [BAR {1, 2}, PER #1]]"
-    # equality and hashing read the interned root node: a copy outside the
-    # table agrees
-    copy = FS(a.root)
-    assert copy is not a and a == copy and hash(a) == hash(copy) == hash(b)
     # sub-structures and expansions are interned too
     assert _same_nodes(a.get("CAT"), fs("[BAR {1, 2}, PER []]"))
     assert _same_nodes(expand(Category((a.get("CAT"),)))[1], fs("[BAR 2, PER []]"))
@@ -437,6 +437,93 @@ def test_expand_shared_value_set_single_choice():
         assert e.get("PER") == e.get("CAT").get("PER")
 
 
+# Three features declare one value set in three orders, so the order in
+# which a shared value disjunction prints and expands shows which feature
+# reaching it decides.
+SHARED_REG = FeatureRegistry.from_text(
+    """
+feature Q c b a
+feature G x
+feature P a b c
+feature F x
+feature R a c b
+"""
+)
+
+
+def test_shared_value_disjunction_expands_in_its_first_canonical_features_order():
+    # printed under Q, the registry's first feature; expanded in the order of
+    # P, the feature of its first edge in the alphabetical walk
+    c = parse_fs("[P #1={a, b}, Q #1]", SHARED_REG)
+    assert print_fs(c, SHARED_REG) == "[Q #1={B, A}, P #1]"
+    assert [print_fs(e, SHARED_REG) for e in expand(c, SHARED_REG)] == ["[Q #1=A, P #1]", "[Q #1=B, P #1]"]
+
+
+def _random_shared_text(rng, depth=0):
+    """A random structure literal over SHARED_REG in which tags #1-#3 join
+    values, value disjunctions included, under any of the features."""
+    parts = []
+    for feat in rng.sample(["Q", "G", "P", "F", "R"], rng.randint(0, 4)):
+        roll = rng.random()
+        if feat in "GF" and depth < 2 and roll < 0.6:
+            value = _random_shared_text(rng, depth + 1)
+        elif feat in "GF" or roll < 0.5:
+            value = "#%d" % rng.randint(1, 3)
+        else:
+            value = "{%s}" % ", ".join(rng.sample("abc", rng.randint(1, 3)))
+            if roll < 0.8:
+                value = "#%d=%s" % (rng.randint(1, 3), value)
+        parts.append("%s %s" % (feat, value))
+    return "[%s]" % ", ".join(parts)
+
+
+def _value_text(value):
+    if isinstance(value, FS):
+        return print_fs(value)
+    if isinstance(value, frozenset):
+        return "{%s}" % ", ".join(sorted(value))
+    return repr(value)
+
+
+def test_print_expand_and_match_outputs_are_pinned():
+    """One hash over what print_fs, print_parts, expand, get and matches give
+    on seeded categories with shared value disjunctions and on unify
+    results of random structures."""
+    rng = random.Random(41)
+    cases = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while len(cases) < 300:
+            text = "{%s}" % ", ".join(_random_shared_text(rng) for _ in range(rng.randint(1, 2)))
+            try:
+                cases.append((parse_fs(text, SHARED_REG), SHARED_REG))
+            except MalformedSyntax:
+                continue
+    draws = 0
+    while draws < 200:
+        ab = unify(random_fs(rng), random_fs(rng))
+        if ab is not None:
+            cases.append((Category((ab,)), GEN_REGISTRY))
+            draws += 1
+    lines = []
+    for c, reg in cases:
+        lines.append(print_fs(c))
+        lines.append(print_fs(c, reg))
+        for registry in (reg, None):
+            caps = []
+            images = expand(c, registry, cap=16, on_cap=caps.append)
+            lines.append(" ".join(print_fs(e, reg) for e in images) + " %s" % caps)
+        for d in c.disjuncts:
+            feats = d.root_features
+            lines.append(repr(sorted(print_parts(d, feats + ("Z",), reg).items())))
+            lines.append(" ".join(_value_text(d.get(f)) for f in feats))
+    pool = [d for c, reg in cases[:120] for d in c.disjuncts]
+    for p in pool:
+        lines.append("".join("%d%d" % (matches(p, d, True), matches(p, d, False)) for d in pool[:60]))
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == "41b9aa421199a33cde9add61a03b1bd7fbfdcfa4cbc05b6e837155860040aa88"
+
+
 # -- equal -------------------------------------------------------------------
 
 
@@ -524,14 +611,12 @@ def _pairwise_simplify(c):
 
 def test_simplify_matches_the_pairwise_reference_random():
     """The same disjuncts, in the same order, as the same objects, over
-    categories with repeated disjuncts, equal structures built separately
-    and absorbed disjuncts."""
+    categories with repeated disjuncts and absorbed disjuncts."""
     rng = random.Random(37)
-    seen = {"repeated": 0, "equal copies": 0, "absorbed": 0}
+    seen = {"repeated": 0, "absorbed": 0}
     for _ in range(400):
         seeds = [rng.randrange(10**6) for _ in range(rng.randint(1, 3))]
         pool = [random_fs(random.Random(s)) for s in seeds]
-        pool += [FS(d.root) for d in pool]  # equal, not identical: outside the table
         pool += [random_extension(rng, rng.choice(pool)) for _ in range(rng.randint(0, 2))]
         c = Category([rng.choice(pool) for _ in range(rng.randint(1, 7))])
         got, want = simplify(c), _pairwise_simplify(c)
@@ -540,7 +625,6 @@ def test_simplify_matches_the_pairwise_reference_random():
         ds = c.disjuncts
         pairs = [(a, b) for i, a in enumerate(ds) for b in ds[i + 1:]]
         seen["repeated"] += any(a is b for a, b in pairs)
-        seen["equal copies"] += any(a == b and a is not b for a, b in pairs)
         seen["absorbed"] += any(a != b and subsumes(b, a) for a in ds for b in ds)
     assert min(seen.values()) >= 50, seen
 

@@ -31,4 +31,6 @@ def test_only_the_intern_helper_calls_the_fs_constructor():
         inside = {id(call) for helper in helpers for call in _fs_calls(helper)}
         for call in _fs_calls(tree):
             (allowed if id(call) in inside else stray).append((name, call.lineno))
-    assert len(allowed) == 1 and not stray, stray
+    # FS equality is identity: it holds only while `_fs` makes every FS, one
+    # per root node
+    assert len(allowed) == 1 and not stray, ("FS(...) outside fs._fs breaks identity equality", stray)

@@ -2,9 +2,10 @@
 
     python3 tools/bench_compare.py OLD.json NEW.json
 
-For each workload, prints every end-to-end metric of the untraced run and
-every per-layer metric of the traced run, from both files, with the ratio
-new/old ("-" where a file lacks the metric or the old value is 0).  It says
+Prints the package's line count (`src_lines`) of both files, then, for each
+workload, every end-to-end metric of the untraced run and every per-layer
+metric of the traced run, from both files, with the ratio new/old ("-"
+where a file lacks the value or the old value is 0).  It says
 whether round 0's outcome counts and, for `eval`, its `.tsv` report's
 SHA-256 are the same in both files, and warns first when the two files were
 recorded on different hosts or Python versions.  Standard library only.
@@ -51,6 +52,9 @@ def compare(old, new):
     for key in ("host", "python"):
         if old.get(key) != new.get(key):
             lines.append("WARNING: %s differs: %r -> %r" % (key, old.get(key), new.get(key)))
+    a, b = old.get("src_lines"), new.get("src_lines")
+    if a is not None or b is not None:
+        lines.append("  %-32s %12s %12s %8s" % ("src_lines", _fmt(a), _fmt(b), _ratio(a, b)))
     old_runs, new_runs = _runs(old), _runs(new)
     workloads = list(dict.fromkeys(w for w, _ in list(old_runs) + list(new_runs)))
     for workload in workloads:

@@ -6,9 +6,9 @@ For each workload that DIR/BENCHMARK.json declares, runs the benchmark
 command in DIR with `--workload W --seed 1 --seconds <run_seconds>`, once
 with `--trace 0` and once with `--trace 1`.  The file keeps the last two
 JSON lines of each run (what was run, then the result) and its exit code,
-with the Python version, the host and the commit of DIR (`dirty` is true
-when tracked files differ from that commit).  DIR defaults to the checkout
-holding this script.  Exits 1 if any run exits non-zero, prints no result
+with the Python version, the host, the commit of DIR (`dirty` is true
+when tracked files differ from that commit) and `src_lines`, the total lines
+of DIR/src/gramgrow/*.py.  DIR defaults to the checkout holding this script.  Exits 1 if any run exits non-zero, prints no result
 or reports `correct: false`.  Standard library only.
 """
 
@@ -32,6 +32,19 @@ def _git(checkout, *args):
     except (OSError, subprocess.CalledProcessError):
         return None
     return done.stdout.strip()
+
+
+def src_lines(checkout):
+    """The total lines of the package's modules in checkout, or None."""
+    pkg = os.path.join(checkout, "src", "gramgrow")
+    if not os.path.isdir(pkg):
+        return None
+    total = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as f:
+                total += len(f.read().splitlines())
+    return total
 
 
 def _json_lines(text):
@@ -75,6 +88,7 @@ def main(argv=None):
         "python": sys.version,
         "host": platform.node(),
         "seed": SEED,
+        "src_lines": src_lines(checkout),
         "run_seconds": bench["run_seconds"],
         "runs": [],
     }
