@@ -22,7 +22,7 @@ from .constructor import (
     construct_unary_cat,
 )
 from .fs import Category, EMPTY_CAT, unify_cat
-from .grammar import LHS, SupportRecord, UnknownTerminal, slot, super_rule
+from .grammar import LHS, SupportRecord, UnknownTerminal, cat_at, slot, super_rule
 from .model import DEFAULT_NONHEAD, criticise_rhs
 from . import scoring
 
@@ -89,12 +89,9 @@ class Edge:
         "built_rule",
         "derivations",
         "_cat",
-        "_category_at",
     )
 
-    def __init__(
-        self, eid, start, end, rule_id, arity, nfound, instances, children, category_at, token=None
-    ):
+    def __init__(self, eid, start, end, rule_id, arity, nfound, instances, children, token=None):
         self.id = eid
         self.start = start
         self.end = end
@@ -110,7 +107,6 @@ class Edge:
         self.built_rule = None
         self.derivations = 1
         self._cat = None
-        self._category_at = category_at  # the grammar's memoised cat_at
 
     @property
     def is_lexical(self):
@@ -125,11 +121,11 @@ class Edge:
             if self.is_lexical:
                 self._cat = Category(self.instances)
             else:
-                self._cat = self._category_at(self.instances, LHS)
+                self._cat = cat_at(self.instances, LHS)
         return self._cat
 
     def slot_cat(self, i):
-        return self._category_at(self.instances, slot(i))
+        return cat_at(self.instances, slot(i))
 
     def replace_instances(self, instances):
         self.instances = instances
@@ -223,7 +219,6 @@ class ChartParser:
         self.limits = limits or ParserLimits()
         self.root = root if root is not None else EMPTY_CAT
         self.trace = trace
-        self._category_at = grammar.category_at  # one bound method for every edge
         self.chart = None
         self.agenda = deque()
         self.supers = ()
@@ -346,10 +341,7 @@ class ChartParser:
         if key in self.chart.by_key:
             return None
         self.chart.by_key.add(key)
-        edge = Edge(
-            self.chart.created, start, end, rule_id, arity, nfound, instances, children,
-            self._category_at, token,
-        )
+        edge = Edge(self.chart.created, start, end, rule_id, arity, nfound, instances, children, token)
         self.chart.edges.append(edge)
         if edge.is_inactive and rule_id is not None and rule_id.startswith("*super-"):
             self.criticise(edge)
@@ -435,13 +427,8 @@ class ChartParser:
         if self.flags.hfc:
             nonhead = self.model.nonhead if self.model is not None else DEFAULT_NONHEAD
         if arity == 1:
-            built = construct_unary_cat(rhs[0], self.grammar.max_bar, nonhead)
-        else:
-            built = construct_binary_cat(rhs[0], rhs[1], self.grammar.max_bar, nonhead)
-        if not isinstance(built, str):
-            # the grammar's memo: edges with these instances read it too
-            built.category_at = self._category_at
-        return built
+            return construct_unary_cat(rhs[0], self.grammar.max_bar, nonhead)
+        return construct_binary_cat(rhs[0], rhs[1], self.grammar.max_bar, nonhead)
 
     def _covered_by_original(self, arity, rhs):
         """A same-arity original rule already licenses this RHS."""
@@ -499,11 +486,11 @@ class ChartParser:
         narrowed = self.grammar.survivors(edge.instances, LHS, forced.disjuncts)
         if not narrowed:
             return
-        node_cat = self._category_at(narrowed, LHS)
+        node_cat = cat_at(narrowed, LHS)
         rule_id = edge.built_rule.id if edge.built_rule is not None else edge.rule_id
         child_iters = []
         for i, cid in enumerate(edge.children, start=1):
-            child_forced = self._category_at(narrowed, slot(i))
+            child_forced = cat_at(narrowed, slot(i))
             subtrees = memo.get((cid, child_forced))
             if subtrees is None:
                 subtrees = list(self._edge_trees(self.chart.edge(cid), child_forced, memo))

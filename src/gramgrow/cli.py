@@ -81,13 +81,23 @@ class Session:
         self.labels = ParaphraseMap.load(path, self._features())
 
     def load_bundle(self, name):
+        """Load the files a shipped bundle has, all of them or none.  A bundle
+        without a grammar gets an empty one, and one without a model none."""
         from .resources import data_path
 
-        self.load_features(data_path("%s.features" % name))
-        self.load_grammar(data_path("%s.grammar" % name))
-        self.load_lexicon(data_path("%s.lexicon" % name))
-        self.load_model(data_path("%s.model" % name))
-        self.load_paraphrase(data_path("%s.labels" % name))
+        def path(ext):
+            return data_path(name + ext)
+
+        registry = FeatureRegistry.load(path(".features"))
+        grammar = Grammar(registry)
+        if path(".grammar").is_file():
+            grammar.load_rules(path(".grammar"))
+        lexicon = Lexicon.load(path(".lexicon"), registry)
+        model = load_model(path(".model"), registry) if path(".model").is_file() else None
+        labels = ParaphraseMap.load(path(".labels"), registry)
+        self.registry, self.grammar, self.lexicon, self.model, self.labels = (
+            registry, grammar, lexicon, model, labels
+        )
 
     def ready(self):
         return self.grammar is not None and self.lexicon is not None

@@ -479,9 +479,9 @@ def subsumes(d, d2):
 
 
 def equal(d, d2):
-    """Mutual subsumption; coincides with structural equality of the canonical
-    graphs."""
-    return d == d2 or (subsumes(d, d2) and subsumes(d2, d))
+    """Mutual subsumption, which is identity: equal structures are one
+    interned object."""
+    return d is d2
 
 
 def subsumes_cat(c, c2):

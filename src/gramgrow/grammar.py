@@ -79,32 +79,19 @@ class Rule:
         self.instances = tuple(instances)  # tuple of wrapper FS, never reassigned
         self.origin = origin
         self.support = support
-        # computes a category from (instances, position): cat_at, or for a
-        # rule the chart builds its grammar's memoised category_at
-        self.category_at = cat_at
-        self._cats = {}
         self._atoms = None
 
     @property
     def lhs(self):
-        return self._cat(LHS)
+        return cat_at(self.instances, LHS)
 
     def rhs(self, i):
-        return self._cat(slot(i))
-
-    def _cat(self, feat):
-        hit = self._cats.get(feat)
-        if hit is None:
-            hit = self._cats[feat] = self.category_at(self.instances, feat)
-        return hit
+        return cat_at(self.instances, slot(i))
 
     def renamed(self, rule_id):
-        """The same rule under another id, sharing its categories: they
-        depend on the instances alone."""
-        twin = Rule(rule_id, self.arity, self.instances, self.origin, self.support)
-        twin.category_at = self.category_at
-        twin._cats = self._cats
-        return twin
+        """The same rule under another id; cat_at gives it the same
+        category objects, since they depend on the instances alone."""
+        return Rule(rule_id, self.arity, self.instances, self.origin, self.support)
 
     def root_atoms(self):
         """(position, feature) -> atom mask, for each feature that every
@@ -134,11 +121,20 @@ class Rule:
         return "Rule(%s)" % self.id
 
 
+_CATS = {}  # (instances, position) -> cat_at()'s result, for the process
+
+
 def cat_at(instances, feat):
     """The category at one rule position: the simplified disjunction of the
-    instances' values there (an unconstrained value reads as [])."""
-    values = [inst.get(feat) for inst in instances]
-    return simplify(Category([v if isinstance(v, FS) else FS.empty() for v in values]))
+    instances' values there (an unconstrained value reads as []).  A pure
+    function of interned values, so each result is kept in _CATS, which
+    never goes stale: equal arguments always get the same object."""
+    key = (instances, feat)
+    hit = _CATS.get(key)
+    if hit is None:
+        values = [inst.get(feat) for inst in instances]
+        hit = _CATS[key] = simplify(Category([v if isinstance(v, FS) else FS.empty() for v in values]))
+    return hit
 
 
 def make_rule(rule_id, lhs_cat, rhs_cats, origin=ORIGINAL, support=None):
@@ -242,12 +238,11 @@ class Grammar:
         self.max_bar = max_bar_of(registry)
         # Two memos serve a whole learning session.  Interned nodes keep
         # their value keys small.
-        # combine_memo holds four kinds of entry, told apart by key shape:
+        # combine_memo holds three kinds of entry, told apart by key shape:
         # (rule instances, slot, daughter disjuncts) -> narrow()'s result,
         # filled by survivors(); (instance, slot, disjunct) -> fs.unify()'s
         # result or None, for each pair narrow() unifies on a survivors()
-        # miss; (instances, slot) -> cat_at()'s result, filled by
-        # category_at(); and (tuple of Rule objects, daughter disjuncts) ->
+        # miss; and (tuple of Rule objects, daughter disjuncts) ->
         # proposals()'s result.  Keys are values, so entries never go stale
         # and adding rules leaves the memo alone.  A Rule compares by
         # identity, which is sound here: a rule's instances are never
@@ -357,14 +352,6 @@ class Grammar:
                 if insts:
                     found.append((rule, insts))
             hit = self.combine_memo[key] = tuple(found)
-        return hit
-
-    def category_at(self, instances, feat):
-        """cat_at(), memoised like survivors()."""
-        key = (instances, feat)
-        hit = self.combine_memo.get(key)
-        if hit is None:
-            hit = self.combine_memo[key] = cat_at(instances, feat)
         return hit
 
     # -- persistence ----------------------------------------------------------

@@ -472,7 +472,7 @@ def _observed(grammar, lexicon, model):
     return out
 
 
-def test_combine_memo_is_transparent(demo):
+def test_combine_memo_is_transparent(demo, monkeypatch):
     registry, _, lexicon, _, model = demo
     g = _c11_grammar(registry, lexicon, model)
     assert g.learnt
@@ -480,21 +480,25 @@ def test_combine_memo_is_transparent(demo):
     assert g.combine_memo
     warm = _observed(g, lexicon, model)
     fresh = _observed(_c11_grammar(registry, lexicon, model), lexicon, model)
-    unmemoised = _c11_grammar(registry, lexicon, model)
-    unmemoised.combine_memo = _NoMemo()
-    reference = _observed(unmemoised, lexicon, model)
+    with monkeypatch.context() as m:
+        m.setattr(grammar_module, "_CATS", _NoMemo())  # every category computed too
+        unmemoised = _c11_grammar(registry, lexicon, model)
+        unmemoised.combine_memo = _NoMemo()
+        reference = _observed(unmemoised, lexicon, model)
     assert cold == warm == fresh == reference
     assert any(bounded for _, _, _, bounded, _ in reference)
 
 
-def test_combine_memo_keeps_learning_unchanged(demo):
+def test_combine_memo_keeps_learning_unchanged(demo, monkeypatch):
     registry, _, lexicon, _, model = demo
     memoised, unmemoised = Grammar(registry), Grammar(registry)
     for g in (memoised, unmemoised):
         g.load_rules(data_path("demo.grammar"))
     unmemoised.combine_memo = _NoMemo()  # the mutators clear it, never rebind it
     reasons = _learn_c11(memoised, lexicon, model)
-    assert reasons == _learn_c11(unmemoised, lexicon, model)
+    with monkeypatch.context() as m:
+        m.setattr(grammar_module, "_CATS", _NoMemo())  # every category computed too
+        assert reasons == _learn_c11(unmemoised, lexicon, model)
     assert any("redundant" in edges for edges in reasons)
     assert [(r.id, r.instances) for r in memoised.learnt] == [
         (r.id, r.instances) for r in unmemoised.learnt
@@ -525,7 +529,7 @@ def test_rules_the_chart_builds_share_the_grammars_categories(demo):
     for rule in g.learnt:
         cats = [(LHS, rule.lhs)] + [(slot(i), rule.rhs(i)) for i in range(1, rule.arity + 1)]
         for feat, cat in cats:
-            assert cat is g.category_at(rule.instances, feat)
+            assert cat is cat_at(rule.instances, feat)
 
 
 def _rejections_and_learnt_ids(g, lexicon, model, sentences):
@@ -576,7 +580,7 @@ def test_rejection_histogram_and_learnt_ids_are_pinned(demo):
     )
 
 
-def test_edge_categories_equal_a_fresh_cat_at(demo):
+def test_edge_categories_equal_a_fresh_cat_at(demo, monkeypatch):
     registry, _, lexicon, _, model = demo
     g = Grammar(registry)
     g.load_rules(data_path("demo.grammar"))
@@ -588,9 +592,12 @@ def test_edge_categories_equal_a_fresh_cat_at(demo):
 
     def check(got, instances, feat):
         # the memo's own entry, and equal to one computed afresh
-        assert got is g.category_at(instances, feat)
+        assert got is cat_at(instances, feat)
         if (instances, feat) not in fresh:
-            fresh[instances, feat] = cat_at(instances, feat)
+            with monkeypatch.context() as m:
+                m.setattr(grammar_module, "_CATS", _NoMemo())
+                fresh[instances, feat] = cat_at(instances, feat)
+            assert fresh[instances, feat] is not got
         assert got == fresh[instances, feat]
 
     checked = 0
@@ -615,7 +622,7 @@ def test_node_table_stops_growing_when_a_session_is_repeated(demo):
         for sentence in DEMO_SENTENCES:
             parse(sentence.split(), g, lexicon, model, flags=full_flags())
         values = sum(node.fs is not None for node in fs_module._NODES.values())
-        sizes.append((len(fs_module._NODES), values))
+        sizes.append((len(fs_module._NODES), values, len(grammar_module._CATS)))
     assert sizes[0] == sizes[1]
 
 
@@ -928,11 +935,11 @@ def _reference_trees(parser, edge, forced, calls):
     narrowed = parser.grammar.survivors(edge.instances, LHS, forced.disjuncts)
     if not narrowed:
         return
-    node_cat = parser.grammar.category_at(narrowed, LHS)
+    node_cat = cat_at(narrowed, LHS)
     rule_id = edge.built_rule.id if edge.built_rule is not None else edge.rule_id
     child_lists = [
         list(_reference_trees(
-            parser, parser.chart.edge(cid), parser.grammar.category_at(narrowed, slot(i)), calls
+            parser, parser.chart.edge(cid), cat_at(narrowed, slot(i)), calls
         ))
         for i, cid in enumerate(edge.children, start=1)
     ]

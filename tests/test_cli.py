@@ -2,6 +2,7 @@ import hashlib
 import io
 
 from gramgrow.cli import EXIT_OK, EXIT_RESOURCE, Session, cmd_eval, main, run_repl
+from gramgrow import resources
 from gramgrow.resources import data_path
 
 
@@ -262,6 +263,33 @@ def test_main_eval_learnt_without_grammar(tmp_path, capsys):
     learnt.write_text("")
     assert main(["eval", "--learnt", str(learnt)]) == EXIT_RESOURCE
     assert capsys.readouterr().err == "error: load a grammar first\n"
+
+
+def test_main_eval_with_the_claws_bundle(capsys):
+    # claws ships features, a lexicon and labels, but no grammar or model
+    assert main(["eval", "--bundle", "claws", "--random", "2", "3"]) == EXIT_OK
+    assert "Generated 0.0% of the random strings." in capsys.readouterr().out
+
+
+def test_load_bundle_replaces_every_resource_or_none(tmp_path, monkeypatch):
+    session, out = fresh_session()
+    demo = session.registry
+    # a bundle whose lexicon fails after its features and grammar have loaded
+    for ext in ("features", "grammar"):
+        (tmp_path / ("broken." + ext)).write_bytes(data_path("demo." + ext).read_bytes())
+    (tmp_path / "broken.lexicon").write_text("not a lexicon line\n")
+    with monkeypatch.context() as m:
+        m.setattr(resources, "data_path", lambda name: tmp_path / name)
+        run_script(session, ["load-bundle broken"])
+    assert out.getvalue().count("error:") == 1
+    assert session.registry is demo and session.grammar.registry is demo
+    run_script(session, ["load-bundle claws"])
+    assert out.getvalue().count("error:") == 1
+    assert session.registry is not demo
+    assert session.grammar.registry is session.registry
+    assert session.lexicon.registry is session.registry
+    assert session.grammar.rules == [] and session.model is None
+    assert session.lexicon.lookup_token("NN1")
 
 
 def test_main_repl_script(tmp_path, capsys):

@@ -537,9 +537,14 @@ def test_equal_category_value_set_vs_disjunction():
 
 def test_equal_is_mutual_subsumption():
     rng = random.Random(23)
+    outcomes = set()
     for _ in range(300):
         a, b = random_fs(rng), random_fs(rng)
-        assert equal(a, b) == (subsumes(a, b) and subsumes(b, a))
+        reparsed = parse_fs(print_fs(a, GEN_REGISTRY), GEN_REGISTRY).disjuncts[0]
+        for x, y in ((a, b), (unify(a, a), a), (reparsed, a), (a, random_extension(rng, a))):
+            assert equal(x, y) == (subsumes(x, y) and subsumes(y, x))
+            outcomes.add(equal(x, y))
+    assert outcomes == {True, False}
 
 
 # -- simplify ----------------------------------------------------------------
