@@ -22,7 +22,7 @@ from .constructor import (
     construct_unary_cat,
 )
 from .fs import Category, EMPTY_CAT, unify_cat
-from .grammar import LHS, SupportRecord, UnknownTerminal, cat_at, slot, super_rule
+from .grammar import LHS, SupportRecord, UnknownTerminal, cat_at, narrow, slot, super_rule
 from .model import DEFAULT_NONHEAD, criticise_rhs
 from . import scoring
 
@@ -302,9 +302,9 @@ class ChartParser:
             if self._rules is None:
                 self._rules = self._proposal_rules()
             rules = self._rules
-        for rule, survivors in self.grammar.proposals(rules, inactive.cat().disjuncts):
+        for rule, insts in self.grammar.proposals(rules, inactive.cat().disjuncts):
             self._add_edge(
-                rule.id, inactive.start, inactive.end, rule.arity, 1, survivors, (inactive.id,)
+                rule.id, inactive.start, inactive.end, rule.arity, 1, insts, (inactive.id,)
             )
 
     def extend(self, active, inactive):
@@ -314,15 +314,15 @@ class ChartParser:
             return
         # edges may share this tuple: Edge.replace_instances rebinds
         nfound = active.nfound + 1
-        survivors = self.grammar.survivors(active.instances, slot(nfound), inactive.cat().disjuncts)
-        if survivors:
+        insts = narrow(active.instances, slot(nfound), inactive.cat().disjuncts)
+        if insts:
             self._add_edge(
                 active.rule_id,
                 active.start,
                 inactive.end,
                 active.arity,
                 nfound,
-                survivors,
+                insts,
                 active.children + (inactive.id,),
             )
 
@@ -437,7 +437,7 @@ class ChartParser:
                 continue
             insts = rule.instances
             for i, c in enumerate(rhs, start=1):
-                insts = self.grammar.survivors(insts, slot(i), c.disjuncts)
+                insts = narrow(insts, slot(i), c.disjuncts)
                 if not insts:
                     break
             else:
@@ -483,7 +483,7 @@ class ChartParser:
             if not cat.is_bottom:
                 yield ParseTree(cat, token=edge.token)
             return
-        narrowed = self.grammar.survivors(edge.instances, LHS, forced.disjuncts)
+        narrowed = narrow(edge.instances, LHS, forced.disjuncts)
         if not narrowed:
             return
         node_cat = cat_at(narrowed, LHS)

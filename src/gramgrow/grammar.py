@@ -153,18 +153,24 @@ def make_rule(rule_id, lhs_cat, rhs_cats, origin=ORIGINAL, support=None):
     return Rule(rule_id, len(rhs_cats), instances, origin, support)
 
 
+_NARROWED = {}  # (instances, position, disjuncts) -> narrow()'s result, for the process
+_UNIFIED = {}  # (instance, position, disjunct) -> fs.unify()'s result or None, likewise
 _UNSEEN = object()
 
 
-def narrow(instances, feat, disjuncts, memo=None):
+def narrow(instances, feat, disjuncts):
     """The instances that accept a daughter at one rule position: each
     instance unified with each daughter disjunct at `feat`, instances first,
-    without repeats.  Pairs whose root atoms clash are never unified; the
-    result of every other (instance, feat, disjunct) pair is looked up in
-    `memo`, a dict, and stored there (None included) on a miss.  Instances
-    that share a value at `feat` share its clash tests."""
-    if memo is None:
-        memo = {}
+    without repeats.  A pure function of interned values, kept in _NARROWED
+    for the process (the empty result included).  Pairs whose root atoms
+    clash are never unified; the result of every other (instance, feat,
+    disjunct) pair is kept in _UNIFIED (None included), so each pair is
+    unified once, whichever instance tuples share it.  Instances that share
+    a value at `feat` share its clash tests."""
+    key = (instances, feat, disjuncts)
+    hit = _NARROWED.get(key)
+    if hit is not None:
+        return hit
     unclashed = {}  # value at feat -> the disjuncts whose root atoms it admits
     found = []
     for inst in instances:
@@ -177,19 +183,20 @@ def narrow(instances, feat, disjuncts, memo=None):
                 ds = disjuncts
             unclashed[slot_fs] = ds
         for d in ds:
-            key = (inst, feat, d)
-            u = memo.get(key, _UNSEEN)
+            pair = (inst, feat, d)
+            u = _UNIFIED.get(pair, _UNSEEN)
             if u is _UNSEEN:
-                u = memo[key] = fsmod.unify(inst, d, at=feat)
+                u = _UNIFIED[pair] = fsmod.unify(inst, d, at=feat)
             if u is not None:
                 found.append(u)
-    return tuple(dict.fromkeys(found))
+    hit = _NARROWED[key] = tuple(dict.fromkeys(found))
+    return hit
 
 
 @functools.cache
 def super_rule(arity):
     """The super rule of an arity: one object per process, so the chart's
-    proposal keys in Grammar.combine_memo repeat across parses."""
+    proposal keys in Grammar.proposal_memo repeat across parses."""
     origin = SUPER_UNARY if arity == 1 else SUPER_BINARY
     cats = [EMPTY_CAT] * arity
     return make_rule("*super-%s*" % ("unary" if arity == 1 else "binary"), EMPTY_CAT, cats, origin)
@@ -236,24 +243,19 @@ class Grammar:
         self._by_id = {}
         self._learn_counter = 0
         self.max_bar = max_bar_of(registry)
-        # Two memos serve a whole learning session.  Interned nodes keep
-        # their value keys small.
-        # combine_memo holds three kinds of entry, told apart by key shape:
-        # (rule instances, slot, daughter disjuncts) -> narrow()'s result,
-        # filled by survivors(); (instance, slot, disjunct) -> fs.unify()'s
-        # result or None, for each pair narrow() unifies on a survivors()
-        # miss; and (tuple of Rule objects, daughter disjuncts) ->
-        # proposals()'s result.  Keys are values, so entries never go stale
-        # and adding rules leaves the memo alone.  A Rule compares by
-        # identity, which is sound here: a rule's instances are never
-        # reassigned, and the key keeps its rules alive, so no new object
-        # can take over a key's identities.  Removing or replacing a learnt
-        # rule (refinement) empties the memo.
+        # Two memos serve a whole learning session; narrow() and cat_at()
+        # keep their own tables for the process.
+        # proposal_memo: (tuple of Rule objects, daughter disjuncts) ->
+        # proposals()'s result.  Adding rules leaves it alone.  A Rule
+        # compares by identity, which is sound here: a rule's instances are
+        # never reassigned, and the key keeps its rules alive, so no new
+        # object can take over a key's identities.  Removing or replacing a
+        # learnt rule (refinement) empties it.
         # critic_memo: (RHS disjuncts, model, lp, types, hfc) -> the chart's
         # critic verdict, a bad_reason string or a rule built under a
         # placeholder id.  The redundancy check reads the original rules, so
         # adding an original rule empties it; learnt rules never reach it.
-        self.combine_memo = {}
+        self.proposal_memo = {}
         self.critic_memo = {}
 
     def __contains__(self, rule_id):
@@ -308,13 +310,13 @@ class Grammar:
     def remove_learnt(self, rule_id):
         rule = self._by_id.pop(rule_id)
         self.learnt.remove(rule)
-        self.combine_memo.clear()
+        self.proposal_memo.clear()
 
     def replace_learnt(self, rule_id, new_rule):
         idx = self.learnt.index(self._by_id[rule_id])
         self.learnt[idx] = new_rule
         self._by_id[rule_id] = new_rule
-        self.combine_memo.clear()
+        self.proposal_memo.clear()
 
     def subsumer_of(self, rule):
         """The first rule, original then learnt, that covers `rule`; rules
@@ -324,34 +326,20 @@ class Grammar:
                 return existing
         return None
 
-    def survivors(self, instances, feat, disjuncts):
-        """narrow(), memoised: a pure function of three values, kept for
-        the session (the empty result included).  A miss looks each
-        instance/disjunct pair up in the same memo, so each rule/daughter
-        pair is unified once per session, across spans, parses and the
-        tuples that share it.  Callers may share the tuple."""
-        memo = self.combine_memo
-        key = (instances, feat, disjuncts)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = narrow(instances, feat, disjuncts, memo)
-        return hit
-
     def proposals(self, rules, disjuncts):
-        """(rule, survivors) for each of `rules`, a tuple, in order, whose
-        first daughter accepts a category with these disjuncts; rules that
-        accept none of it are left out.  Memoised like survivors(), under
-        the rules themselves (see __init__)."""
+        """(rule, narrowed instances) for each of `rules`, a tuple, in order,
+        whose first daughter accepts a category with these disjuncts; rules
+        that accept none of it are left out.  Memoised in proposal_memo."""
         key = (rules, disjuncts)
-        hit = self.combine_memo.get(key)
+        hit = self.proposal_memo.get(key)
         if hit is None:
             first = slot(1)
             found = []
             for rule in rules:
-                insts = self.survivors(rule.instances, first, disjuncts)
+                insts = narrow(rule.instances, first, disjuncts)
                 if insts:
                     found.append((rule, insts))
-            hit = self.combine_memo[key] = tuple(found)
+            hit = self.proposal_memo[key] = tuple(found)
         return hit
 
     # -- persistence ----------------------------------------------------------
@@ -456,10 +444,12 @@ class Lexicon:
             if not line.startswith("lex "):
                 raise MalformedSyntax("lexicon lines start with 'lex': %r" % line)
             head, _, body = line[4:].partition(":")
-            terminal = head.strip()
+            words = head.split()
+            if len(words) != 1:
+                raise MalformedSyntax("lexicon entries need one terminal word: %r" % line)
             cat = parse_fs(body.strip(), registry)
             for d in cat.disjuncts:
-                lex.add(terminal, d)
+                lex.add(words[0], d)
         return lex
 
 

@@ -44,7 +44,6 @@ def refine_lhs(store, rule, registry=None):
     if len(winners) != 1:
         return rule, None, best
     winner = winners[0]
-    # not memoised: replace_learnt empties the memo right after
     instances = narrow(rule.instances, LHS, (winner,))
     refined = Rule(rule.id, rule.arity, instances, rule.origin, rule.support)
     return refined, winner, best

@@ -18,6 +18,7 @@ from gramgrow.grammar import (
     cat_at,
     format_rule,
     make_rule,
+    narrow,
     slot,
     super_rule,
 )
@@ -477,13 +478,14 @@ def test_combine_memo_is_transparent(demo, monkeypatch):
     g = _c11_grammar(registry, lexicon, model)
     assert g.learnt
     cold = _observed(g, lexicon, model)
-    assert g.combine_memo
+    assert g.proposal_memo and grammar_module._NARROWED and grammar_module._UNIFIED
     warm = _observed(g, lexicon, model)
     fresh = _observed(_c11_grammar(registry, lexicon, model), lexicon, model)
     with monkeypatch.context() as m:
-        m.setattr(grammar_module, "_CATS", _NoMemo())  # every category computed too
+        for table in ("_CATS", "_NARROWED", "_UNIFIED"):  # every value computed
+            m.setattr(grammar_module, table, _NoMemo())
         unmemoised = _c11_grammar(registry, lexicon, model)
-        unmemoised.combine_memo = _NoMemo()
+        unmemoised.proposal_memo = _NoMemo()
         reference = _observed(unmemoised, lexicon, model)
     assert cold == warm == fresh == reference
     assert any(bounded for _, _, _, bounded, _ in reference)
@@ -494,10 +496,11 @@ def test_combine_memo_keeps_learning_unchanged(demo, monkeypatch):
     memoised, unmemoised = Grammar(registry), Grammar(registry)
     for g in (memoised, unmemoised):
         g.load_rules(data_path("demo.grammar"))
-    unmemoised.combine_memo = _NoMemo()  # the mutators clear it, never rebind it
+    unmemoised.proposal_memo = _NoMemo()  # the mutators clear it, never rebind it
     reasons = _learn_c11(memoised, lexicon, model)
     with monkeypatch.context() as m:
-        m.setattr(grammar_module, "_CATS", _NoMemo())  # every category computed too
+        for table in ("_CATS", "_NARROWED", "_UNIFIED"):  # every value computed
+            m.setattr(grammar_module, table, _NoMemo())
         assert reasons == _learn_c11(unmemoised, lexicon, model)
     assert any("redundant" in edges for edges in reasons)
     assert [(r.id, r.instances) for r in memoised.learnt] == [
@@ -505,8 +508,10 @@ def test_combine_memo_keeps_learning_unchanged(demo, monkeypatch):
     ]
 
 
-def test_each_instance_disjunct_pair_is_unified_once_per_grammar(demo, monkeypatch):
+def test_each_instance_disjunct_pair_is_unified_once_per_process(demo, monkeypatch):
     registry, _, lexicon, _, model = demo
+    for table in ("_NARROWED", "_UNIFIED"):  # cold, whatever ran before
+        monkeypatch.setattr(grammar_module, table, {})
     calls = collections.Counter()
     unify_at = grammar_module.fsmod.unify
 
@@ -622,7 +627,8 @@ def test_node_table_stops_growing_when_a_session_is_repeated(demo):
         for sentence in DEMO_SENTENCES:
             parse(sentence.split(), g, lexicon, model, flags=full_flags())
         values = sum(node.fs is not None for node in fs_module._NODES.values())
-        sizes.append((len(fs_module._NODES), values, len(grammar_module._CATS)))
+        tables = (grammar_module._CATS, grammar_module._NARROWED, grammar_module._UNIFIED)
+        sizes.append((len(fs_module._NODES), values) + tuple(len(t) for t in tables))
     assert sizes[0] == sizes[1]
 
 
@@ -805,14 +811,14 @@ def test_critic_verdicts_follow_the_flags_and_the_model(demo):
 
 
 class _PerRuleParser(ChartParser):
-    """Proposes as the chart did before Grammar.proposals: one survivors
-    lookup per rule, an edge for each rule that accepts the category."""
+    """Proposes as the chart did before Grammar.proposals: one narrow()
+    per rule, an edge for each rule that accepts the category."""
 
     def propose(self, inactive, rules=None):
         if inactive.bad:
             return
         for rule in rules if rules is not None else self._proposal_rules():
-            found = self.grammar.survivors(rule.instances, slot(1), inactive.cat().disjuncts)
+            found = narrow(rule.instances, slot(1), inactive.cat().disjuncts)
             if found:
                 self._add_edge(
                     rule.id, inactive.start, inactive.end, rule.arity, 1, found, (inactive.id,)
@@ -859,11 +865,8 @@ def test_proposal_memo_stays_bounded_in_a_learning_session(tmp_path):
     session.load_bundle("demo")
     run_repl(session, ["set learning on", "set hfc on", "limits off off", "learn-corpus %s" % corpus])
     assert session.grammar.learnt
-    tuples = {
-        key[0]
-        for key in session.grammar.combine_memo
-        if len(key) == 2 and all(isinstance(r, Rule) for r in key[0])
-    }
+    tuples = {rules for rules, _ in session.grammar.proposal_memo}
+    assert all(isinstance(r, Rule) for rules in tuples for r in rules)
     assert len(tuples) <= 3
     assert super_rule(2) is super_rule(2)
     assert any(super_rule(2) in rules for rules in tuples)
@@ -932,7 +935,7 @@ def _reference_trees(parser, edge, forced, calls):
         if not cat.is_bottom:
             yield ParseTree(cat, token=edge.token)
         return
-    narrowed = parser.grammar.survivors(edge.instances, LHS, forced.disjuncts)
+    narrowed = narrow(edge.instances, LHS, forced.disjuncts)
     if not narrowed:
         return
     node_cat = cat_at(narrowed, LHS)

@@ -160,6 +160,25 @@ def test_cyclic_tag_in_lexicon_keeps_session_alive(tmp_path):
     assert _survives("load-lexicon %s" % lexicon)
 
 
+def _rejects_lexicon_line(tmp_path, line):
+    """A lexicon with this line is refused by the REPL and by gramgrow eval."""
+    lexicon = tmp_path / "bad.lexicon"
+    lexicon.write_text(line + "\n")
+    argv = ["eval", "--features", str(data_path("demo.features")), "--grammar",
+            str(data_path("demo.grammar")), "--lexicon", str(lexicon), "--random", "12", "3"]
+    return _survives("load-lexicon %s" % lexicon) and main(argv) == EXIT_RESOURCE
+
+
+def test_lexicon_entry_without_a_terminal_is_rejected(tmp_path, capsys):
+    assert _rejects_lexicon_line(tmp_path, "lex : [N +, V -, BAR 0]")
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_lexicon_entry_with_two_terminal_words_is_rejected(tmp_path, capsys):
+    assert _rejects_lexicon_line(tmp_path, "lex the big : [N +, V -, BAR 0]")
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_set_sbl_requires_triples():
     session, out = fresh_session()
     run_script(session, ["set sbl on", "quit"])

@@ -145,14 +145,16 @@ def test_narrow_matches_the_pairwise_reference_random(monkeypatch):
         daughters += random_category(rng).disjuncts
         drawn = rng.sample(daughters, min(len(daughters), rng.randint(1, 4)))
         disjuncts = tuple(dict.fromkeys(drawn))
-        memo, want_memo = {}, {}
+        unified, want_memo = {}, {}
+        monkeypatch.setattr(grammar_module, "_UNIFIED", unified)
+        monkeypatch.setattr(grammar_module, "_NARROWED", {})
         for _ in range(2):  # cold, then warm
             tested.clear()
-            got = narrow(rule.instances, feat, disjuncts, memo)
+            got = narrow(rule.instances, feat, disjuncts)
             assert max(tested.values(), default=0) <= 1
             want = _pairwise_narrow(rule.instances, feat, disjuncts, want_memo, plain)
             assert got == want
-            assert memo == want_memo
+            assert unified == want_memo
         seen["shared values"] += len(set(values)) < len(values)
         seen["refused"] += any(isinstance(v, FS) and plain(v, d) for v in values for d in disjuncts)
         seen["unconstrained"] += None in values
@@ -321,18 +323,18 @@ def test_combine_memo_lives_until_a_rule_is_removed_or_replaced(tmp_path, demo):
     ]
     for add in additions:
         observed(g)
-        before = dict(g.combine_memo)
+        before = dict(g.proposal_memo)
         assert before
         add()
-        assert all(g.combine_memo.get(key) is value for key, value in before.items())
+        assert all(g.proposal_memo.get(key) is value for key, value in before.items())
         assert observed(g) == observed(fresh_copy())
     assert [r.id for r in g.learnt] == ["*u1", "*u9"]
     # refinement's mutators still empty it
     for shrink in [lambda: g.replace_learnt("*u1", u1b), lambda: g.remove_learnt("*u1")]:
         observed(g)
-        assert g.combine_memo
+        assert g.proposal_memo
         shrink()
-        assert g.combine_memo == {}
+        assert g.proposal_memo == {}
 
 
 def test_load_rules_adds_all_or_nothing(tmp_path, demo):
