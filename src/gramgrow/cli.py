@@ -18,6 +18,7 @@ from .fs import FSError, FeatureRegistry, MalformedSyntax, read_text
 from .grammar import Grammar, Lexicon, ParaphraseMap, UnknownTerminal
 from .model import load_model
 from .refine import RefineParams, refine_grammar
+from .resources import load_bundle
 from .scoring import TripleStore, train, train_local_trees
 
 EXIT_OK = 0
@@ -81,23 +82,7 @@ class Session:
         self.labels = ParaphraseMap.load(path, self._features())
 
     def load_bundle(self, name):
-        """Load the files a shipped bundle has, all of them or none.  A bundle
-        without a grammar gets an empty one, and one without a model none."""
-        from .resources import data_path
-
-        def path(ext):
-            return data_path(name + ext)
-
-        registry = FeatureRegistry.load(path(".features"))
-        grammar = Grammar(registry)
-        if path(".grammar").is_file():
-            grammar.load_rules(path(".grammar"))
-        lexicon = Lexicon.load(path(".lexicon"), registry)
-        model = load_model(path(".model"), registry) if path(".model").is_file() else None
-        labels = ParaphraseMap.load(path(".labels"), registry)
-        self.registry, self.grammar, self.lexicon, self.model, self.labels = (
-            registry, grammar, lexicon, model, labels
-        )
+        self.registry, self.grammar, self.lexicon, self.model, self.labels = load_bundle(name)
 
     def ready(self):
         return self.grammar is not None and self.lexicon is not None
@@ -418,6 +403,8 @@ def _eval_args():
 def _run_eval(session, ns):
     if not session.ready():
         raise FSError("eval needs a grammar and a lexicon")
+    if ns.plausible is not None and session.labels is None:
+        raise FSError("eval --plausible needs labels: load-paraphrase FILE, or --labels FILE")
     if ns.k < 1:
         raise MalformedSyntax("--k must be >= 1")
     count, length = ns.random or (0, 6)

@@ -79,7 +79,6 @@ class Rule:
         self.instances = tuple(instances)  # tuple of wrapper FS, never reassigned
         self.origin = origin
         self.support = support
-        self._atoms = None
 
     @property
     def lhs(self):
@@ -93,26 +92,6 @@ class Rule:
         category objects, since they depend on the instances alone."""
         return Rule(rule_id, self.arity, self.instances, self.origin, self.support)
 
-    def root_atoms(self):
-        """(position, feature) -> atom mask, for each feature that every
-        instance restricts to atoms at the root of that rule position: the
-        union of those atoms.  See atoms_clash."""
-        if self._atoms is None:
-            found = None
-            for inst in self.instances:
-                mine = {}
-                for pos in inst.root_features:
-                    value = inst.get(pos)
-                    if isinstance(value, FS):
-                        for feat, mask in value.root_atoms().items():
-                            mine[pos, feat] = mask
-                if found is None:
-                    found = mine
-                else:
-                    found = {k: mask | mine[k] for k, mask in found.items() if k in mine}
-            self._atoms = found
-        return self._atoms
-
     @property
     def rhs_cats(self):
         return tuple(self.rhs(i) for i in range(1, self.arity + 1))
@@ -121,20 +100,18 @@ class Rule:
         return "Rule(%s)" % self.id
 
 
-_CATS = {}  # (instances, position) -> cat_at()'s result, for the process
+# cat_at, narrow, _unified and _root_atoms are pure functions of interned
+# values, so each is cached for the process: an entry never goes stale, and
+# equal arguments get the same result object.  Callers pass arguments
+# positionally, so that one call is one cache key.
 
 
+@functools.cache
 def cat_at(instances, feat):
     """The category at one rule position: the simplified disjunction of the
-    instances' values there (an unconstrained value reads as []).  A pure
-    function of interned values, so each result is kept in _CATS, which
-    never goes stale: equal arguments always get the same object."""
-    key = (instances, feat)
-    hit = _CATS.get(key)
-    if hit is None:
-        values = [inst.get(feat) for inst in instances]
-        hit = _CATS[key] = simplify(Category([v if isinstance(v, FS) else FS.empty() for v in values]))
-    return hit
+    instances' values there (an unconstrained value reads as [])."""
+    values = [inst.get(feat) for inst in instances]
+    return simplify(Category([v if isinstance(v, FS) else FS.empty() for v in values]))
 
 
 def make_rule(rule_id, lhs_cat, rhs_cats, origin=ORIGINAL, support=None):
@@ -153,24 +130,14 @@ def make_rule(rule_id, lhs_cat, rhs_cats, origin=ORIGINAL, support=None):
     return Rule(rule_id, len(rhs_cats), instances, origin, support)
 
 
-_NARROWED = {}  # (instances, position, disjuncts) -> narrow()'s result, for the process
-_UNIFIED = {}  # (instance, position, disjunct) -> fs.unify()'s result or None, likewise
-_UNSEEN = object()
-
-
+@functools.cache
 def narrow(instances, feat, disjuncts):
     """The instances that accept a daughter at one rule position: each
     instance unified with each daughter disjunct at `feat`, instances first,
-    without repeats.  A pure function of interned values, kept in _NARROWED
-    for the process (the empty result included).  Pairs whose root atoms
-    clash are never unified; the result of every other (instance, feat,
-    disjunct) pair is kept in _UNIFIED (None included), so each pair is
-    unified once, whichever instance tuples share it.  Instances that share
-    a value at `feat` share its clash tests."""
-    key = (instances, feat, disjuncts)
-    hit = _NARROWED.get(key)
-    if hit is not None:
-        return hit
+    without repeats.  Pairs whose root atoms clash are never unified; every
+    other pair is unified once per process, whichever instance tuples share
+    it (see _unified).  Instances that share a value at `feat` share its
+    clash tests."""
     unclashed = {}  # value at feat -> the disjuncts whose root atoms it admits
     found = []
     for inst in instances:
@@ -183,14 +150,16 @@ def narrow(instances, feat, disjuncts):
                 ds = disjuncts
             unclashed[slot_fs] = ds
         for d in ds:
-            pair = (inst, feat, d)
-            u = _UNIFIED.get(pair, _UNSEEN)
-            if u is _UNSEEN:
-                u = _UNIFIED[pair] = fsmod.unify(inst, d, at=feat)
+            u = _unified(inst, feat, d)
             if u is not None:
                 found.append(u)
-    hit = _NARROWED[key] = tuple(dict.fromkeys(found))
-    return hit
+    return tuple(dict.fromkeys(found))
+
+
+@functools.cache
+def _unified(inst, feat, d):
+    # fsmod.unify is looked up per call, so a rebound fs.unify sees every miss
+    return fsmod.unify(inst, d, at=feat)
 
 
 @functools.cache
@@ -211,11 +180,31 @@ def rule_subsumes(r, s):
     return all(subsumes_cat(r.rhs(i), s.rhs(i)) for i in range(1, r.arity + 1))
 
 
+@functools.cache
+def _root_atoms(instances):
+    """(position, feature) -> atom mask, for each feature that every
+    instance restricts to atoms at the root of that rule position: the
+    union of those atoms."""
+    found = None
+    for inst in instances:
+        mine = {}
+        for pos in inst.root_features:
+            value = inst.get(pos)
+            if isinstance(value, FS):
+                for feat, mask in value.root_atoms().items():
+                    mine[pos, feat] = mask
+        if found is None:
+            found = mine
+        else:
+            found = {k: mask | mine[k] for k, mask in found.items() if k in mine}
+    return found
+
+
 def atoms_clash(r, s):
     """Some position and feature that both rules restrict to atoms admits no
     common atom, so neither rule covers the other: every expansion of every
     disjunct there keeps its atoms apart from the other rule's."""
-    a, b = r.root_atoms(), s.root_atoms()
+    a, b = _root_atoms(r.instances), _root_atoms(s.instances)
     if len(b) < len(a):
         a, b = b, a
     for key, mask in a.items():
@@ -244,7 +233,7 @@ class Grammar:
         self._learn_counter = 0
         self.max_bar = max_bar_of(registry)
         # Two memos serve a whole learning session; narrow() and cat_at()
-        # keep their own tables for the process.
+        # are cached for the process.
         # proposal_memo: (tuple of Rule objects, daughter disjuncts) ->
         # proposals()'s result.  Adding rules leaves it alone.  A Rule
         # compares by identity, which is sound here: a rule's instances are

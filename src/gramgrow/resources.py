@@ -4,25 +4,26 @@ from importlib import resources
 
 from .fs import FeatureRegistry
 from .grammar import Grammar, Lexicon, ParaphraseMap
+from .model import load_model
 
 
 def data_path(name):
     return resources.files("gramgrow").joinpath("data", name)
 
 
-def load_demo():
-    """Registry, grammar, lexicon and label map of the demonstration bundle."""
-    registry = FeatureRegistry.load(data_path("demo.features"))
+def load_bundle(name):
+    """(registry, grammar, lexicon, model, labels) of a shipped bundle, all
+    loaded or none.  A bundle without a grammar gets an empty one, and one
+    without a model None."""
+
+    def path(ext):
+        return data_path(name + ext)
+
+    registry = FeatureRegistry.load(path(".features"))
     grammar = Grammar(registry)
-    grammar.load_rules(data_path("demo.grammar"))
-    lexicon = Lexicon.load(data_path("demo.lexicon"), registry)
-    labels = ParaphraseMap.load(data_path("demo.labels"), registry)
-    return registry, grammar, lexicon, labels
-
-
-def load_claws():
-    """Registry, lexicon and label map for the CLAWS tag set (no grammar)."""
-    registry = FeatureRegistry.load(data_path("claws.features"))
-    lexicon = Lexicon.load(data_path("claws.lexicon"), registry)
-    labels = ParaphraseMap.load(data_path("claws.labels"), registry)
-    return registry, lexicon, labels
+    if path(".grammar").is_file():
+        grammar.load_rules(path(".grammar"))
+    lexicon = Lexicon.load(path(".lexicon"), registry)
+    model = load_model(path(".model"), registry) if path(".model").is_file() else None
+    labels = ParaphraseMap.load(path(".labels"), registry)
+    return registry, grammar, lexicon, model, labels

@@ -10,6 +10,7 @@ are similarities, not probabilities.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -44,10 +45,8 @@ class TripleStore:
         self._index = {}
         # (a, b) disjuncts -> [triples tested so far, the compatible ones
         # among them]; a lookup tests only the triples added since its last
-        # visit.  (triple structure, query disjuncts) -> _compatible()'s
-        # result, shared by mothers and daughters: a structure may be either
+        # visit
         self._cache = {}
-        self._compat = {}
         self.total = 0
 
     def add(self, mother, daughter, freq=1):
@@ -73,18 +72,12 @@ class TripleStore:
             entry = self._cache[ka, kb] = [0, []]
         tested, found = entry
         for t in self.triples[tested:]:
-            if self._memo_compatible(t.mother, ka) and self._memo_compatible(t.daughter, kb):
+            if _compatible(t.mother, ka) and _compatible(t.daughter, kb):
                 found.append(t)
         entry[0] = len(self.triples)
         # frequencies are integers, so the sum is exact in any order
         acc = sum(t.freq for t in found)
         return acc / self.total if acc else self.delta
-
-    def _memo_compatible(self, t_fs, disjuncts):
-        hit = self._compat.get((t_fs, disjuncts))
-        if hit is None:
-            hit = self._compat[t_fs, disjuncts] = _compatible(t_fs, disjuncts)
-        return hit
 
     def save(self, path, registry=None):
         with open(path, "w", encoding="utf-8") as f:
@@ -133,7 +126,11 @@ def _parse_triple_body(body, registry):
     return [c.disjuncts[0] for c in cats], int(words[1])
 
 
+@functools.cache
 def _compatible(t_fs, disjuncts):
+    """A pure function of interned values, cached for the process and shared
+    by mothers and daughters: a structure may be either.  `unify` is looked
+    up per call, so a rebound fs.unify sees every miss."""
     return any(unify(t_fs, d) is not None for d in disjuncts)
 
 

@@ -24,9 +24,9 @@ from gramgrow.fs import (
     unify_cat,
 )
 from gramgrow.grammar import Grammar, SupportRecord, parse_rule_line
-from gramgrow.model import load_model, match, parse_pattern
+from gramgrow.model import match, parse_pattern
 from gramgrow.refine import RefineParams, refine_grammar
-from gramgrow.resources import data_path, load_demo
+from gramgrow.resources import data_path, load_bundle
 from gramgrow.scoring import TripleStore, geo_mean, score_tree, train, train_local_trees
 
 from genfs import GEN_REGISTRY, random_category, random_extension, random_fs
@@ -38,8 +38,7 @@ def _ok(n, text):
 
 @pytest.fixture(scope="module")
 def demo():
-    registry, _, lexicon, labels = load_demo()
-    model = load_model(data_path("demo.model"), registry)
+    registry, _, lexicon, model, labels = load_bundle("demo")
     return registry, lexicon, labels, model
 
 

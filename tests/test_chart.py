@@ -7,7 +7,13 @@ import pytest
 from gramgrow.chart import ChartParser, ParseTree, ParserLimits, SessionFlags, parse
 from gramgrow.cli import Session, run_repl
 from gramgrow.evaluate import undergen
-from gramgrow import fs as fs_module, grammar as grammar_module
+from gramgrow import (
+    chart as chart_module,
+    fs as fs_module,
+    grammar as grammar_module,
+    refine as refine_module,
+    scoring as scoring_module,
+)
 from gramgrow.fs import Category, FeatureRegistry, parse_fs, unify, unify_cat
 from gramgrow.grammar import (
     LHS,
@@ -23,15 +29,12 @@ from gramgrow.grammar import (
     super_rule,
 )
 from gramgrow.model import load_model
-from gramgrow.resources import data_path, load_claws, load_demo
+from gramgrow.resources import data_path, load_bundle
 
 
 @pytest.fixture()
 def demo():
-    registry, _, lexicon, labels = load_demo()
-    grammar = Grammar(registry)
-    grammar.load_rules(data_path("demo.grammar"))
-    model = load_model(data_path("demo.model"), registry)
+    registry, grammar, lexicon, model, labels = load_bundle("demo")
     return registry, grammar, lexicon, labels, model
 
 
@@ -440,6 +443,24 @@ class _NoMemo(dict):
         pass
 
 
+CACHED = (
+    grammar_module.cat_at,
+    grammar_module.narrow,
+    grammar_module._unified,
+    grammar_module._root_atoms,
+    scoring_module._compatible,
+)
+
+
+def _uncache(m):
+    """Bind each cached function's plain body in its place, at every binding,
+    so that every value is computed afresh."""
+    for module in (grammar_module, chart_module, refine_module, scoring_module):
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in CACHED):
+                m.setattr(module, name, value.__wrapped__)
+
+
 def _learn_c11(g, lexicon, model):
     """Learn from the training sentences; the bad_reason of every edge."""
     flags = SessionFlags(learning=True, hfc=True)
@@ -478,12 +499,11 @@ def test_combine_memo_is_transparent(demo, monkeypatch):
     g = _c11_grammar(registry, lexicon, model)
     assert g.learnt
     cold = _observed(g, lexicon, model)
-    assert g.proposal_memo and grammar_module._NARROWED and grammar_module._UNIFIED
+    assert g.proposal_memo and all(f.cache_info().currsize for f in (narrow, grammar_module._unified))
     warm = _observed(g, lexicon, model)
     fresh = _observed(_c11_grammar(registry, lexicon, model), lexicon, model)
     with monkeypatch.context() as m:
-        for table in ("_CATS", "_NARROWED", "_UNIFIED"):  # every value computed
-            m.setattr(grammar_module, table, _NoMemo())
+        _uncache(m)
         unmemoised = _c11_grammar(registry, lexicon, model)
         unmemoised.proposal_memo = _NoMemo()
         reference = _observed(unmemoised, lexicon, model)
@@ -499,8 +519,7 @@ def test_combine_memo_keeps_learning_unchanged(demo, monkeypatch):
     unmemoised.proposal_memo = _NoMemo()  # the mutators clear it, never rebind it
     reasons = _learn_c11(memoised, lexicon, model)
     with monkeypatch.context() as m:
-        for table in ("_CATS", "_NARROWED", "_UNIFIED"):  # every value computed
-            m.setattr(grammar_module, table, _NoMemo())
+        _uncache(m)
         assert reasons == _learn_c11(unmemoised, lexicon, model)
     assert any("redundant" in edges for edges in reasons)
     assert [(r.id, r.instances) for r in memoised.learnt] == [
@@ -510,8 +529,8 @@ def test_combine_memo_keeps_learning_unchanged(demo, monkeypatch):
 
 def test_each_instance_disjunct_pair_is_unified_once_per_process(demo, monkeypatch):
     registry, _, lexicon, _, model = demo
-    for table in ("_NARROWED", "_UNIFIED"):  # cold, whatever ran before
-        monkeypatch.setattr(grammar_module, table, {})
+    narrow.cache_clear()  # cold, whatever ran before
+    grammar_module._unified.cache_clear()
     calls = collections.Counter()
     unify_at = grammar_module.fsmod.unify
 
@@ -572,7 +591,7 @@ def test_rejection_histogram_and_learnt_ids_are_pinned(demo):
             "*binary194", "*binary215", "*unary218", "*binary357",
         ],
     )
-    claws_registry, claws_lexicon, _ = load_claws()
+    claws_registry, _, claws_lexicon, _, _ = load_bundle("claws")
     claws_sentences = ["AT NN1 VVZ AT NN1", "AT JJ NN1", "AT AT NN1", "II AT NN1"]
     assert _rejections_and_learnt_ids(
         Grammar(claws_registry), claws_lexicon, None, claws_sentences
@@ -585,7 +604,7 @@ def test_rejection_histogram_and_learnt_ids_are_pinned(demo):
     )
 
 
-def test_edge_categories_equal_a_fresh_cat_at(demo, monkeypatch):
+def test_edge_categories_equal_a_fresh_cat_at(demo):
     registry, _, lexicon, _, model = demo
     g = Grammar(registry)
     g.load_rules(data_path("demo.grammar"))
@@ -599,9 +618,7 @@ def test_edge_categories_equal_a_fresh_cat_at(demo, monkeypatch):
         # the memo's own entry, and equal to one computed afresh
         assert got is cat_at(instances, feat)
         if (instances, feat) not in fresh:
-            with monkeypatch.context() as m:
-                m.setattr(grammar_module, "_CATS", _NoMemo())
-                fresh[instances, feat] = cat_at(instances, feat)
+            fresh[instances, feat] = cat_at.__wrapped__(instances, feat)
             assert fresh[instances, feat] is not got
         assert got == fresh[instances, feat]
 
@@ -627,8 +644,7 @@ def test_node_table_stops_growing_when_a_session_is_repeated(demo):
         for sentence in DEMO_SENTENCES:
             parse(sentence.split(), g, lexicon, model, flags=full_flags())
         values = sum(node.fs is not None for node in fs_module._NODES.values())
-        tables = (grammar_module._CATS, grammar_module._NARROWED, grammar_module._UNIFIED)
-        sizes.append((len(fs_module._NODES), values) + tuple(len(t) for t in tables))
+        sizes.append((len(fs_module._NODES), values) + tuple(f.cache_info().currsize for f in CACHED))
     assert sizes[0] == sizes[1]
 
 
@@ -691,7 +707,7 @@ def test_subsumer_scan_skips_only_rules_that_cannot_cover(demo, monkeypatch):
     monkeypatch.setattr(grammar_module, "rule_subsumes", counting_subsumes)
     monkeypatch.setattr(Grammar, "subsumer_of", checked_scan)
     g = _c11_grammar(registry, lexicon, model)
-    claws_registry, claws_lexicon, _ = load_claws()
+    claws_registry, _, claws_lexicon, _, _ = load_bundle("claws")
     _rejections_and_learnt_ids(Grammar(claws_registry), claws_lexicon, None, CLAWS_SENTENCES)
     assert g.learnt
     # the prefilter spared most of the full tests
@@ -717,7 +733,7 @@ def _criticised(g, lexicon, model, sentences, flags, limits=None):
 
 def test_critic_memo_keeps_learning_unchanged(demo):
     registry, _, lexicon, _, model = demo
-    claws_registry, claws_lexicon, _ = load_claws()
+    claws_registry, _, claws_lexicon, _, _ = load_bundle("claws")
     demo_grammars = [Grammar(registry), Grammar(registry)]
     for g in demo_grammars:
         g.load_rules(data_path("demo.grammar"))

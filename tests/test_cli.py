@@ -519,6 +519,41 @@ def test_one_pair_plausibility_file_with_out(tmp_path, capsys):
     assert code == EXIT_OK and "1 parse(s)" in out.getvalue()
 
 
+def _demo_without_labels():
+    """Load lines for the demo features, grammar and lexicon, and no labels."""
+    return [("load-" + kind, str(data_path("demo." + kind))) for kind in ("features", "grammar", "lexicon")]
+
+
+def test_eval_plausible_without_labels_keeps_session_alive(tmp_path, monkeypatch):
+    from gramgrow import evaluate
+
+    parsed = []
+    plain = evaluate.parse
+    monkeypatch.setattr(evaluate, "parse", lambda *args, **kwargs: parsed.append(args) or plain(*args, **kwargs))
+    pairs = tmp_path / "one.pairs"
+    pairs.write_text("Sam chases the cat\n(S (NP Sam) (VP (V0 chases) (NP (Det the) (N1 cat))))\n")
+    corpus = tmp_path / "test.corpus"
+    corpus.write_text("Sam chases the cat\n")
+    out = io.StringIO()
+    lines = ["%s %s" % load for load in _demo_without_labels()]
+    lines += ["eval --test %s --plausible %s" % (corpus, pairs), "Sam chases the cat", "quit"]
+    assert run_script(Session(out=out), lines) == EXIT_OK
+    text = out.getvalue()
+    assert "error: eval --plausible needs labels: load-paraphrase FILE" in text and "1 parse(s)" in text
+    assert not parsed  # refused before any parsing
+
+
+def test_main_eval_plausible_without_labels(tmp_path, capsys):
+    pairs = tmp_path / "one.pairs"
+    pairs.write_text("Sam chases the cat\n(S (NP Sam) (VP (V0 chases) (NP (Det the) (N1 cat))))\n")
+    argv = ["eval", "--plausible", str(pairs)]
+    for command, path in _demo_without_labels():
+        argv += ["--" + command[len("load-"):], path]
+    assert main(argv) == EXIT_RESOURCE
+    assert capsys.readouterr().err.startswith("error: eval --plausible needs labels")
+    assert main(argv + ["--labels", str(data_path("demo.labels"))]) == EXIT_OK
+
+
 def test_a_failing_report_leaves_no_report_file(tmp_path, monkeypatch, capsys):
     from gramgrow.evaluate import EvalReport
     from gramgrow.fs import FSError

@@ -12,12 +12,13 @@ from gramgrow.constructor import (
 from gramgrow.fs import Category, equal, parse_fs
 from gramgrow.grammar import bar_of
 from gramgrow.model import DEFAULT_NONHEAD
-from gramgrow.resources import load_demo
+from gramgrow.resources import load_bundle
 
 
 @pytest.fixture(scope="module")
 def demo():
-    return load_demo()
+    registry, grammar, lexicon, _, labels = load_bundle("demo")
+    return registry, grammar, lexicon, labels
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,6 @@ def test_bar_of_and_minor(demo, lex):
     assert bar_of(lex["happy"]) == 1
     assert bar_of(lex["the"]) is None
     assert not is_minor(lex["the"])  # demo has no MINOR feature at all
-    registry, _, lexicon, _ = load_demo()[0], None, None, None
 
 
 def test_bar_of_value_set(demo):
@@ -89,16 +89,10 @@ def test_construct_unary_no_bar(demo, lex):
 
 
 def test_construct_unary_minor():
-    registry, lexicon, _ = __claws()
+    _, _, lexicon, _, _ = load_bundle("claws")
     det = lexicon.lexical_categories("AT")[0]
     got = construct_unary_cat(one(det), 3, None, "*unary4")
     assert got == MINOR_DAUGHTER == "minor"
-
-
-def __claws():
-    from gramgrow.resources import load_claws
-
-    return load_claws()
 
 
 def test_construct_binary_worked_example(demo, lex):

@@ -18,16 +18,12 @@ from gramgrow.evaluate import (
 )
 from gramgrow.fs import MalformedSyntax
 from gramgrow.grammar import Grammar, parse_rule_line
-from gramgrow.model import load_model
-from gramgrow.resources import data_path, load_demo
+from gramgrow.resources import data_path, load_bundle
 
 
 @pytest.fixture(scope="module")
 def demo():
-    registry, _, lexicon, labels = load_demo()
-    grammar = Grammar(registry)
-    grammar.load_rules(data_path("demo.grammar"))
-    model = load_model(data_path("demo.model"), registry)
+    registry, grammar, lexicon, model, labels = load_bundle("demo")
     return registry, grammar, lexicon, labels, model
 
 
@@ -121,7 +117,7 @@ def test_normalize_single_leaf():
     from gramgrow.chart import ParseTree
     from gramgrow.fs import Category, FS
 
-    _, _, _, labels = load_demo()
+    _, _, _, _, labels = load_bundle("demo")
     leaf = ParseTree(Category((FS.empty(),)), token="cat")
     assert normalize_tree(labels, leaf) == ["cat"]
 

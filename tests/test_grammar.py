@@ -31,14 +31,15 @@ from gramgrow.grammar import (
 )
 from gramgrow import grammar as grammar_module
 from gramgrow.model import load_model
-from gramgrow.resources import data_path, load_claws, load_demo
+from gramgrow.resources import data_path, load_bundle
 
 from genfs import GEN_REGISTRY, random_category, random_extension
 
 
 @pytest.fixture(scope="module")
 def demo():
-    return load_demo()
+    registry, grammar, lexicon, _, labels = load_bundle("demo")
+    return registry, grammar, lexicon, labels
 
 
 def cat(text, reg):
@@ -78,7 +79,7 @@ def test_lexical_categories(demo):
 
 
 def test_claws_da_has_four_entries():
-    registry, lexicon, labels = load_claws()
+    registry, _, lexicon, _, labels = load_bundle("claws")
     assert len(lexicon.lexical_categories("DA")) == 4
     assert len(lexicon.lexical_categories("NN1")) == 1
 
@@ -120,17 +121,27 @@ def _pairwise_narrow(instances, feat, disjuncts, memo, clashes):
 
 
 def test_narrow_matches_the_pairwise_reference_random(monkeypatch):
-    """The same result, in the same order, and the same memo entries, with
-    each (slot value, disjunct) clash test made at most once per call.  The
-    disjuncts are distinct, as every category's are."""
+    """The same result, in the same order, and the same unifications, each
+    made once, with each (slot value, disjunct) clash test made at most once
+    per call.  The disjuncts are distinct, as every category's are."""
     plain = grammar_module.fsmod.clashes
+    plain_unify = grammar_module.fsmod.unify
     tested = collections.Counter()
+    unified = {}  # (instance, slot, disjunct) -> every fs.unify result seen
 
     def counting(d, d2):
         tested[d, d2] += 1
         return plain(d, d2)
 
+    def recording(d, d2, at=None):
+        got = plain_unify(d, d2, at=at)
+        if at is not None:
+            assert (d, at, d2) not in unified
+            unified[d, at, d2] = got
+        return got
+
     monkeypatch.setattr(grammar_module.fsmod, "clashes", counting)
+    monkeypatch.setattr(grammar_module.fsmod, "unify", recording)
     rng = random.Random(53)
     seen = {"shared values": 0, "refused": 0, "unconstrained": 0, "kept": 0}
     for n in range(300):
@@ -145,9 +156,10 @@ def test_narrow_matches_the_pairwise_reference_random(monkeypatch):
         daughters += random_category(rng).disjuncts
         drawn = rng.sample(daughters, min(len(daughters), rng.randint(1, 4)))
         disjuncts = tuple(dict.fromkeys(drawn))
-        unified, want_memo = {}, {}
-        monkeypatch.setattr(grammar_module, "_UNIFIED", unified)
-        monkeypatch.setattr(grammar_module, "_NARROWED", {})
+        want_memo = {}
+        unified.clear()
+        narrow.cache_clear()
+        grammar_module._unified.cache_clear()
         for _ in range(2):  # cold, then warm
             tested.clear()
             got = narrow(rule.instances, feat, disjuncts)
@@ -505,7 +517,7 @@ def test_paraphrase_demo_np(demo):
 
 
 def test_paraphrase_minor_det():
-    registry, lexicon, labels = load_claws()
+    registry, _, lexicon, _, labels = load_bundle("claws")
     det = lexicon.lexical_categories("AT")[0]
     assert labels.paraphrase(det) == "DT"
 
@@ -517,7 +529,7 @@ def test_paraphrase_no_match_is_x(demo):
 
 
 def test_paraphrase_bar_suffix_and_promotion():
-    registry, lexicon, labels = load_claws()
+    registry, _, lexicon, _, labels = load_bundle("claws")
     nn1 = lexicon.lexical_categories("NN1")[0]
     assert labels.paraphrase(nn1) == "N0"
     nn2_phrasal = lexicon.lexical_categories("NN2")[1]

@@ -17,7 +17,7 @@ from gramgrow.model import (
     violated_lp,
 )
 from gramgrow.grammar import parse_rule_line
-from gramgrow.resources import data_path, load_demo
+from gramgrow.resources import load_bundle
 
 from genfs import GEN_REGISTRY, random_fs
 from hfc import hfc_check
@@ -26,8 +26,7 @@ from patterns import fs_matches
 
 @pytest.fixture(scope="module")
 def demo():
-    registry, grammar, lexicon, labels = load_demo()
-    model = load_model(data_path("demo.model"), registry)
+    registry, grammar, lexicon, model, labels = load_bundle("demo")
     return registry, grammar, lexicon, labels, model
 
 

@@ -145,8 +145,11 @@ def test_random_sessions_never_end(tmp_path):
         out = io.StringIO()
         session = Session(out=out, seed=7)
         lines = ["limits 1 200"]
-        if rng.random() < 0.8:
+        draw = rng.random()
+        if draw < 0.65:
             lines.append("load-bundle demo")
+        elif draw < 0.85:  # what parsing needs, one by one, and no labels
+            lines += ["load-%s %s" % (kind, files[kind]) for kind in ("features", "grammar", "lexicon")]
         lines += [_line(rng, files, out_dir) for _ in range(LINES_PER_SESSION)]
         lines += ["Sam chases the cat", "quit"]
         try:
@@ -164,11 +167,15 @@ def test_random_eval_commands_exit_0_or_2(tmp_path, capsys):
     rng = random.Random(SEED + 1)
     for _ in range(EVAL_RUNS):
         argv = ["--seed", "7", "eval", "--limits", "1", "200"]
-        if rng.random() < 0.5:
-            argv += ["--bundle", rng.choice(["demo", "demo", "claws", "nope"])]
-        for kind in ("features", "grammar", "lexicon", "model", "labels"):
+        if rng.random() < 0.25:  # what parsing needs, without a bundle or labels
+            for kind in ("features", "grammar", "lexicon"):
+                argv += ["--" + kind, files[kind]]
+        else:
             if rng.random() < 0.5:
-                argv += ["--" + kind, _path(rng, files, kind)]
+                argv += ["--bundle", rng.choice(["demo", "demo", "claws", "nope"])]
+            for kind in ("features", "grammar", "lexicon", "model", "labels"):
+                if rng.random() < 0.5:
+                    argv += ["--" + kind, _path(rng, files, kind)]
         argv += _eval_options(rng, files, out_dir)
         try:
             code = main(argv)

@@ -149,20 +149,29 @@ def test_lookup_equals_recount_under_interleaved_adds(monkeypatch):
     pool = [parse_fs(t, reg).disjuncts[0] for t in texts]
     queries = [Category((d,)) for d in pool]
     queries += [parse_fs(t, reg) for t in ("{[CAT S], [CAT VP]}", "[PLU +]", "[]")]
-    tested = collections.Counter()  # (triple structure, query) -> compatibility tests
-    plain = scoring._compatible
+    asked = collections.Counter()  # (triple structure, query) -> compatibility questions
+    unified = collections.Counter()  # (triple structure, query disjunct) -> unify calls
+    cached = scoring._compatible
+    plain_unify = scoring.unify
 
-    def counting(t_fs, disjuncts):
-        tested[t_fs, disjuncts] += 1
-        return plain(t_fs, disjuncts)
+    def asking(t_fs, disjuncts):
+        asked[t_fs, disjuncts] += 1
+        return cached(t_fs, disjuncts)
 
-    monkeypatch.setattr(scoring, "_compatible", counting)
+    def counting(d, d2):
+        unified[d, d2] += 1
+        return plain_unify(d, d2)
+
+    cached.cache_clear()  # counted inside the cache, so it starts cold
+    monkeypatch.setattr(scoring, "_compatible", asking)
+    monkeypatch.setattr(scoring, "unify", counting)
     rng = random.Random(7)
     store = TripleStore()
     # one structure as both the mother and the daughter of a triple
     store.add(pool[1], pool[1])
     assert store.lookup(queries[1], queries[1]) == _recount(store, queries[1], queries[1]) == 1.0
-    assert tested == {(pool[1], queries[1].disjuncts): 1}
+    assert asked == {(pool[1], queries[1].disjuncts): 2}
+    assert unified == {(pool[1], pool[1]): 1}
     adds = lookups = 0
     for _ in range(400):
         if rng.random() < 0.3:
@@ -173,8 +182,16 @@ def test_lookup_equals_recount_under_interleaved_adds(monkeypatch):
             assert store.lookup(a, b) == _recount(store, a, b)
             lookups += 1
     assert len(store.triples) < adds and lookups > adds  # repeated pairs, reads between writes
-    # each pair is tested once, whichever role the structure plays
-    assert set(tested.values()) == {1}
+    # each pair is tested once, whichever role the structure plays: unify
+    # ran exactly as one compatibility test per distinct pair asks
+    once = collections.Counter()
+    for t_fs, disjuncts in asked:
+        for d in disjuncts:
+            once[t_fs, d] += 1
+            if plain_unify(t_fs, d) is not None:
+                break
+    assert unified == once
+    assert max(asked.values()) > 1
     mothers = {t.mother for t in store.triples}
     assert any(t.daughter in mothers for t in store.triples)
 

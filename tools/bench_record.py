@@ -8,8 +8,11 @@ with `--trace 0` and once with `--trace 1`.  The file keeps the last two
 JSON lines of each run (what was run, then the result) and its exit code,
 with the Python version, the host, the commit of DIR (`dirty` is true
 when tracked files differ from that commit) and `src_lines`, the total lines
-of DIR/src/gramgrow/*.py.  DIR defaults to the checkout holding this script.  Exits 1 if any run exits non-zero, prints no result
-or reports `correct: false`.  Standard library only.
+of DIR/src/gramgrow/*.py.  DIR defaults to the checkout holding this
+script.
+
+Exits 1 if any run exits non-zero, prints no result or reports
+`correct: false`.  Standard library only.
 """
 
 from __future__ import annotations
