@@ -10,6 +10,7 @@ rule or is marked bad.  Rules used in extracted parses are retained.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 
@@ -22,7 +23,7 @@ from .constructor import (
     construct_unary_cat,
 )
 from .fs import Category, EMPTY_CAT, unify_cat
-from .grammar import LHS, SupportRecord, UnknownTerminal, cat_at, narrow, slot, super_rule
+from .grammar import LHS, SupportRecord, UnknownTerminal, cat_at, max_bar_of, narrow, slot, super_rule
 from .model import DEFAULT_NONHEAD, criticise_rhs
 from . import scoring
 
@@ -228,6 +229,7 @@ class ChartParser:
             self.supers += (super_rule(2),)
         self.seeded = False
         self._rules = None  # the phase's _proposal_rules(), built on first use
+        self._originals = None  # (arity, instances) of each original rule, built on first use
         self.spanning = []  # (edge, its category forced by the root), in creation order
         self.parses_found = 0
         self.resource_bounded = False
@@ -380,7 +382,7 @@ class ChartParser:
     def criticise(self, edge):
         """Give a completed super-rule instantiation a freshly built rule, or
         mark it bad with the reason of the first step that rejects it."""
-        rhs = [edge.slot_cat(i) for i in range(1, edge.arity + 1)]
+        rhs = tuple(edge.slot_cat(i) for i in range(1, edge.arity + 1))
         built = self._rule_or_reason(edge.arity, rhs)
         if not isinstance(built, str) and self.flags.data and self.store is not None:
             if not self._judge(edge, built):
@@ -396,53 +398,21 @@ class ChartParser:
         """The rule built over the RHS, or the bad_reason of the first check
         it fails: redundancy, the model, then X-bar construction.
 
-        The verdict depends only on the RHS, the model, the flags and the
-        original rules, so the grammar's critic_memo keeps it for the
-        session.  A learnt id is drawn, hit or miss, whenever the verdict
-        is a rule or a construction reason, so ids are those of a run
-        without the memo."""
+        The verdict comes from the process-wide _verdict.  A learnt id is
+        drawn, hit or miss, whenever the verdict is a rule or a construction
+        reason, so ids are those of a run without the memo."""
+        if self._originals is None:
+            self._originals = tuple((rule.arity, rule.instances) for rule in self.grammar.original)
         flags = self.flags
-        key = (tuple(c.disjuncts for c in rhs), self.model, flags.lp, flags.types, flags.hfc)
-        memo = self.grammar.critic_memo
-        built = memo.get(key)
-        if built is None:
-            built = memo[key] = self._uncached_rule_or_reason(arity, rhs)
+        built = _verdict(
+            arity, rhs, self._originals, self.model, self.grammar.registry,
+            flags.lp, flags.types, flags.hfc,
+        )
         if isinstance(built, str):
             if built in _CONSTRUCTION_REASONS:
                 self.grammar.next_learnt_id(arity)
             return built
         return built.renamed(self.grammar.next_learnt_id(arity))
-
-    def _uncached_rule_or_reason(self, arity, rhs):
-        """_rule_or_reason's verdict, with the rule under a placeholder id."""
-        if self._covered_by_original(arity, rhs):
-            return "redundant"
-        if self.model is not None:
-            reason = criticise_rhs(
-                rhs, self.model, self.grammar.registry, lp=self.flags.lp, types=self.flags.types
-            )
-            if reason is not None:
-                return reason
-        nonhead = None  # the HFC off: projections share nothing
-        if self.flags.hfc:
-            nonhead = self.model.nonhead if self.model is not None else DEFAULT_NONHEAD
-        if arity == 1:
-            return construct_unary_cat(rhs[0], self.grammar.max_bar, nonhead)
-        return construct_binary_cat(rhs[0], rhs[1], self.grammar.max_bar, nonhead)
-
-    def _covered_by_original(self, arity, rhs):
-        """A same-arity original rule already licenses this RHS."""
-        for rule in self.grammar.original:
-            if rule.arity != arity:
-                continue
-            insts = rule.instances
-            for i, c in enumerate(rhs, start=1):
-                insts = narrow(insts, slot(i), c.disjuncts)
-                if not insts:
-                    break
-            else:
-                return True
-        return False
 
     def _daughter_summary(self, edge):
         out = []
@@ -535,6 +505,35 @@ class ChartParser:
         for tree in trees:
             visit(tree)
         return retained
+
+
+@functools.cache
+def _verdict(arity, rhs, originals, model, registry, lp, types, hfc):
+    """The critic's verdict on an RHS (a tuple of categories): a rule under a
+    placeholder id, or the bad_reason of the first check it fails.  The
+    checks read only the arguments, `originals` being the (arity,
+    instances) of each original rule, and a model and a registry are
+    interned values, so the verdict is cached for the process."""
+    for rule_arity, insts in originals:
+        if rule_arity != arity:
+            continue
+        for i, c in enumerate(rhs, start=1):
+            insts = narrow(insts, slot(i), c.disjuncts)
+            if not insts:
+                break
+        else:
+            return "redundant"  # an original rule already licenses the RHS
+    if model is not None:
+        reason = criticise_rhs(rhs, model, registry, lp=lp, types=types)
+        if reason is not None:
+            return reason
+    nonhead = None  # the HFC off: projections share nothing
+    if hfc:
+        nonhead = model.nonhead if model is not None else DEFAULT_NONHEAD
+    max_bar = max_bar_of(registry)
+    if arity == 1:
+        return construct_unary_cat(rhs[0], max_bar, nonhead)
+    return construct_binary_cat(rhs[0], rhs[1], max_bar, nonhead)
 
 
 def harvest_local_trees(chart):

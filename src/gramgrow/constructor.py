@@ -11,6 +11,8 @@ the strings below, which the chart records as the edge's `bad_reason`.
 
 from __future__ import annotations
 
+import functools
+
 from .fs import _Graph
 from .grammar import BAR, LHS, LEARNT, Rule, bar_of, slot
 
@@ -75,7 +77,7 @@ def construct_unary_cat(c, max_bar, nonhead, rule_id="*unary?"):
             reasons.append(bars)
             continue
         for b in bars:
-            instances.append(_instance(nonhead, b, 0, [d]))
+            instances.append(_instance(nonhead, b, 0, (d,)))
     if not instances:
         return reasons[0] if reasons else NO_HEAD
     return Rule(rule_id, 1, tuple(dict.fromkeys(instances)), LEARNT)
@@ -94,17 +96,19 @@ def construct_binary_cat(c1, c2, max_bar, nonhead, rule_id="*binary?"):
             any_candidate = True
             for b in bars:
                 for o in other.disjuncts:
-                    daughters = [d, o] if head_pos == 0 else [o, d]
+                    daughters = (d, o) if head_pos == 0 else (o, d)
                     instances.append(_instance(nonhead, b, head_pos, daughters))
     if not any_candidate:
         return NO_HEAD
     return Rule(rule_id, 2, tuple(dict.fromkeys(instances)), LEARNT)
 
 
+@functools.cache
 def _instance(nonhead, bar, head_pos, daughters):
     """One rule instance: wrapper with the projection of daughters[head_pos]
     at `bar` as LHS.  With HFC the projection shares the head daughter's
-    feature values."""
+    feature values.  A pure function of interned values (`daughters` a
+    tuple), so it is cached for the process."""
     graph = _Graph()
     root = graph.add()
     roots = [graph.load(d) for d in daughters]

@@ -223,20 +223,6 @@ def plausibility(grammar, lexicon, pairs, k, pm, limits=None, model=None, report
     return scores, mean, sd
 
 
-def t_test(a, b):
-    """Welch two-sample t statistic; positive when mean(a) > mean(b)."""
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("samples need at least two observations each")
-    ma = sum(a) / len(a)
-    mb = sum(b) / len(b)
-    va = sum((x - ma) ** 2 for x in a) / (len(a) - 1)
-    vb = sum((x - mb) ** 2 for x in b) / (len(b) - 1)
-    denom = math.sqrt(va / len(a) + vb / len(b))
-    if denom == 0:
-        raise ValueError("both samples have zero variance")
-    return (ma - mb) / denom
-
-
 # -- benchmark tree files -------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ inconsistent category (bottom).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import warnings
@@ -39,24 +40,16 @@ DEFAULT_EXPANSION_CAP = 64
 
 
 class FeatureRegistry:
-    """The fixed feature inventory and the finite value set of each feature."""
+    """The fixed feature inventory and the finite value set of each feature.
 
-    def __init__(self):
-        self._values = {}  # feature -> tuple of values, declaration order
-        self._order = {}  # feature -> declaration index
+    A registry is an interned value: `from_text` gives one object per list
+    of declarations, in declaration order, so `==` and `hash` are those of
+    the object and a registry can key a process-wide memo.
+    """
 
-    def declare(self, feature, values):
-        feature = feature.upper()
-        values = tuple(v.upper() for v in values)
-        if not values:
-            raise FSError("feature %r needs a non-empty value set" % feature)
-        if feature in self._values:
-            merged = list(self._values[feature])
-            merged.extend(v for v in values if v not in merged)
-            self._values[feature] = tuple(merged)
-        else:
-            self._order[feature] = len(self._order)
-            self._values[feature] = values
+    def __init__(self, declarations):
+        self._values = dict(declarations)  # feature -> tuple of values, declaration order
+        self._order = {feature: i for i, feature in enumerate(self._values)}
 
     @property
     def features(self):
@@ -86,7 +79,9 @@ class FeatureRegistry:
 
     @classmethod
     def from_text(cls, text):
-        reg = cls()
+        """The registry of 'feature NAME VALUE...' lines; a feature declared
+        again gains the values it lacks."""
+        values = {}
         for line in text.splitlines():
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -94,12 +89,24 @@ class FeatureRegistry:
             parts = line.split()
             if parts[0] != "feature" or len(parts) < 3:
                 raise MalformedSyntax("bad registry line: %r" % line)
-            reg.declare(parts[1], parts[2:])
-        return reg
+            feature = parts[1].upper()
+            declared = tuple(v.upper() for v in parts[2:])
+            if feature in values:
+                merged = list(values[feature])
+                merged.extend(v for v in declared if v not in merged)
+                declared = tuple(merged)
+            values[feature] = declared
+        return _registry(tuple(values.items()))
 
     @classmethod
     def load(cls, path):
         return cls.from_text(read_text(path))
+
+
+@functools.cache
+def _registry(declarations):
+    """The one registry of a tuple of (feature, values) declarations."""
+    return FeatureRegistry(declarations)
 
 
 def read_text(path):

@@ -100,10 +100,10 @@ class Rule:
         return "Rule(%s)" % self.id
 
 
-# cat_at, narrow, _unified and _root_atoms are pure functions of interned
-# values, so each is cached for the process: an entry never goes stale, and
-# equal arguments get the same result object.  Callers pass arguments
-# positionally, so that one call is one cache key.
+# cat_at, narrow, _unified, _covers, _root_atoms and _alternative are pure
+# functions of interned values, so each is cached for the process: an entry
+# never goes stale, and equal arguments get the same result object.  Callers
+# pass arguments positionally, so that one call is one cache key.
 
 
 @functools.cache
@@ -173,11 +173,17 @@ def super_rule(arity):
 
 def rule_subsumes(r, s):
     """r covers s: same arity, LHS covers positionally and per RHS slot."""
-    if r.arity != s.arity:
-        return False
-    if not subsumes_cat(r.lhs, s.lhs):
-        return False
-    return all(subsumes_cat(r.rhs(i), s.rhs(i)) for i in range(1, r.arity + 1))
+    return r.arity == s.arity and _covers(r.instances, s.instances, r.arity)
+
+
+@functools.cache
+def _covers(instances, others, arity):
+    """The categories of `instances` cover those of `others` at the LHS and
+    at each of `arity` RHS slots."""
+    return all(
+        subsumes_cat(cat_at(instances, feat), cat_at(others, feat))
+        for feat in [LHS] + [slot(i) for i in range(1, arity + 1)]
+    )
 
 
 @functools.cache
@@ -231,21 +237,14 @@ class Grammar:
         self.learnt = []
         self._by_id = {}
         self._learn_counter = 0
-        self.max_bar = max_bar_of(registry)
-        # Two memos serve a whole learning session; narrow() and cat_at()
-        # are cached for the process.
-        # proposal_memo: (tuple of Rule objects, daughter disjuncts) ->
-        # proposals()'s result.  Adding rules leaves it alone.  A Rule
-        # compares by identity, which is sound here: a rule's instances are
-        # never reassigned, and the key keeps its rules alive, so no new
-        # object can take over a key's identities.  Removing or replacing a
-        # learnt rule (refinement) empties it.
-        # critic_memo: (RHS disjuncts, model, lp, types, hfc) -> the chart's
-        # critic verdict, a bad_reason string or a rule built under a
-        # placeholder id.  The redundancy check reads the original rules, so
-        # adding an original rule empties it; learnt rules never reach it.
+        # proposal_memo serves a whole learning session: (tuple of Rule
+        # objects, daughter disjuncts) -> proposals()'s result.  Adding rules
+        # leaves it alone.  A Rule compares by identity, which is sound
+        # here: a rule's instances are never reassigned, and the key keeps
+        # its rules alive, so no new object can take over a key's
+        # identities.  Removing or replacing a learnt rule (refinement)
+        # empties it.
         self.proposal_memo = {}
-        self.critic_memo = {}
 
     def __contains__(self, rule_id):
         return rule_id in self._by_id
@@ -265,7 +264,6 @@ class Grammar:
 
     def add_original(self, rule):
         self._add(rule, self.original)
-        self.critic_memo.clear()
 
     def next_learnt_id(self, arity):
         """A fresh id; ids of rules loaded from a learnt file are skipped."""
@@ -350,19 +348,22 @@ class Grammar:
             ids.add(rule.id)
         for rule in rules:
             self._add(rule, self.original if origin == ORIGINAL else self.learnt)
-        if origin == ORIGINAL:
-            self.critic_memo.clear()
 
 
 def format_rule(rule, registry=None):
     """One 'LHS -> RHS...' alternative per instance, separated by '|'; each
     alternative is its own tag scope."""
-    feats = [LHS] + [slot(i) for i in range(1, rule.arity + 1)]
-    alternatives = []
-    for inst in rule.instances:
-        parts = fsmod.print_parts(inst, feats, registry)
-        alternatives.append("%s -> %s" % (parts[LHS], " ".join(parts[f] for f in feats[1:])))
+    alternatives = [_alternative(inst, rule.arity, registry) for inst in rule.instances]
     return "rule %s : %s" % (rule.id, " | ".join(alternatives))
+
+
+@functools.cache
+def _alternative(inst, arity, registry):
+    """The 'LHS -> RHS...' text of one instance; a registry is an interned
+    value, so each registry's orders get entries of their own."""
+    feats = [LHS] + [slot(i) for i in range(1, arity + 1)]
+    parts = fsmod.print_parts(inst, feats, registry)
+    return "%s -> %s" % (parts[LHS], " ".join(parts[f] for f in feats[1:]))
 
 
 def parse_rule_line(line, registry, origin=ORIGINAL):

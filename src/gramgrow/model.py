@@ -6,7 +6,10 @@ unless it can prove the daughters implausible.
 
 from __future__ import annotations
 
-from .fs import MalformedSyntax, expand, matches, parse_fs, subsumes
+import functools
+from typing import NamedTuple
+
+from .fs import FS, MalformedSyntax, expand, matches, parse_fs, subsumes
 from .grammar import BAR, data_lines
 
 E = "e"
@@ -17,16 +20,13 @@ T = "t"
 DEFAULT_NONHEAD = frozenset({"NTYPE", "CASE", "CONJ", "NULL", BAR})
 
 
-class Pattern:
+class Pattern(NamedTuple):
     """A feature-structure pattern; values may be the wildcard '*', and the
-    whole pattern may be negated."""
+    whole pattern may be negated.  Compares by value."""
 
-    __slots__ = ("fs", "negated", "text")
-
-    def __init__(self, fs, negated=False, text=""):
-        self.fs = fs
-        self.negated = negated
-        self.text = text
+    fs: FS
+    negated: bool = False
+    text: str = ""
 
     def __repr__(self):
         return "Pattern(%s)" % self.text
@@ -56,13 +56,12 @@ def compatible(p, d):
     return matches(p.fs, d, presence=False)
 
 
-class LPRule:
-    __slots__ = ("name", "left", "right")
+class LPRule(NamedTuple):
+    """A named linear-precedence rule, left < right.  Compares by value."""
 
-    def __init__(self, name, left, right):
-        self.name = name
-        self.left = left
-        self.right = right
+    name: str
+    left: Pattern
+    right: Pattern
 
     def __repr__(self):
         return "LPRule(%s: %s < %s)" % (self.name, self.left.text, self.right.text)
@@ -123,30 +122,32 @@ class TypeMap:
 
     def __init__(self, rows=()):
         self.rows = tuple(rows)  # (Pattern, type)
-        self._types = {}  # structure -> its type, filled on first lookup
 
     def lookup(self, d):
         """Type of the most specific matching row, or None."""
-        if d not in self._types:
-            self._types[d] = self._most_specific(d)
-        return self._types[d]
+        return _most_specific(self.rows, d)
 
-    def _most_specific(self, d):
-        hits = [(i, pat, typ) for i, (pat, typ) in enumerate(self.rows) if compatible(pat, d)]
-        if not hits:
-            return None
-        best = []
-        for i, pat, typ in hits:
-            general = any(
-                subsumes(pat.fs, other.fs) and not subsumes(other.fs, pat.fs)
-                for j, other, _ in hits
-                if j != i
-            )
-            if not general:
-                best.append((i, typ))
-        if not best:
-            best = [(hits[0][0], hits[0][2])]
-        return min(best)[1]
+
+@functools.cache
+def _most_specific(rows, d):
+    """The type of the most specific row compatible with d (the first
+    compatible row if none is most specific), or None.  Rows compare by
+    value and d is interned, so it is cached for the process."""
+    hits = [(i, pat, typ) for i, (pat, typ) in enumerate(rows) if compatible(pat, d)]
+    if not hits:
+        return None
+    best = []
+    for i, pat, typ in hits:
+        general = any(
+            subsumes(pat.fs, other.fs) and not subsumes(other.fs, pat.fs)
+            for j, other, _ in hits
+            if j != i
+        )
+        if not general:
+            best.append((i, typ))
+    if not best:
+        best = [(hits[0][0], hits[0][2])]
+    return min(best)[1]
 
 
 def type_check(rhs, tm, registry=None):
@@ -173,10 +174,24 @@ def type_check(rhs, tm, registry=None):
 
 
 class ModelConfig:
+    """LP rules, a type map and the HFC's non-head features.
+
+    A model is an interned value: `load_model` gives one object per
+    contents, so `==` and `hash` are those of the object and a model can
+    key a process-wide memo.
+    """
+
     def __init__(self, lp_rules, typemap, nonhead):
         self.lp_rules = lp_rules
         self.typemap = typemap
         self.nonhead = nonhead
+
+
+@functools.cache
+def _model(lp_rules, rows, nonhead):
+    """The one model of its contents: LP rules, type rows and non-head
+    features, each compared by value."""
+    return ModelConfig(lp_rules, TypeMap(rows), nonhead)
 
 
 def criticise_rhs(rhs, model, registry=None, lp=True, types=True):
@@ -230,4 +245,4 @@ def load_model(path, registry):
             nonhead = frozenset(names) | {BAR}
         else:
             raise MalformedSyntax("unknown model line: %r" % line)
-    return ModelConfig(lp_rules, TypeMap(rows), nonhead)
+    return _model(tuple(lp_rules), tuple(rows), nonhead)

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import io
 import itertools
 
@@ -9,8 +10,10 @@ from gramgrow.cli import Session, run_repl
 from gramgrow.evaluate import undergen
 from gramgrow import (
     chart as chart_module,
+    constructor as constructor_module,
     fs as fs_module,
     grammar as grammar_module,
+    model as model_module,
     refine as refine_module,
     scoring as scoring_module,
 )
@@ -24,6 +27,7 @@ from gramgrow.grammar import (
     cat_at,
     format_rule,
     make_rule,
+    max_bar_of,
     narrow,
     slot,
     super_rule,
@@ -249,7 +253,7 @@ def test_unary_chains_bounded_by_max_bar(demo):
             while walk is not None and not walk.is_leaf and len(walk.children) == 1:
                 depth += 1
                 walk = walk.children[0]
-            assert depth <= g.max_bar
+            assert depth <= max_bar_of(registry)
 
 
 def test_ambiguous_pp_yields_multiple_distinct_trees(demo):
@@ -447,7 +451,12 @@ CACHED = (
     grammar_module.cat_at,
     grammar_module.narrow,
     grammar_module._unified,
+    grammar_module._covers,
     grammar_module._root_atoms,
+    grammar_module._alternative,
+    constructor_module._instance,
+    model_module._most_specific,
+    chart_module._verdict,
     scoring_module._compatible,
 )
 
@@ -455,7 +464,10 @@ CACHED = (
 def _uncache(m):
     """Bind each cached function's plain body in its place, at every binding,
     so that every value is computed afresh."""
-    for module in (grammar_module, chart_module, refine_module, scoring_module):
+    modules = (
+        grammar_module, chart_module, constructor_module, model_module, refine_module, scoring_module
+    )
+    for module in modules:
         for name, value in list(vars(module).items()):
             if any(value is f for f in CACHED):
                 m.setattr(module, name, value.__wrapped__)
@@ -643,6 +655,8 @@ def test_node_table_stops_growing_when_a_session_is_repeated(demo):
         g = _c11_grammar(registry, lexicon, model)
         for sentence in DEMO_SENTENCES:
             parse(sentence.split(), g, lexicon, model, flags=full_flags())
+        for rule in g.rules:
+            format_rule(rule, registry)
         values = sum(node.fs is not None for node in fs_module._NODES.values())
         sizes.append((len(fs_module._NODES), values) + tuple(f.cache_info().currsize for f in CACHED))
     assert sizes[0] == sizes[1]
@@ -731,7 +745,7 @@ def _criticised(g, lexicon, model, sentences, flags, limits=None):
     return out, criticised
 
 
-def test_critic_memo_keeps_learning_unchanged(demo):
+def test_critic_memo_keeps_learning_unchanged(demo, monkeypatch):
     registry, _, lexicon, _, model = demo
     claws_registry, _, claws_lexicon, _, _ = load_bundle("claws")
     demo_grammars = [Grammar(registry), Grammar(registry)]
@@ -749,14 +763,17 @@ def test_critic_memo_keeps_learning_unchanged(demo):
         ),
     ]
     for (memoised, unmemoised), lex, mod, sentences, flags, limits in runs:
-        unmemoised.critic_memo = _NoMemo()  # add_original clears it, never rebinds it
+        chart_module._verdict.cache_clear()  # cold, whatever ran before
         got, criticised = _criticised(memoised, lex, mod, sentences, flags, limits)
-        want, _ = _criticised(unmemoised, lex, mod, sentences, flags, limits)
+        verdicts = chart_module._verdict.cache_info().currsize
+        with monkeypatch.context() as m:
+            _uncache(m)
+            want, _ = _criticised(unmemoised, lex, mod, sentences, flags, limits)
         assert got == want
         assert [(r.id, r.instances) for r in memoised.learnt] == [
             (r.id, r.instances) for r in unmemoised.learnt
         ]
-        assert memoised.learnt and 0 < len(memoised.critic_memo) < criticised  # some hits
+        assert memoised.learnt and 0 < verdicts < criticised  # some hits
 
 
 def _signature(chart, edge):
@@ -769,7 +786,7 @@ def _signature(chart, edge):
 
 
 @pytest.mark.parametrize("how", ["add_original", "load_rules"])
-def test_adding_an_original_rule_empties_the_critic_memo(demo, tmp_path, how):
+def test_an_added_original_rule_makes_a_criticised_rhs_redundant(demo, tmp_path, how):
     registry, grammar, lexicon, _, model = demo
     words = "Sam chases the happy cat".split()
     first = parse(words, grammar, lexicon, model, flags=full_flags())
@@ -888,6 +905,34 @@ def test_proposal_memo_stays_bounded_in_a_learning_session(tmp_path):
     assert any(super_rule(2) in rules for rules in tuples)
 
 
+# sha256 of what save-learnt writes after learning with no bound from each
+# corpus; the held-out lines make the retention scan test 4,224 rule pairs
+@pytest.mark.parametrize(
+    "sentences, digest",
+    [
+        (C11_TRAIN + DEMO_SENTENCES, "b08d80a573761f6a23bced9656b211cf7978b084c8d8b229e3be0c299df32f80"),
+        (
+            C11_TRAIN + DEMO_SENTENCES + C11_HELD_OUT,
+            "44f264d1abcb1695c0635ebb0efd101621efc8c95eff9e2fc5c3ba7ce66954c6",
+        ),
+    ],
+    ids=["train-demo", "train-demo-held-out"],
+)
+def test_unbounded_learning_saves_pinned_bytes(tmp_path, sentences, digest):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(sentences) + "\n")
+    for run in range(2):  # the second run finds every memo warm
+        saved = tmp_path / ("learnt%d.rules" % run)
+        session = Session(out=io.StringIO())
+        session.load_bundle("demo")
+        run_repl(session, [
+            "set learning on", "set hfc on", "limits off off",
+            "learn-corpus %s" % corpus, "save-learnt %s" % saved,
+        ])
+        assert "error:" not in session.out.getvalue()
+        assert hashlib.sha256(saved.read_bytes()).hexdigest() == digest
+
+
 # -- the redundancy check ------------------------------------------------------------
 
 
@@ -910,9 +955,9 @@ def _covered_reference(grammar, arity, rhs):
 class _CheckedParser(ChartParser):
     """Records each redundancy verdict next to the reference's."""
 
-    def _covered_by_original(self, arity, rhs):
-        got = super()._covered_by_original(arity, rhs)
-        self.verdicts.append((got, _covered_reference(self.grammar, arity, rhs)))
+    def _rule_or_reason(self, arity, rhs):
+        got = super()._rule_or_reason(arity, rhs)
+        self.verdicts.append((got == "redundant", _covered_reference(self.grammar, arity, rhs)))
         return got
 
 

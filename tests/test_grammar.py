@@ -23,6 +23,7 @@ from gramgrow.grammar import (
     atoms_clash,
     format_rule,
     make_rule,
+    max_bar_of,
     narrow,
     parse_rule_line,
     rule_subsumes,
@@ -52,14 +53,14 @@ def cat(text, reg):
 def test_demo_bundle_loads(demo):
     registry, grammar, lexicon, labels = demo
     assert len(grammar.original) == 6
-    assert grammar.max_bar == 3
+    assert max_bar_of(registry) == 3
     assert len(lexicon.terminals) == 7
 
 
 def test_max_bar_reads_digit_bar_values_only():
     for values, expected in [("0 1 2 MAX", 2), ("MAX", 1)]:
         reg = FeatureRegistry.from_text("feature BAR %s\nfeature N + -" % values)
-        assert Grammar(reg).max_bar == expected
+        assert max_bar_of(reg) == expected
 
 
 def test_rule_reentrancy_crosses_positions(demo):
@@ -505,6 +506,27 @@ def test_format_rule_round_trip_random():
         assert equal_cat(rule.lhs, back.lhs)
         for k in range(1, rule.arity + 1):
             assert equal_cat(rule.rhs(k), back.rhs(k))
+
+
+def test_registries_are_values_and_each_prints_its_own_orders():
+    texts = [
+        "feature CAT S NP\nfeature N + -",
+        "feature N + -\nfeature CAT S NP",  # declaration order differs
+        "feature CAT S NP\nfeature N - +",  # value order differs
+    ]
+    regs = [FeatureRegistry.from_text(t) for t in texts]
+    assert len(set(map(id, regs))) == 3
+    assert FeatureRegistry.from_text(texts[0]) is regs[0]
+    # a feature declared again gains its missing values in place
+    assert FeatureRegistry.from_text("feature CAT S\nfeature N + -\nfeature cat S np") is regs[0]
+    rule = parse_rule_line("rule R : [CAT S, N {+, -}] -> [CAT NP, N #1={-, +}] [N #1]", regs[0])
+    want = [
+        "rule R : [CAT S, N {+, -}] -> [CAT NP, N #1={+, -}] [N #1]",
+        "rule R : [N {+, -}, CAT S] -> [N #1={+, -}, CAT NP] [N #1]",
+        "rule R : [CAT S, N {-, +}] -> [CAT NP, N #1={-, +}] [N #1]",
+    ]
+    for order in (regs, regs[::-1]):  # the second pass reads the memo
+        assert {reg: format_rule(rule, reg) for reg in order} == dict(zip(regs, want))
 
 
 # -- paraphrase ---------------------------------------------------------------

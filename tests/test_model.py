@@ -4,7 +4,18 @@ import re
 
 import pytest
 
-from gramgrow.fs import Category, MalformedSyntax, UndeclaredFeature, expand, matches, parse_fs, print_fs, subsumes
+from gramgrow.fs import (
+    Category,
+    FeatureRegistry,
+    MalformedSyntax,
+    UndeclaredFeature,
+    expand,
+    matches,
+    parse_fs,
+    print_fs,
+    read_text,
+    subsumes,
+)
 from gramgrow.model import (
     apply_type,
     compatible,
@@ -17,7 +28,7 @@ from gramgrow.model import (
     violated_lp,
 )
 from gramgrow.grammar import parse_rule_line
-from gramgrow.resources import load_bundle
+from gramgrow.resources import data_path, load_bundle
 
 from genfs import GEN_REGISTRY, random_fs
 from hfc import hfc_check
@@ -212,6 +223,24 @@ def test_negated_type_pattern_is_refused(demo, tmp_path):
         load_model(path, registry)
     path.write_text("type [N +] : e\nlp LP1 : ~[N +] < [N +]\n")
     assert len(load_model(path, registry).lp_rules) == 1
+
+
+def test_the_same_text_loads_to_one_registry_and_one_model(demo, tmp_path):
+    registry, model = demo[0], demo[4]
+    assert FeatureRegistry.load(data_path("demo.features")) is registry
+    text = read_text(data_path("demo.model"))
+    copy = tmp_path / "copy.model"
+    copy.write_text(text)
+    assert load_model(copy, registry) is model
+    # patterns and LP rules compare by value; the rule order is the model's
+    lines = text.splitlines()
+    first_lp = next(i for i, line in enumerate(lines) if line.startswith("lp "))
+    lines[first_lp], lines[first_lp + 1] = lines[first_lp + 1], lines[first_lp]
+    copy.write_text("\n".join(lines))
+    swapped = load_model(copy, registry)
+    assert swapped is not model
+    assert swapped.lp_rules[:2] == model.lp_rules[1::-1] and swapped.lp_rules[2:] == model.lp_rules[2:]
+    assert swapped.typemap.rows == model.typemap.rows
 
 
 def test_nonhead_names_must_be_declared(demo, tmp_path):
