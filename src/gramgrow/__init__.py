@@ -25,7 +25,7 @@ from .fs import (
     unify,
     unify_cat,
 )
-from .grammar import Grammar, Lexicon, ParaphraseMap, Rule, rule_subsumes, super_rule
+from .grammar import Grammar, Lexicon, ParaphraseMap, Rule, rule_of, rule_subsumes, super_rule
 from .model import ModelConfig, load_model
 from .refine import RefineParams, refine_grammar
 from .scoring import TripleStore, decompose, judge, score_tree, train
@@ -58,6 +58,7 @@ __all__ = [
     "parse_fs",
     "print_fs",
     "refine_grammar",
+    "rule_of",
     "rule_subsumes",
     "score_tree",
     "simplify",

@@ -23,7 +23,9 @@ from .constructor import (
     construct_unary_cat,
 )
 from .fs import Category, EMPTY_CAT, unify_cat
-from .grammar import LHS, SupportRecord, UnknownTerminal, cat_at, max_bar_of, narrow, slot, super_rule
+from .grammar import (
+    LHS, SupportRecord, UnknownTerminal, cat_at, max_bar_of, narrow, proposals, slot, super_rule,
+)
 from .model import DEFAULT_NONHEAD, criticise_rhs
 from . import scoring
 
@@ -42,10 +44,6 @@ class ParserLimits:
             raise ValueError("max_edges must be >= 1")
         self.max_parses = max_parses
         self.max_edges = max_edges
-
-    @classmethod
-    def learning_default(cls):
-        return cls(1, 3000)
 
     def __repr__(self):
         return "ParserLimits(n=%s, m=%s)" % (self.max_parses, self.max_edges)
@@ -229,7 +227,7 @@ class ChartParser:
             self.supers += (super_rule(2),)
         self.seeded = False
         self._rules = None  # the phase's _proposal_rules(), built on first use
-        self._originals = None  # (arity, instances) of each original rule, built on first use
+        self._originals = tuple(grammar.original)  # the critic's redundancy check reads these
         self.spanning = []  # (edge, its category forced by the root), in creation order
         self.parses_found = 0
         self.resource_bounded = False
@@ -304,7 +302,7 @@ class ChartParser:
             if self._rules is None:
                 self._rules = self._proposal_rules()
             rules = self._rules
-        for rule, insts in self.grammar.proposals(rules, inactive.cat().disjuncts):
+        for rule, insts in proposals(rules, inactive.cat().disjuncts):
             self._add_edge(
                 rule.id, inactive.start, inactive.end, rule.arity, 1, insts, (inactive.id,)
             )
@@ -401,8 +399,6 @@ class ChartParser:
         The verdict comes from the process-wide _verdict.  A learnt id is
         drawn, hit or miss, whenever the verdict is a rule or a construction
         reason, so ids are those of a run without the memo."""
-        if self._originals is None:
-            self._originals = tuple((rule.arity, rule.instances) for rule in self.grammar.original)
         flags = self.flags
         built = _verdict(
             arity, rhs, self._originals, self.model, self.grammar.registry,
@@ -511,12 +507,13 @@ class ChartParser:
 def _verdict(arity, rhs, originals, model, registry, lp, types, hfc):
     """The critic's verdict on an RHS (a tuple of categories): a rule under a
     placeholder id, or the bad_reason of the first check it fails.  The
-    checks read only the arguments, `originals` being the (arity,
-    instances) of each original rule, and a model and a registry are
-    interned values, so the verdict is cached for the process."""
-    for rule_arity, insts in originals:
-        if rule_arity != arity:
+    checks read only the arguments, `originals` being the original rules,
+    and rules, a model and a registry are interned values, so the verdict
+    is cached for the process."""
+    for rule in originals:
+        if rule.arity != arity:
             continue
+        insts = rule.instances
         for i, c in enumerate(rhs, start=1):
             insts = narrow(insts, slot(i), c.disjuncts)
             if not insts:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 
 from .fs import _Graph
-from .grammar import BAR, LHS, LEARNT, Rule, bar_of, slot
+from .grammar import BAR, LHS, LEARNT, bar_of, rule_of, slot
 
 MINOR = "MINOR"
 NONE = "NONE"  # the MINOR value of a major category
@@ -80,7 +80,7 @@ def construct_unary_cat(c, max_bar, nonhead, rule_id="*unary?"):
             instances.append(_instance(nonhead, b, 0, (d,)))
     if not instances:
         return reasons[0] if reasons else NO_HEAD
-    return Rule(rule_id, 1, tuple(dict.fromkeys(instances)), LEARNT)
+    return rule_of(rule_id, 1, tuple(dict.fromkeys(instances)), LEARNT)
 
 
 def construct_binary_cat(c1, c2, max_bar, nonhead, rule_id="*binary?"):
@@ -100,7 +100,7 @@ def construct_binary_cat(c1, c2, max_bar, nonhead, rule_id="*binary?"):
                     instances.append(_instance(nonhead, b, head_pos, daughters))
     if not any_candidate:
         return NO_HEAD
-    return Rule(rule_id, 2, tuple(dict.fromkeys(instances)), LEARNT)
+    return rule_of(rule_id, 2, tuple(dict.fromkeys(instances)), LEARNT)
 
 
 @functools.cache

@@ -71,14 +71,17 @@ class SupportRecord:
 
 
 class Rule:
-    def __init__(self, rule_id, arity, instances, origin=ORIGINAL, support=None):
-        if not 1 <= arity <= 2 and origin != ORIGINAL:
-            raise GrammarError("learnt rules are unary or binary")
+    """A rule: an id, an arity, a tuple of wrapper instances and an origin.
+    Rules are interned values that only `rule_of` makes, so equality and
+    hashing are those of the object and a rule can key a process-wide memo."""
+
+    __slots__ = ("id", "arity", "instances", "origin")
+
+    def __init__(self, rule_id, arity, instances, origin):
         self.id = rule_id
         self.arity = arity
-        self.instances = tuple(instances)  # tuple of wrapper FS, never reassigned
+        self.instances = instances
         self.origin = origin
-        self.support = support
 
     @property
     def lhs(self):
@@ -90,7 +93,7 @@ class Rule:
     def renamed(self, rule_id):
         """The same rule under another id; cat_at gives it the same
         category objects, since they depend on the instances alone."""
-        return Rule(rule_id, self.arity, self.instances, self.origin, self.support)
+        return rule_of(rule_id, self.arity, self.instances, self.origin)
 
     @property
     def rhs_cats(self):
@@ -100,10 +103,18 @@ class Rule:
         return "Rule(%s)" % self.id
 
 
-# cat_at, narrow, _unified, _covers, _root_atoms and _alternative are pure
-# functions of interned values, so each is cached for the process: an entry
-# never goes stale, and equal arguments get the same result object.  Callers
-# pass arguments positionally, so that one call is one cache key.
+@functools.cache
+def rule_of(rule_id, arity, instances, origin):
+    """The one rule of its contents; `instances` is a tuple of wrapper FS."""
+    if not 1 <= arity <= 2 and origin != ORIGINAL:
+        raise GrammarError("learnt rules are unary or binary")
+    return Rule(rule_id, arity, instances, origin)
+
+
+# cat_at, narrow, _unified, proposals, _covers, _root_atoms and _alternative
+# are pure functions of interned values, so each is cached for the process:
+# an entry never goes stale, and equal arguments get the same result object.
+# Callers pass arguments positionally, so that one call is one cache key.
 
 
 @functools.cache
@@ -114,7 +125,7 @@ def cat_at(instances, feat):
     return simplify(Category([v if isinstance(v, FS) else FS.empty() for v in values]))
 
 
-def make_rule(rule_id, lhs_cat, rhs_cats, origin=ORIGINAL, support=None):
+def make_rule(rule_id, lhs_cat, rhs_cats, origin=ORIGINAL):
     """Build a rule from plain categories (no cross-position sharing)."""
     if lhs_cat.is_bottom or any(c.is_bottom for c in rhs_cats):
         raise GrammarError("rule %s has an inconsistent category" % rule_id)
@@ -127,7 +138,7 @@ def make_rule(rule_id, lhs_cat, rhs_cats, origin=ORIGINAL, support=None):
             pairs = [(LHS, combo[0])]
             pairs.extend((slot(i), d) for i, d in enumerate(combo[1:], start=1))
             instances.append(fs_from_pairs(pairs))
-    return Rule(rule_id, len(rhs_cats), instances, origin, support)
+    return rule_of(rule_id, len(rhs_cats), tuple(instances), origin)
 
 
 @functools.cache
@@ -163,9 +174,22 @@ def _unified(inst, feat, d):
 
 
 @functools.cache
+def proposals(rules, disjuncts):
+    """(rule, narrowed instances) for each of `rules`, a tuple, in order,
+    whose first daughter accepts a category with these disjuncts; rules
+    that accept none of it are left out."""
+    first = slot(1)
+    found = []
+    for rule in rules:
+        insts = narrow(rule.instances, first, disjuncts)
+        if insts:
+            found.append((rule, insts))
+    return tuple(found)
+
+
+@functools.cache
 def super_rule(arity):
-    """The super rule of an arity: one object per process, so the chart's
-    proposal keys in Grammar.proposal_memo repeat across parses."""
+    """The super rule of an arity: one object per process."""
     origin = SUPER_UNARY if arity == 1 else SUPER_BINARY
     cats = [EMPTY_CAT] * arity
     return make_rule("*super-%s*" % ("unary" if arity == 1 else "binary"), EMPTY_CAT, cats, origin)
@@ -237,14 +261,7 @@ class Grammar:
         self.learnt = []
         self._by_id = {}
         self._learn_counter = 0
-        # proposal_memo serves a whole learning session: (tuple of Rule
-        # objects, daughter disjuncts) -> proposals()'s result.  Adding rules
-        # leaves it alone.  A Rule compares by identity, which is sound
-        # here: a rule's instances are never reassigned, and the key keeps
-        # its rules alive, so no new object can take over a key's
-        # identities.  Removing or replacing a learnt rule (refinement)
-        # empties it.
-        self.proposal_memo = {}
+        self.support = {}  # learnt rule id -> the SupportRecord it was retained with
 
     def __contains__(self, rule_id):
         return rule_id in self._by_id
@@ -289,21 +306,21 @@ class Grammar:
             while "%s_%d" % (base, n) in self._by_id:
                 n += 1
             rule = rule.renamed("%s_%d" % (base, n))
-        if support is not None:
-            rule.support = support
         self._add(rule, self.learnt)
+        if support is not None:
+            self.support[rule.id] = support
         return rule
 
     def remove_learnt(self, rule_id):
         rule = self._by_id.pop(rule_id)
         self.learnt.remove(rule)
-        self.proposal_memo.clear()
+        self.support.pop(rule_id, None)
 
     def replace_learnt(self, rule_id, new_rule):
+        """Put new_rule in rule_id's place; its support record stays."""
         idx = self.learnt.index(self._by_id[rule_id])
         self.learnt[idx] = new_rule
         self._by_id[rule_id] = new_rule
-        self.proposal_memo.clear()
 
     def subsumer_of(self, rule):
         """The first rule, original then learnt, that covers `rule`; rules
@@ -312,22 +329,6 @@ class Grammar:
             if not atoms_clash(existing, rule) and rule_subsumes(existing, rule):
                 return existing
         return None
-
-    def proposals(self, rules, disjuncts):
-        """(rule, narrowed instances) for each of `rules`, a tuple, in order,
-        whose first daughter accepts a category with these disjuncts; rules
-        that accept none of it are left out.  Memoised in proposal_memo."""
-        key = (rules, disjuncts)
-        hit = self.proposal_memo.get(key)
-        if hit is None:
-            first = slot(1)
-            found = []
-            for rule in rules:
-                insts = narrow(rule.instances, first, disjuncts)
-                if insts:
-                    found.append((rule, insts))
-            hit = self.proposal_memo[key] = tuple(found)
-        return hit
 
     # -- persistence ----------------------------------------------------------
 
@@ -381,7 +382,7 @@ def parse_rule_line(line, registry, origin=ORIGINAL):
     wrappers = tuple(wrapper for _, _, wrapper in parsed)
     if any(w is None for w in wrappers) or len({len(rhs) for _, rhs, _ in parsed}) > 1:
         raise MalformedSyntax("rule alternatives need one arity and no disjunction: %r" % line)
-    return Rule(name, len(parsed[0][1]), wrappers, origin)
+    return rule_of(name, len(parsed[0][1]), wrappers, origin)
 
 
 def _parse_alternative(text, registry, line):

@@ -117,17 +117,6 @@ def apply_type(f, a):
     return None
 
 
-class TypeMap:
-    """Ordered (pattern, type) rows extensionally defining a partial typing."""
-
-    def __init__(self, rows=()):
-        self.rows = tuple(rows)  # (Pattern, type)
-
-    def lookup(self, d):
-        """Type of the most specific matching row, or None."""
-        return _most_specific(self.rows, d)
-
-
 @functools.cache
 def _most_specific(rows, d):
     """The type of the most specific row compatible with d (the first
@@ -150,19 +139,20 @@ def _most_specific(rows, d):
     return min(best)[1]
 
 
-def type_check(rhs, tm, registry=None):
+def type_check(rhs, rows, registry=None):
     """Daughters co-occur if some expansion pair's types apply in either
-    direction, or either type is undefined."""
+    direction, or either type is undefined; `rows` are the ordered
+    (pattern, type) rows that define a partial typing extensionally."""
     if len(rhs) < 2:
         return True
     first = expand(rhs[0], registry)
     second = expand(rhs[1], registry)
     for e1 in first:
-        t1 = tm.lookup(e1)
+        t1 = _most_specific(rows, e1)
         if t1 is None:
             return True
         for e2 in second:
-            t2 = tm.lookup(e2)
+            t2 = _most_specific(rows, e2)
             if t2 is None:
                 return True
             if apply_type(t1, t2) is not None or apply_type(t2, t1) is not None:
@@ -174,16 +164,16 @@ def type_check(rhs, tm, registry=None):
 
 
 class ModelConfig:
-    """LP rules, a type map and the HFC's non-head features.
+    """LP rules, type rows and the HFC's non-head features.
 
     A model is an interned value: `load_model` gives one object per
     contents, so `==` and `hash` are those of the object and a model can
     key a process-wide memo.
     """
 
-    def __init__(self, lp_rules, typemap, nonhead):
+    def __init__(self, lp_rules, type_rows, nonhead):
         self.lp_rules = lp_rules
-        self.typemap = typemap
+        self.type_rows = type_rows  # (Pattern, type), in file order
         self.nonhead = nonhead
 
 
@@ -191,7 +181,7 @@ class ModelConfig:
 def _model(lp_rules, rows, nonhead):
     """The one model of its contents: LP rules, type rows and non-head
     features, each compared by value."""
-    return ModelConfig(lp_rules, TypeMap(rows), nonhead)
+    return ModelConfig(lp_rules, rows, nonhead)
 
 
 def criticise_rhs(rhs, model, registry=None, lp=True, types=True):
@@ -204,7 +194,7 @@ def criticise_rhs(rhs, model, registry=None, lp=True, types=True):
     violated = violated_lp(rhs, model.lp_rules) if lp else ()
     if violated:
         reasons.append("lp:" + ",".join(violated))
-    if types and not type_check(rhs, model.typemap, registry):
+    if types and not type_check(rhs, model.type_rows, registry):
         reasons.append("type")
     return ";".join(reasons) or None
 

@@ -4,7 +4,7 @@ low-score pruning, and structural-support retraction."""
 from __future__ import annotations
 
 from .fs import Category, expand, print_fs
-from .grammar import LHS, Rule, SupportRecord, narrow
+from .grammar import LHS, SupportRecord, narrow, rule_of
 from .scoring import geo_mean
 
 
@@ -45,7 +45,7 @@ def refine_lhs(store, rule, registry=None):
         return rule, None, best
     winner = winners[0]
     instances = narrow(rule.instances, LHS, (winner,))
-    refined = Rule(rule.id, rule.arity, instances, rule.origin, rule.support)
+    refined = rule_of(rule.id, rule.arity, instances, rule.origin)
     return refined, winner, best
 
 
@@ -68,7 +68,7 @@ def prune_unsupported(grammar):
     while changed:
         changed = False
         for rule in list(grammar.learnt):
-            support = rule.support
+            support = grammar.support.get(rule.id)
             if support is None:
                 continue
             for rid in support.daughters:

@@ -444,7 +444,7 @@ def test_criterion_11_evaluation_determinism(demo):
     from gramgrow.chart import ParserLimits
     from gramgrow.evaluate import undergen
 
-    bounds = ParserLimits.learning_default()  # n=1, m=3000
+    bounds = ParserLimits(1, 3000)
     parsed_fraction = undergen(g, lexicon, held_out, limits=bounds)
     random_strings = gen_random(lexicon, 6, 20, seed=9)
     over = overgen(g, lexicon, random_strings, limits=bounds, model=model)

@@ -1,7 +1,9 @@
+import ast
 import collections
 import hashlib
 import io
 import itertools
+import os
 
 import pytest
 
@@ -168,7 +170,7 @@ def test_limits_validation():
         ParserLimits(max_parses=0)
     with pytest.raises(ValueError):
         ParserLimits(max_edges=0)
-    defaults = ParserLimits.learning_default()
+    defaults = ParserLimits(1, 3000)
     assert defaults.max_parses == 1 and defaults.max_edges == 3000
 
 
@@ -440,17 +442,11 @@ DEMO_SENTENCES = [
 ]
 
 
-class _NoMemo(dict):
-    """A memo that forgets everything: every combination is computed."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 CACHED = (
     grammar_module.cat_at,
     grammar_module.narrow,
     grammar_module._unified,
+    grammar_module.proposals,
     grammar_module._covers,
     grammar_module._root_atoms,
     grammar_module._alternative,
@@ -459,6 +455,34 @@ CACHED = (
     chart_module._verdict,
     scoring_module._compatible,
 )
+# caches that make one object per value: transparency is not theirs to show,
+# since `is` and `==` coincide on what they make
+INTERNERS = (
+    grammar_module.super_rule,
+    grammar_module.rule_of,
+    fs_module._registry,
+    model_module._model,
+)
+
+
+def test_every_cached_function_is_tested_for_transparency_or_interns():
+    """Every memo in the package is in CACHED, which _uncache and the
+    transparency tests cover, or in INTERNERS."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "gramgrow")
+    memos = ("functools.cache", "functools.lru_cache")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                ast.unparse(d).startswith(memos) for d in node.decorator_list
+            ):
+                found.append(("gramgrow." + name[:-3], node.name))
+    listed = [(f.__module__, f.__wrapped__.__name__) for f in CACHED + INTERNERS]
+    assert sorted(found) == sorted(listed)
 
 
 def _uncache(m):
@@ -493,7 +517,7 @@ def _c11_grammar(registry, lexicon, model):
 def _observed(grammar, lexicon, model):
     out = []
     runs = [(s, ParserLimits(max_edges=3000)) for s in DEMO_SENTENCES]
-    runs += [(s, ParserLimits.learning_default()) for s in C11_HELD_OUT]
+    runs += [(s, ParserLimits(1, 3000)) for s in C11_HELD_OUT]
     for sentence, limits in runs:
         res = parse(sentence.split(), grammar, lexicon, model, limits=limits)
         out.append((
@@ -511,13 +535,12 @@ def test_combine_memo_is_transparent(demo, monkeypatch):
     g = _c11_grammar(registry, lexicon, model)
     assert g.learnt
     cold = _observed(g, lexicon, model)
-    assert g.proposal_memo and all(f.cache_info().currsize for f in (narrow, grammar_module._unified))
+    assert all(f.cache_info().currsize for f in (narrow, grammar_module._unified, grammar_module.proposals))
     warm = _observed(g, lexicon, model)
     fresh = _observed(_c11_grammar(registry, lexicon, model), lexicon, model)
     with monkeypatch.context() as m:
         _uncache(m)
         unmemoised = _c11_grammar(registry, lexicon, model)
-        unmemoised.proposal_memo = _NoMemo()
         reference = _observed(unmemoised, lexicon, model)
     assert cold == warm == fresh == reference
     assert any(bounded for _, _, _, bounded, _ in reference)
@@ -528,7 +551,6 @@ def test_combine_memo_keeps_learning_unchanged(demo, monkeypatch):
     memoised, unmemoised = Grammar(registry), Grammar(registry)
     for g in (memoised, unmemoised):
         g.load_rules(data_path("demo.grammar"))
-    unmemoised.proposal_memo = _NoMemo()  # the mutators clear it, never rebind it
     reasons = _learn_c11(memoised, lexicon, model)
     with monkeypatch.context() as m:
         _uncache(m)
@@ -553,7 +575,7 @@ def test_each_instance_disjunct_pair_is_unified_once_per_process(demo, monkeypat
 
     monkeypatch.setattr(grammar_module.fsmod, "unify", counting)
     g = _c11_grammar(registry, lexicon, model)
-    assert undergen(g, lexicon, C11_HELD_OUT, limits=ParserLimits.learning_default()) > 0
+    assert undergen(g, lexicon, C11_HELD_OUT, limits=ParserLimits(1, 3000)) > 0
     assert len(calls) > 100
     assert max(calls.values()) == 1
 
@@ -573,7 +595,7 @@ def _rejections_and_learnt_ids(g, lexicon, model, sentences):
     rejected = collections.Counter()
     for sentence in sentences:
         res = parse(
-            sentence.split(), g, lexicon, model, flags=flags, limits=ParserLimits.learning_default()
+            sentence.split(), g, lexicon, model, flags=flags, limits=ParserLimits(1, 3000)
         )
         rejected.update(e.bad_reason for e in res.chart.edges if e.bad)
     return dict(rejected), [r.id for r in g.learnt]
@@ -623,7 +645,7 @@ def test_edge_categories_equal_a_fresh_cat_at(demo):
     learning = SessionFlags(learning=True, hfc=True)
     runs = [(s, learning, ParserLimits()) for s in C11_TRAIN]
     runs += [(s, None, ParserLimits(max_edges=3000)) for s in DEMO_SENTENCES]
-    runs += [(s, None, ParserLimits.learning_default()) for s in C11_HELD_OUT]
+    runs += [(s, None, ParserLimits(1, 3000)) for s in C11_HELD_OUT]
     fresh = {}  # computed afresh once per distinct argument pair
 
     def check(got, instances, feat):
@@ -658,7 +680,8 @@ def test_node_table_stops_growing_when_a_session_is_repeated(demo):
         for rule in g.rules:
             format_rule(rule, registry)
         values = sum(node.fs is not None for node in fs_module._NODES.values())
-        sizes.append((len(fs_module._NODES), values) + tuple(f.cache_info().currsize for f in CACHED))
+        memos = tuple(f.cache_info().currsize for f in CACHED + INTERNERS)
+        sizes.append((len(fs_module._NODES), values) + memos)
     assert sizes[0] == sizes[1]
 
 
@@ -759,7 +782,7 @@ def test_critic_memo_keeps_learning_unchanged(demo, monkeypatch):
             None,
             CLAWS_SENTENCES,
             SessionFlags(learning=True, hfc=True, unary_super=True),
-            ParserLimits.learning_default(),
+            ParserLimits(1, 3000),
         ),
     ]
     for (memoised, unmemoised), lex, mod, sentences, flags, limits in runs:
@@ -813,7 +836,7 @@ def test_an_added_original_rule_makes_a_criticised_rhs_redundant(demo, tmp_path,
 def test_critic_verdicts_follow_the_flags_and_the_model(demo):
     registry, _, lexicon, _, model = demo
     sentences = C11_TRAIN[:5]
-    limits = ParserLimits.learning_default()
+    limits = ParserLimits(1, 3000)
     settings = [
         (model, {}),
         (model, {"lp": False}),
@@ -844,7 +867,7 @@ def test_critic_verdicts_follow_the_flags_and_the_model(demo):
 
 
 class _PerRuleParser(ChartParser):
-    """Proposes as the chart did before Grammar.proposals: one narrow()
+    """Proposes as the chart did before `proposals`: one narrow()
     per rule, an edge for each rule that accepts the category."""
 
     def propose(self, inactive, rules=None):
@@ -877,7 +900,7 @@ def test_proposals_match_the_per_rule_reference(demo):
     learning = SessionFlags(learning=True, hfc=True)
     runs = [(s, learning, ParserLimits()) for s in C11_TRAIN]
     runs += [(s, None, ParserLimits(max_edges=3000)) for s in DEMO_SENTENCES]
-    runs += [(s, None, ParserLimits.learning_default()) for s in C11_HELD_OUT]
+    runs += [(s, None, ParserLimits(1, 3000)) for s in C11_HELD_OUT]
     bounded = seeded = 0
     for sentence, flags, limits in runs:
         got, want = (
@@ -891,14 +914,22 @@ def test_proposals_match_the_per_rule_reference(demo):
     assert [r.id for r in grammars[0].learnt] == [r.id for r in grammars[1].learnt]
 
 
-def test_proposal_memo_stays_bounded_in_a_learning_session(tmp_path):
+def test_proposal_memo_stays_bounded_in_a_learning_session(tmp_path, monkeypatch):
     corpus = tmp_path / "c11.train"
     corpus.write_text("\n".join(C11_TRAIN) + "\n")
     session = Session(out=io.StringIO())
     session.load_bundle("demo")
+    tuples = set()  # the rule tuples the chart proposes from: proposals' keys
+    cached = chart_module.proposals
+
+    def recording(rules, disjuncts):
+        tuples.add(rules)
+        return cached(rules, disjuncts)
+
+    monkeypatch.setattr(chart_module, "proposals", recording)
     run_repl(session, ["set learning on", "set hfc on", "limits off off", "learn-corpus %s" % corpus])
     assert session.grammar.learnt
-    tuples = {rules for rules, _ in session.grammar.proposal_memo}
+    assert tuples
     assert all(isinstance(r, Rule) for rules in tuples for r in rules)
     assert len(tuples) <= 3
     assert super_rule(2) is super_rule(2)

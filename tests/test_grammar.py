@@ -275,9 +275,11 @@ def test_add_learnt_returns_the_stored_rule(demo):
     support = SupportRecord("*u1", (SupportRecord.LEXICAL,))
     assert g.add_learnt(r1) is r1
     stored = g.add_learnt(r2, support)
-    assert stored.id == "*u1_2" and stored.support is support
+    assert stored.id == "*u1_2" and g.support["*u1_2"] is support
     assert g.learnt[-1] is stored and g.rule("*u1_2") is stored
     assert g.add_learnt(r2) is None  # now subsumed by the stored copy
+    g.remove_learnt("*u1_2")
+    assert "*u1_2" not in g.support
 
 
 def test_learnt_rule_with_a_taken_id_is_refused(tmp_path, demo):
@@ -328,7 +330,8 @@ def test_combine_memo_lives_until_a_rule_is_removed_or_replaced(tmp_path, demo):
     x1 = parse_rule_line("rule X1 : [N +, BAR 3] -> [N +, BAR 2]", registry)
     saved = tmp_path / "learnt.rules"
     saved.write_text(format_rule(u1b, registry).replace("*u1", "*u9") + "\n")
-    # adding rules keeps every entry: keys are values, so none goes stale
+    # the memos are keyed by values, so an entry filled before a change of
+    # the rule set is never served after it
     additions = [
         lambda: g.add_original(x1),
         lambda: g.add_learnt(u1),
@@ -336,18 +339,15 @@ def test_combine_memo_lives_until_a_rule_is_removed_or_replaced(tmp_path, demo):
     ]
     for add in additions:
         observed(g)
-        before = dict(g.proposal_memo)
-        assert before
         add()
-        assert all(g.proposal_memo.get(key) is value for key, value in before.items())
         assert observed(g) == observed(fresh_copy())
     assert [r.id for r in g.learnt] == ["*u1", "*u9"]
-    # refinement's mutators still empty it
+    # and so are refinement's mutators
     for shrink in [lambda: g.replace_learnt("*u1", u1b), lambda: g.remove_learnt("*u1")]:
         observed(g)
-        assert g.proposal_memo
         shrink()
-        assert g.proposal_memo == {}
+        assert observed(g) == observed(fresh_copy())
+    assert [r.id for r in g.learnt] == ["*u9"]
 
 
 def test_load_rules_adds_all_or_nothing(tmp_path, demo):
@@ -492,7 +492,7 @@ def test_learning_after_reload_gives_fresh_ids(tmp_path, demo):
     res = _learn_into(g2, lexicon, "Sam chases the cat down the road")
     assert res.learnt
     for rule in res.learnt:
-        assert rule.support.mother == rule.id
+        assert g2.support[rule.id].mother == rule.id
 
 
 def test_format_rule_round_trip_random():

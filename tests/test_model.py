@@ -17,6 +17,7 @@ from gramgrow.fs import (
     subsumes,
 )
 from gramgrow.model import (
+    _most_specific,
     apply_type,
     compatible,
     criticise_rhs,
@@ -72,7 +73,7 @@ def test_match_value_disjunction_any_member(demo):
 def test_matches_agrees_with_reference_on_demo_patterns(demo):
     _, _, lexicon, _, model = demo
     patterns = [p for rule in model.lp_rules for p in (rule.left, rule.right)]
-    patterns += [p for p, _ in model.typemap.rows]
+    patterns += [p for p, _ in model.type_rows]
     entries = [d for t in lexicon.terminals for d in lexicon.lexical_categories(t)]
     seen = set()
     for p, d, presence in itertools.product(patterns, entries, (True, False)):
@@ -166,24 +167,24 @@ def test_parse_and_format_types():
 def test_typ_lookup_demo_np(demo):
     registry, _, lexicon, _, model = demo
     sam = lex1(lexicon, "Sam")
-    assert model.typemap.lookup(sam) == (("e", "t"), "t")
+    assert _most_specific(model.type_rows, sam) == (("e", "t"), "t")
 
 
 def test_typ_lookup_transitive_verb(demo):
     registry, _, lexicon, _, model = demo
     chases = lex1(lexicon, "chases")
     npt = (("e", "t"), "t")
-    assert model.typemap.lookup(chases) == (npt, (npt, "t"))
+    assert _most_specific(model.type_rows, chases) == (npt, (npt, "t"))
 
 
 def test_typ_lookup_undefined(demo):
     registry, _, lexicon, _, model = demo
     down = lex1(lexicon, "down")
-    assert model.typemap.lookup(down) is None
+    assert _most_specific(model.type_rows, down) is None
 
 
 def _type_of(rows, d):
-    """TypeMap.lookup without its memo: the type of the most specific
+    """_most_specific without its memo: the type of the most specific
     compatible row (the first one if none is most specific), or None."""
     hits = [(i, pat, typ) for i, (pat, typ) in enumerate(rows) if compatible(pat, d)]
     if not hits:
@@ -208,11 +209,11 @@ def test_typ_lookup_matches_uncached_reference(demo):
     cats += [rule.rhs(i) for rule in grammar.rules for i in range(1, rule.arity + 1)]
     structures = [d for c in cats for d in c.disjuncts]
     structures += [e for c in cats for e in expand(c, registry)]
-    tm = model.typemap
+    rows = model.type_rows
     for _ in range(2):  # the second pass reads the memo
         for d in structures:
-            assert tm.lookup(d) == _type_of(tm.rows, d)
-    assert {tm.lookup(d) is None for d in structures} == {True, False}
+            assert _most_specific(rows, d) == _type_of(rows, d)
+    assert {_most_specific(rows, d) is None for d in structures} == {True, False}
 
 
 def test_negated_type_pattern_is_refused(demo, tmp_path):
@@ -240,7 +241,7 @@ def test_the_same_text_loads_to_one_registry_and_one_model(demo, tmp_path):
     swapped = load_model(copy, registry)
     assert swapped is not model
     assert swapped.lp_rules[:2] == model.lp_rules[1::-1] and swapped.lp_rules[2:] == model.lp_rules[2:]
-    assert swapped.typemap.rows == model.typemap.rows
+    assert swapped.type_rows == model.type_rows
 
 
 def test_nonhead_names_must_be_declared(demo, tmp_path):
@@ -268,19 +269,19 @@ def test_type_check_pairs(demo):
     n1 = Category((lex1(lexicon, "cat"),))
     np = Category((lex1(lexicon, "Sam"),))
     adj = Category((lex1(lexicon, "happy"),))
-    tm = model.typemap
-    assert type_check([det, n1], tm, registry)
-    assert not type_check([det, np], tm, registry)
-    assert type_check([adj, n1], tm, registry)  # <<e,t>,<e,t>> ∘ <e,t>
-    assert not type_check([det, adj], tm, registry)
+    rows = model.type_rows
+    assert type_check([det, n1], rows, registry)
+    assert not type_check([det, np], rows, registry)
+    assert type_check([adj, n1], rows, registry)  # <<e,t>,<e,t>> ∘ <e,t>
+    assert not type_check([det, adj], rows, registry)
 
 
 def test_type_check_symmetric(demo):
     registry, _, lexicon, _, model = demo
     cats = [Category((lex1(lexicon, w),)) for w in lexicon.terminals]
     for a, b in itertools.product(cats, cats):
-        assert type_check([a, b], model.typemap, registry) == type_check(
-            [b, a], model.typemap, registry
+        assert type_check([a, b], model.type_rows, registry) == type_check(
+            [b, a], model.type_rows, registry
         )
 
 
@@ -288,7 +289,7 @@ def test_type_check_disjunctive_any_expansion(demo):
     registry, _, lexicon, _, model = demo
     det = Category((lex1(lexicon, "the"),))
     mixed = parse_fs("{[N +, V +, BAR 1, DET -], [N +, V -, BAR 1, DET -]}", registry)
-    assert type_check([det, mixed], model.typemap, registry)
+    assert type_check([det, mixed], model.type_rows, registry)
 
 
 def test_violated_lp_names_each_rule_the_reference_rejects(demo):
@@ -307,7 +308,7 @@ def test_type_check_permissive_when_undefined(demo):
     registry, _, lexicon, _, model = demo
     down = Category((lex1(lexicon, "down"),))
     det = Category((lex1(lexicon, "the"),))
-    assert type_check([down, det], model.typemap, registry)
+    assert type_check([down, det], model.type_rows, registry)
 
 
 # -- hfc_check -------------------------------------------------------------------
@@ -356,7 +357,7 @@ def test_criticise_rhs_matches_conjunction_oracle(demo):
         for a, b in _pairs(lexicon):
             rhs = [Category((lex1(lexicon, a),)), Category((lex1(lexicon, b),))]
             expect = (not lp_on or lp_check(rhs, model.lp_rules)) and (
-                not types_on or type_check(rhs, model.typemap, registry)
+                not types_on or type_check(rhs, model.type_rows, registry)
             )
             assert (criticise_rhs(rhs, model, registry, lp_on, types_on) is None) == expect
 

@@ -149,6 +149,19 @@ def test_refine_grammar_reports_and_is_idempotent(store):
     assert second == []
 
 
+def test_a_refined_rule_keeps_its_support(store):
+    g = Grammar(REG)
+    support = SupportRecord("*binary1", (SupportRecord.LEXICAL, "*gone"))
+    g.add_learnt(adj_noun_rule(), support)
+    refined, _, _ = refine_lhs(store, g.rule("*binary1"), REG)
+    g.replace_learnt("*binary1", refined)
+    assert g.rule("*binary1") is refined and g.support["*binary1"] is support
+    g.replace_learnt("*binary1", adj_noun_rule())
+    report = refine_grammar(store, g, RefineParams(), REG)
+    assert report[0].startswith(" Refining") and report[-1] == " Deleting *binary1 (support undermined)"
+    assert g.learnt == [] and g.support == {}
+
+
 def test_refine_grammar_empty_learnt_set(store):
     g = Grammar(REG)
     assert refine_grammar(store, g, RefineParams(), REG) == []
