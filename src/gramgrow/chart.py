@@ -82,6 +82,8 @@ class Edge:
         "instances",
         "children",
         "token",
+        "inactive",
+        "seen",
         "bad",
         "bad_reason",
         "score",
@@ -100,6 +102,8 @@ class Edge:
         self.instances = instances
         self.children = children
         self.token = token
+        self.inactive = token is not None or nfound == arity
+        self.seen = 0  # the chart's edge count when the edge left the agenda
         self.bad = False
         self.bad_reason = None
         self.score = None
@@ -113,7 +117,7 @@ class Edge:
 
     @property
     def is_inactive(self):
-        return self.is_lexical or self.nfound == self.arity
+        return self.inactive
 
     def cat(self):
         if self._cat is None:
@@ -131,11 +135,15 @@ class Edge:
         self._cat = None
 
     def __repr__(self):
-        kind = "lex" if self.is_lexical else ("inactive" if self.is_inactive else "active")
+        kind = "lex" if self.is_lexical else ("inactive" if self.inactive else "active")
         return "Edge(%d %s %d..%d %s)" % (self.id, kind, self.start, self.end, self.rule_id)
 
 
 class Chart:
+    """The edges in creation order (an edge's id is its index), the keys
+    that detect duplicates, and the non-bad edges indexed by where a
+    partner must meet them."""
+
     def __init__(self, n_tokens):
         self.n = n_tokens
         self.edges = []
@@ -225,9 +233,14 @@ class ChartParser:
             self.supers += (super_rule(1),)
         if self.flags.binary_super:
             self.supers += (super_rule(2),)
+        self._super_ids = frozenset(rule.id for rule in self.supers)
         self.seeded = False
         self._rules = None  # the phase's _proposal_rules(), built on first use
         self._originals = tuple(grammar.original)  # the critic's redundancy check reads these
+        # slot names by position, for every arity the grammar holds; learnt
+        # and super rules have arity 1 or 2
+        arity = max([2] + [rule.arity for rule in self._originals])
+        self._slots = tuple(slot(i) for i in range(arity + 1))
         self.spanning = []  # (edge, its category forced by the root), in creation order
         self.parses_found = 0
         self.resource_bounded = False
@@ -279,16 +292,30 @@ class ChartParser:
         return rules
 
     def _run(self):
-        # bad edges never reach the agenda, actives_by_end or inactives_by_start
-        while self.agenda:
-            edge = self.chart.edge(self.agenda.popleft())
-            if edge.is_inactive:
-                self.propose(edge)
-                for active_id in list(self.chart.actives_by_end[edge.start]):
-                    self.extend(self.chart.edge(active_id), edge)
+        """Pop edges in creation order and try each with the partners indexed
+        so far.  A pair is tried once, at the earlier of its two pops: a
+        partner popped earlier already tried this edge if the chart held it
+        then, that is if the partner's `seen` exceeds this edge's id.
+
+        Bad edges never reach the agenda or the index lists.  A pair's new
+        edge spans active.start..inactive.end, so it never joins the list
+        being walked."""
+        chart, agenda = self.chart, self.agenda
+        edges = chart.edges
+        propose, extend = self.propose, self.extend
+        while agenda:
+            edge = agenda.popleft()
+            eid = edge.id
+            edge.seen = len(edges)
+            if edge.inactive:
+                propose(edge)
+                for active in chart.actives_by_end[edge.start]:
+                    if active.seen <= eid:
+                        extend(active, edge)
             else:
-                for inactive_id in list(self.chart.inactives_by_start[edge.end]):
-                    self.extend(edge, self.chart.edge(inactive_id))
+                for inactive in chart.inactives_by_start[edge.end]:
+                    if inactive.seen <= eid:
+                        extend(edge, inactive)
 
     # -- the chart operations ------------------------------------------------
 
@@ -314,7 +341,7 @@ class ChartParser:
             return
         # edges may share this tuple: Edge.replace_instances rebinds
         nfound = active.nfound + 1
-        insts = narrow(active.instances, slot(nfound), inactive.cat().disjuncts)
+        insts = narrow(active.instances, self._slots[nfound], inactive.cat().disjuncts)
         if insts:
             self._add_edge(
                 active.rule_id,
@@ -333,32 +360,38 @@ class ChartParser:
         self.seeded = True
         self._rules = None
         for edge in list(self.chart.edges):
-            if edge.is_inactive and not edge.bad:
+            if edge.inactive and not edge.bad:
                 self.propose(edge, rules=self.supers)
 
     def _add_edge(self, rule_id, start, end, arity, nfound, instances, children, token=None):
-        key = (rule_id, start, end, children, token)
-        if key in self.chart.by_key:
+        chart = self.chart
+        # a lexical edge has no children: its entry tells two entries apart
+        key = (rule_id, start, end, children if token is None else instances, token)
+        by_key = chart.by_key
+        if key in by_key:
             return None
-        self.chart.by_key.add(key)
-        edge = Edge(self.chart.created, start, end, rule_id, arity, nfound, instances, children, token)
-        self.chart.edges.append(edge)
-        if edge.is_inactive and rule_id is not None and rule_id.startswith("*super-"):
+        by_key.add(key)
+        edges = chart.edges
+        eid = len(edges)
+        edge = Edge(eid, start, end, rule_id, arity, nfound, instances, children, token)
+        edges.append(edge)
+        if edge.inactive and rule_id in self._super_ids:
             self.criticise(edge)
         if not edge.bad:
-            if edge.is_inactive:
+            if edge.inactive:
                 for cid in children:
-                    edge.derivations *= self.chart.edge(cid).derivations
-                if self.flags.data and self.store is not None and not edge.is_lexical:
+                    edge.derivations *= edges[cid].derivations
+                if token is None and self.flags.data and self.store is not None:
                     edge.score = self._edge_score(edge)
-                self.chart.inactives_by_start[start].append(edge.id)
+                chart.inactives_by_start[start].append(edge)
                 self._note_parse(edge)
             else:
-                self.chart.actives_by_end[end].append(edge.id)
-            self.agenda.append(edge.id)
+                chart.actives_by_end[end].append(edge)
+            self.agenda.append(edge)
         if self.trace:
             self.trace(edge)
-        if self.limits.max_edges is not None and self.chart.created >= self.limits.max_edges:
+        max_edges = self.limits.max_edges
+        if max_edges is not None and eid + 1 >= max_edges:
             raise _Bounded("edges")
         return edge
 

@@ -86,6 +86,22 @@ def test_empty_input(demo):
     assert res.n_parses == 0 and res.edges_created == 0
 
 
+def test_every_lexical_entry_of_a_word_gives_an_edge(demo):
+    registry, grammar, lexicon, _, model = demo
+    (noun,) = lexicon.lexical_categories("cat")
+    (verb,) = lexicon.lexical_categories("chases")
+    ambiguous = Lexicon(registry)
+    for word in lexicon.terminals:
+        if word == "chases":
+            ambiguous.add(word, noun)  # a noun entry ahead of the verb entry
+        for d in lexicon.lexical_categories(word):
+            ambiguous.add(word, d)
+    ambiguous.add("chases", verb)  # a repeated entry gives no second edge
+    res = parse("Sam chases the cat".split(), grammar, ambiguous, model)
+    assert [e.instances for e in res.chart.edges if e.token == "chases"] == [(noun,), (verb,)]
+    assert res.n_parses == parse("Sam chases the cat".split(), grammar, lexicon, model).n_parses >= 1
+
+
 # -- propose / extend / seed ------------------------------------------------------
 
 
@@ -632,8 +648,8 @@ def test_rejection_histogram_and_learnt_ids_are_pinned(demo):
     ) == (
         {"minor": 6, "no-head-candidate": 1},
         [
-            "*binary6", "*unary3", "*binary34", "*binary63", "*binary70", "*binary81",
-            "*unary91", "*binary101",
+            "*binary6", "*unary3", "*binary34", "*binary63", "*binary73", "*binary90",
+            "*unary100", "*binary110",
         ],
     )
 
@@ -883,7 +899,11 @@ class _PerRuleParser(ChartParser):
 
 def _parse_trace(res):
     return (
-        [(e.rule_id, e.start, e.end, e.children, e.instances, e.bad_reason) for e in res.chart.edges],
+        [
+            (e.rule_id, e.start, e.end, e.children, e.instances, e.bad_reason,
+             e.built_rule.id if e.built_rule is not None else None)
+            for e in res.chart.edges
+        ],
         res.resource_bounded,
         [t.display() for t in res.trees],
         [(r.id, r.instances) for r in res.learnt],
@@ -934,6 +954,105 @@ def test_proposal_memo_stays_bounded_in_a_learning_session(tmp_path, monkeypatch
     assert len(tuples) <= 3
     assert super_rule(2) is super_rule(2)
     assert any(super_rule(2) in rules for rules in tuples)
+
+
+# -- the agenda loop -------------------------------------------------------------------
+
+
+class _PairCountingParser(ChartParser):
+    """Counts the (active id, inactive id) pairs that reach extend."""
+
+    def extend(self, active, inactive):
+        self.tried[active.id, inactive.id] += 1
+        super().extend(active, inactive)
+
+
+class _AllPairsParser(_PairCountingParser):
+    """Runs the agenda as the chart did before the pair-once rule: a popped
+    edge tries every partner indexed so far, from a copy of the index list,
+    so a pair whose edges were both created before either was popped is
+    tried at both pops."""
+
+    def _run(self):
+        while self.agenda:
+            edge = self.agenda.popleft()
+            if edge.is_inactive:
+                self.propose(edge)
+                for active in list(self.chart.actives_by_end[edge.start]):
+                    self.extend(active, edge)
+            else:
+                for inactive in list(self.chart.inactives_by_start[edge.end]):
+                    self.extend(edge, inactive)
+
+
+def test_the_agenda_loop_builds_the_all_pairs_edge_sequence(demo):
+    registry, _, lexicon, _, model = demo
+    learning = full_flags()
+    both_supers = full_flags(unary_super=True)
+    grammars = [Grammar(registry) for _ in range(2)]
+    for g in grammars:
+        g.load_rules(data_path("demo.grammar"))
+    c11 = _c11_grammar(registry, lexicon, model)
+    bounded_eval = "the happy cat down the road chases the happy road"
+    # (sentences, flags, limits, one grammar per parser class)
+    runs = [
+        (DEMO_SENTENCES, learning, ParserLimits(), grammars),
+        (C11_TRAIN, both_supers, ParserLimits(max_edges=3000), grammars),
+        (C11_HELD_OUT, None, ParserLimits(1, 3000), (c11, c11)),
+        ([bounded_eval], None, ParserLimits(1, 3000), (c11, c11)),
+    ]
+    twice = bounded = 0
+    for sentences, flags, limits, pair in runs:
+        for sentence in sentences:
+            got, want = (
+                cls(g, lexicon, model, flags=flags, limits=limits)
+                for cls, g in zip((_PairCountingParser, _AllPairsParser), pair)
+            )
+            for parser in (got, want):
+                parser.tried = collections.Counter()
+            assert _parse_trace(got.parse(sentence.split())) == _parse_trace(
+                want.parse(sentence.split())
+            ), sentence
+            assert set(got.tried) == set(want.tried)
+            assert max(got.tried.values(), default=1) == 1
+            twice += sum(n > 1 for n in want.tried.values())
+            bounded += got.resource_bounded
+    assert [r.id for r in grammars[0].learnt] == [r.id for r in grammars[1].learnt]
+    assert twice > 100 and bounded >= 3
+    assert any(r.id.startswith("*unary") for r in grammars[0].learnt)
+
+
+def test_the_parser_calls_the_wrapped_propose_and_extend(demo, monkeypatch):
+    """bench/trace.py counts, and bench/run.py's clock ticks on, these two
+    methods, rebound on the class."""
+    registry, grammar, lexicon, _, model = demo
+    proposed, tried = collections.Counter(), collections.Counter()
+    propose, extend = vars(ChartParser)["propose"], vars(ChartParser)["extend"]
+
+    def counting_propose(self, inactive, rules=None):
+        proposed[inactive.id, rules is None] += 1
+        return propose(self, inactive, rules)
+
+    def counting_extend(self, active, inactive):
+        tried[active.id, inactive.id] += 1
+        return extend(self, active, inactive)
+
+    monkeypatch.setattr(ChartParser, "propose", counting_propose)
+    monkeypatch.setattr(ChartParser, "extend", counting_extend)
+    res = parse("Sam chases the happy cat".split(), grammar, lexicon, model, flags=full_flags())
+    assert res.n_parses == 1 and not res.resource_bounded
+    edges = [e for e in res.chart.edges if not e.bad]
+    # unbounded, every edge left the agenda: bad edges never reach it
+    popped = {(e.id, True): 1 for e in edges if e.is_inactive}
+    assert {k: n for k, n in proposed.items() if k[1]} == popped
+    assert any(not k[1] for k in proposed)  # seed_super's proposals
+    pairs = {
+        (a.id, i.id): 1
+        for a in edges if not a.is_inactive
+        for i in edges if i.is_inactive and i.start == a.end
+    }
+    assert tried == pairs
+    assert any(e.bad for e in res.chart.edges)
 
 
 # sha256 of what save-learnt writes after learning with no bound from each
