@@ -140,23 +140,15 @@ class Edge:
 
 
 class Chart:
-    """The edges in creation order (an edge's id is its index), the keys
-    that detect duplicates, and the non-bad edges indexed by where a
-    partner must meet them."""
+    """The edges in creation order (an edge's id is its index), and the
+    non-bad edges indexed by where a partner must meet them.  No edge
+    repeats, by construction (see ChartParser.propose)."""
 
     def __init__(self, n_tokens):
         self.n = n_tokens
         self.edges = []
-        self.by_key = set()
         self.actives_by_end = [[] for _ in range(n_tokens + 1)]
         self.inactives_by_start = [[] for _ in range(n_tokens + 1)]
-
-    def edge(self, eid):
-        return self.edges[eid]
-
-    @property
-    def created(self):
-        return len(self.edges)
 
 
 class ParseTree:
@@ -178,6 +170,15 @@ class ParseTree:
         yield self
         for child in self.children:
             yield from child.walk()
+
+    def postorder(self):
+        """The nodes, each after its children, children in order."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            stack.extend(node.children)
+        return reversed(out)
 
     def display(self):
         """Nested list display: ("RULE" (child ...)) with |token| leaves."""
@@ -269,7 +270,7 @@ class ChartParser:
             trees,
             learnt,
             len(trees),
-            self.chart.created,
+            len(self.chart.edges),
             self.resource_bounded,
             self.chart,
             self.cap_hits,
@@ -321,8 +322,14 @@ class ChartParser:
 
     def propose(self, inactive, rules=None):
         """Add an active edge for every rule whose first daughter accepts the
-        inactive edge's category; repeat proposals are absorbed by duplicate
-        detection."""
+        inactive edge's category.
+
+        No edge is made twice, so the chart keeps no keys: phase one
+        proposes each inactive edge once, from _proposal_rules(), which holds
+        no super rule; seed_super proposes only the super rules, from each
+        inactive edge of phase one; phase two proposes only its new edges;
+        rule ids are distinct within a grammar; and each (active, inactive)
+        pair reaches extend once (see _run)."""
         if inactive.bad:
             return
         if rules is None:
@@ -365,12 +372,6 @@ class ChartParser:
 
     def _add_edge(self, rule_id, start, end, arity, nfound, instances, children, token=None):
         chart = self.chart
-        # a lexical edge has no children: its entry tells two entries apart
-        key = (rule_id, start, end, children if token is None else instances, token)
-        by_key = chart.by_key
-        if key in by_key:
-            return None
-        by_key.add(key)
         edges = chart.edges
         eid = len(edges)
         edge = Edge(eid, start, end, rule_id, arity, nfound, instances, children, token)
@@ -384,16 +385,16 @@ class ChartParser:
                 if token is None and self.flags.data and self.store is not None:
                     edge.score = self._edge_score(edge)
                 chart.inactives_by_start[start].append(edge)
-                self._note_parse(edge)
             else:
                 chart.actives_by_end[end].append(edge)
             self.agenda.append(edge)
         if self.trace:
-            self.trace(edge)
+            self.trace(edge)  # before _note_parse, which may end the parse
+        if edge.inactive and not edge.bad:
+            self._note_parse(edge)
         max_edges = self.limits.max_edges
         if max_edges is not None and eid + 1 >= max_edges:
             raise _Bounded("edges")
-        return edge
 
     def _note_parse(self, edge):
         # no edge is marked bad after this, so the spanning list stays valid
@@ -446,7 +447,7 @@ class ChartParser:
     def _daughter_summary(self, edge):
         out = []
         for i, cid in enumerate(edge.children, start=1):
-            child = self.chart.edge(cid)
+            child = self.chart.edges[cid]
             out.append((edge.slot_cat(i), child.score if not child.is_lexical else None))
         return out
 
@@ -492,7 +493,7 @@ class ChartParser:
             child_forced = cat_at(narrowed, slot(i))
             subtrees = memo.get((cid, child_forced))
             if subtrees is None:
-                subtrees = list(self._edge_trees(self.chart.edge(cid), child_forced, memo))
+                subtrees = list(self._edge_trees(self.chart.edges[cid], child_forced, memo))
                 memo[cid, child_forced] = subtrees
             child_iters.append(subtrees)
         for combo in itertools.product(*child_iters):
@@ -502,7 +503,9 @@ class ChartParser:
 
     def _retain_rules(self, trees):
         """Rules used in extracted parses pass through the retention check,
-        children before parents so support records resolve."""
+        children before parents so support records resolve.  The walk is a
+        loop: a nested function that called itself would put the parser and
+        its chart in a reference cycle, freed only by the cyclic collector."""
         built_by_id = {}
         for edge in self.chart.edges:
             if edge.built_rule is not None:
@@ -510,29 +513,20 @@ class ChartParser:
         alias = {}
         retained = []
         seen = set()
-
-        def resolve(rid):
-            return alias.get(rid, rid)
-
-        def visit(node):
-            for child in node.children:
-                visit(child)
-            rid = node.rule_id
-            if rid is None or rid not in built_by_id or rid in seen:
-                return
-            seen.add(rid)
-            rule = built_by_id[rid]
-            daughters = tuple(
-                SupportRecord.LEXICAL if c.is_leaf else resolve(c.rule_id)
-                for c in node.children
-            )
-            support = SupportRecord(rid, daughters)
-            stored = self.grammar.add_learnt(rule, support, aliases=alias)
-            if stored is not None:
-                retained.append(stored)
-
         for tree in trees:
-            visit(tree)
+            for node in tree.postorder():
+                rid = node.rule_id
+                if rid is None or rid not in built_by_id or rid in seen:
+                    continue
+                seen.add(rid)
+                daughters = tuple(
+                    SupportRecord.LEXICAL if c.is_leaf else alias.get(c.rule_id, c.rule_id)
+                    for c in node.children
+                )
+                support = SupportRecord(rid, daughters)
+                stored = self.grammar.add_learnt(built_by_id[rid], support, aliases=alias)
+                if stored is not None:
+                    retained.append(stored)
         return retained
 
 

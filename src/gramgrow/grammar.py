@@ -405,17 +405,16 @@ class Lexicon:
     def __init__(self, registry):
         self.registry = registry
         self.entries = {}
-        self._order = []
 
     def add(self, terminal, fs):
-        if terminal not in self.entries:
-            self.entries[terminal] = []
-            self._order.append(terminal)
-        self.entries[terminal].append(fs)
+        """Add an entry; one the terminal already holds is kept once."""
+        entries = self.entries.setdefault(terminal, [])
+        if fs not in entries:
+            entries.append(fs)
 
     @property
     def terminals(self):
-        return tuple(self._order)
+        return tuple(self.entries)
 
     def lexical_categories(self, terminal):
         return tuple(self.entries.get(terminal, ()))

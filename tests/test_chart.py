@@ -1,9 +1,11 @@
 import ast
 import collections
+import gc
 import hashlib
 import io
 import itertools
 import os
+import weakref
 
 import pytest
 
@@ -116,28 +118,19 @@ def _session(demo, tokens, **kw):
 def test_propose_builds_active_edge(demo):
     parser = _session(demo, ["Sam"])
     sam = parser.chart.edges[0]
-    before = parser.chart.created
+    before = len(parser.chart.edges)
     parser.propose(sam)
     actives = [e for e in parser.chart.edges[before:] if not e.is_inactive]
     assert any(e.rule_id == "S1" for e in actives)
-
-
-def test_propose_twice_adds_nothing(demo):
-    parser = _session(demo, ["Sam"])
-    sam = parser.chart.edges[0]
-    parser.propose(sam)
-    created = parser.chart.created
-    parser.propose(sam)
-    assert parser.chart.created == created
 
 
 def test_propose_from_bad_edge_is_noop(demo):
     parser = _session(demo, ["Sam"])
     sam = parser.chart.edges[0]
     sam.bad = True
-    created = parser.chart.created
+    created = len(parser.chart.edges)
     parser.propose(sam)
-    assert parser.chart.created == created
+    assert len(parser.chart.edges) == created
 
 
 def test_extend_category_mismatch_yields_nothing(demo):
@@ -145,15 +138,15 @@ def test_extend_category_mismatch_yields_nothing(demo):
     det, verb = parser.chart.edges[:2]
     parser.propose(det)  # NP1 active edge: Det . N1
     active = next(e for e in parser.chart.edges if not e.is_inactive)
-    created = parser.chart.created
+    created = len(parser.chart.edges)
     parser.extend(active, verb)
-    assert parser.chart.created == created
+    assert len(parser.chart.edges) == created
 
 
 def test_seed_super_adds_proposals_everywhere(demo):
     parser = _session(demo, "Sam chases the happy cat".split())
     parser._run()
-    before = parser.chart.created
+    before = len(parser.chart.edges)
     parser.seed_super()
     new_actives = [
         e for e in parser.chart.edges[before:] if not e.is_inactive and e.rule_id.startswith("*super-")
@@ -218,6 +211,18 @@ def test_parse_limit_stops_early(demo):
     assert not res.resource_bounded
 
 
+def test_the_trace_sees_the_edge_that_ends_a_bounded_parse(demo):
+    registry, grammar, lexicon, _, model = demo
+    for sentence, flags in (("Sam chases the cat", None), ("Sam chases the happy cat", full_flags())):
+        traced = []
+        res = parse(
+            sentence.split(), grammar, lexicon, model, flags=flags,
+            limits=ParserLimits(1, None), trace=traced.append,
+        )
+        assert res.n_parses == 1
+        assert traced == res.chart.edges
+
+
 def test_bad_edges_count_toward_edge_total(demo):
     registry, grammar, lexicon, _, model = demo
     res = parse("Sam chases happy the cat".split(), grammar, lexicon, model, flags=full_flags())
@@ -229,24 +234,53 @@ def test_bad_edges_count_toward_edge_total(demo):
 # -- invariants -----------------------------------------------------------------------
 
 
+def _edge_key(edge):
+    """What tells two edges apart: a lexical edge has no children, and its
+    entry stands in for them."""
+    return (edge.rule_id, edge.start, edge.end, edge.children or edge.instances)
+
+
 def test_fixpoint_when_unbounded(demo):
+    """Closure: proposing and extending the finished chart's edges again
+    makes only edges the chart already holds."""
     registry, grammar, lexicon, _, model = demo
     parser = ChartParser(grammar, lexicon, model, flags=full_flags())
     parser.parse("Sam chases the happy cat".split())
-    created = parser.chart.created
-    for edge in list(parser.chart.edges):
+    edges = list(parser.chart.edges)
+    keys = {_edge_key(e) for e in edges}
+    assert len(keys) == len(edges)
+    for edge in edges:
         if edge.bad:
             continue
         if edge.is_inactive:
             parser.propose(edge)
-            for a in list(parser.chart.edges):
+            for a in edges:
                 if not a.is_inactive and not a.bad and a.end == edge.start:
                     parser.extend(a, edge)
         else:
-            for i in list(parser.chart.edges):
+            for i in edges:
                 if i.is_inactive and not i.bad and i.start == edge.end:
                     parser.extend(edge, i)
-    assert parser.chart.created == created
+    again = parser.chart.edges[len(edges):]
+    assert again
+    assert all(_edge_key(e) in keys for e in again)
+
+
+@pytest.mark.parametrize("learning", [False, True])
+def test_a_parser_is_freed_without_the_cyclic_collector(demo, learning):
+    registry, grammar, lexicon, _, model = demo
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        parser = ChartParser(grammar, lexicon, model, flags=full_flags(learning=learning))
+        result = parser.parse("Sam chases the happy cat".split())
+        assert len(result.learnt) == learning
+        ref = weakref.ref(parser)
+        del parser, result
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_no_super_edges_with_learning_off(demo):
@@ -819,7 +853,7 @@ def _signature(chart, edge):
     """An edge by its span and its children's spans and rules, which stay
     put when the chart gains other edges."""
     kids = tuple(
-        (c.start, c.end, c.rule_id, c.token) for c in map(chart.edge, edge.children)
+        (c.start, c.end, c.rule_id, c.token) for c in (chart.edges[cid] for cid in edge.children)
     )
     return edge.start, edge.end, edge.rule_id, kids
 
@@ -971,7 +1005,17 @@ class _AllPairsParser(_PairCountingParser):
     """Runs the agenda as the chart did before the pair-once rule: a popped
     edge tries every partner indexed so far, from a copy of the index list,
     so a pair whose edges were both created before either was popped is
-    tried at both pops."""
+    tried at both pops.  Its own key set drops the repeats that makes."""
+
+    def parse(self, tokens):
+        self.keys = set()
+        return super().parse(tokens)
+
+    def _add_edge(self, rule_id, start, end, arity, nfound, instances, children, token=None):
+        key = (rule_id, start, end, children or instances)
+        if key not in self.keys:
+            self.keys.add(key)
+            super()._add_edge(rule_id, start, end, arity, nfound, instances, children, token)
 
     def _run(self):
         while self.agenda:
@@ -1010,9 +1054,9 @@ def test_the_agenda_loop_builds_the_all_pairs_edge_sequence(demo):
             )
             for parser in (got, want):
                 parser.tried = collections.Counter()
-            assert _parse_trace(got.parse(sentence.split())) == _parse_trace(
-                want.parse(sentence.split())
-            ), sentence
+            res = got.parse(sentence.split())
+            assert _parse_trace(res) == _parse_trace(want.parse(sentence.split())), sentence
+            assert len({_edge_key(e) for e in res.chart.edges}) == len(res.chart.edges)
             assert set(got.tried) == set(want.tried)
             assert max(got.tried.values(), default=1) == 1
             twice += sum(n > 1 for n in want.tried.values())
@@ -1153,7 +1197,7 @@ def _reference_trees(parser, edge, forced, calls):
     rule_id = edge.built_rule.id if edge.built_rule is not None else edge.rule_id
     child_lists = [
         list(_reference_trees(
-            parser, parser.chart.edge(cid), cat_at(narrowed, slot(i)), calls
+            parser, parser.chart.edges[cid], cat_at(narrowed, slot(i)), calls
         ))
         for i, cid in enumerate(edge.children, start=1)
     ]
