@@ -5,8 +5,10 @@ binary rules, same-bar) projections of its major daughters.  Head features
 are shared between a projection and its source daughter when the head
 feature convention is compiled in.
 
-Construction yields a `Rule`, or the reason no rule could be built: one of
-the strings below, which the chart records as the edge's `bad_reason`.
+Construction yields a `Rule` under a placeholder id (`*unary?` or
+`*binary?`, which the chart renames), or the reason no rule could be built:
+one of the strings below, which the chart records as the edge's
+`bad_reason`.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _candidate_bars(d, max_bar, include_same_bar):
     return bars or MAX_BAR
 
 
-def construct_unary_cat(c, max_bar, nonhead, rule_id="*unary?"):
+def construct_unary_cat(c, max_bar, nonhead):
     """A unary rule over c, or the reason of c's first disjunct."""
     instances = []
     reasons = []
@@ -80,10 +82,10 @@ def construct_unary_cat(c, max_bar, nonhead, rule_id="*unary?"):
             instances.append(_instance(nonhead, b, 0, (d,)))
     if not instances:
         return reasons[0] if reasons else NO_HEAD
-    return rule_of(rule_id, 1, tuple(dict.fromkeys(instances)), LEARNT)
+    return rule_of("*unary?", 1, tuple(dict.fromkeys(instances)), LEARNT)
 
 
-def construct_binary_cat(c1, c2, max_bar, nonhead, rule_id="*binary?"):
+def construct_binary_cat(c1, c2, max_bar, nonhead):
     """A binary rule over c1 c2, or NO_HEAD when neither can head it."""
     instances = []
     any_candidate = False
@@ -100,7 +102,7 @@ def construct_binary_cat(c1, c2, max_bar, nonhead, rule_id="*binary?"):
                     instances.append(_instance(nonhead, b, head_pos, daughters))
     if not any_candidate:
         return NO_HEAD
-    return rule_of(rule_id, 2, tuple(dict.fromkeys(instances)), LEARNT)
+    return rule_of("*binary?", 2, tuple(dict.fromkeys(instances)), LEARNT)
 
 
 @functools.cache

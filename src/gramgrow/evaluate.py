@@ -129,36 +129,32 @@ def normalize_tree(pm, tree):
     """Preorder label list: paraphrase labels at internal nodes (bar levels
     above one promoted to phrasal labels), tokens at leaves."""
     out = []
-
-    def rec(node):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
         if node.is_leaf:
             # the leaf's category is its preterminal; a bare leaf with an
             # empty category contributes the token alone
             if any(d.root_features for d in node.cat.disjuncts):
                 out.append(pm.paraphrase_cat(node.cat, promote=True))
             out.append(node.token)
-            return
+            continue
         out.append(pm.paraphrase_cat(node.cat, promote=True))
-        for child in node.children:
-            rec(child)
-
-    rec(tree)
+        stack.extend(reversed(node.children))
     return out
 
 
 def flatten_benchmark(tree):
     """Preorder walk of a benchmark tree: (label, children) or token."""
     out = []
-
-    def rec(node):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
         if isinstance(node, str):
             out.append(node)
-            return
+            continue
         out.append(node[0])
-        for child in node[1]:
-            rec(child)
-
-    rec(tree)
+        stack.extend(reversed(node[1]))
     return out
 
 

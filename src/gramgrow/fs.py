@@ -149,59 +149,32 @@ def _atoms(mask):
 
 _WILD = _mask((WILDCARD,))
 
-# Nodes are interned once per process too.  A node's children are the child
-# node objects themselves, so equal sub-structures are one object wherever
-# they occur, and a memo keyed by structures finds its entry by identity.  A
-# node that its structure reaches by more than one path carries a tag: its
-# number among the shared nodes, by first visit in a DFS that takes features
-# alphabetically (0: not shared).  Sharing stays explicit that way, so equal
-# structures are one node and identity is equality.  The table is strong and
-# grows with the distinct nodes seen, not with the structures made.
-class _Node:
-    """An interned node: payload (None or an atom bitmask), feats (a tuple of
-    (feature, child node) pairs in alphabetical feature order) and tag.
-    `tagged` is true when the node or a node below it has a tag, and `vset`
-    when the node or a node below it holds a value disjunction (two atoms or
-    more).  `fs` is the structure rooted here, and `sub` the one rooted here
-    with its tags renumbered within it, each made on first use."""
-
-    __slots__ = ("payload", "feats", "tag", "tagged", "vset", "fs", "sub")
-
-
-_NODES = {}  # (payload, feats, tag) -> the one _Node
+_NODES = {}  # (payload, feats, tag) -> the one FS
 
 
 def _node(payload, feats, tag=0):
+    """The one FS with this payload, feats and tag."""
     key = (payload, feats, tag)
     node = _NODES.get(key)
     if node is None:
-        node = _NODES[key] = _Node()
+        node = _NODES[key] = FS()
         node.payload, node.feats, node.tag = payload, feats, tag
         node.tagged = bool(tag) or any(c.tagged for _, c in feats)
         node.vset = bool(payload and payload & (payload - 1)) or any(c.vset for _, c in feats)
-        node.fs = node.sub = None
+        node.sub = node._rootmap = None
     return node
-
-
-def _fs(root):
-    """The one FS rooted at the node root."""
-    fs = root.fs
-    if fs is None:
-        fs = root.fs = FS(root)
-    return fs
 
 
 def _sub(node):
     """The structure under node, as a value of its own: a tag that occurs
-    only once below node is dropped and the others are renumbered."""
+    only once below node is dropped and the others are renumbered.  A node
+    without tags is that value already."""
+    if not node.tagged:
+        return node
     hit = node.sub
     if hit is None:
-        if node.tagged:
-            graph = _Graph()
-            hit = graph.freeze(graph._loaded(node, {}))
-        else:
-            hit = _fs(node)
-        node.sub = hit
+        graph = _Graph()
+        hit = node.sub = graph.freeze(graph._loaded(node, {}))
     return hit
 
 
@@ -265,7 +238,7 @@ class _Graph:
     def load(self, fs):
         """Copy a frozen structure in; returns the id of its root, whose
         feature dict is there to read."""
-        root = self._loaded(fs.root, {})
+        root = self._loaded(fs, {})
         self._expand(root)
         return root
 
@@ -312,69 +285,73 @@ class _Graph:
         """The FS under root; _Bottom if the graph is cyclic.  One walk
         counts the paths into each node, a second builds the nodes, tagging
         those with more than one path in first-visit order."""
-        payload, feats, src, find = self.payload, self.feats, self.src, self.find
+        root = self.find(root)
         refs = {}
-        on_path = set()
+        self._count(root, refs, set())
+        return self._build(root, refs, {}, itertools.count(1))
 
-        def count(i):
-            n = refs.get(i)
-            if n is not None:
-                if i in on_path:
-                    raise _Bottom()  # cyclic
-                refs[i] = n + 1
-                return
-            refs[i] = 1
-            fi = feats[i]
-            if fi is None:
-                if not src[i].tagged:
-                    return  # untouched and tag-free: frozen as it is
-                fi = self._expand(i)
-            on_path.add(i)
-            for child in fi.values():
-                count(find(child))
-            on_path.discard(i)
+    def _count(self, i, refs, on_path):
+        """Count in refs the paths into i and the nodes below it; on_path
+        holds the nodes above i."""
+        n = refs.get(i)
+        if n is not None:
+            if i in on_path:
+                raise _Bottom()  # cyclic
+            refs[i] = n + 1
+            return
+        refs[i] = 1
+        fi = self.feats[i]
+        if fi is None:
+            if not self.src[i].tagged:
+                return  # untouched and tag-free: frozen as it is
+            fi = self._expand(i)
+        on_path.add(i)
+        for child in fi.values():
+            self._count(self.find(child), refs, on_path)
+        on_path.discard(i)
 
-        nodes = _NODES
-        built = {}
-        tags = [0]
-
-        def build(i):
-            node = built.get(i)
-            if node is not None:
-                return node
-            tag = 0
-            if refs[i] > 1:
-                tags[0] += 1
-                tag = tags[0]
-            fi = feats[i]
-            if fi is None:
-                node = src[i]
-                if tag:
-                    node = _node(node.payload, node.feats, tag)
-            else:
-                key = (payload[i], tuple([(f, build(find(c))) for f, c in sorted(fi.items())]), tag)
-                node = nodes.get(key) or _node(*key)
-            built[i] = node
+    def _build(self, i, refs, built, tags):
+        """The interned node of i (built: id -> node so far); a node with
+        more than one path into it takes the next number of tags."""
+        node = built.get(i)
+        if node is not None:
             return node
-
-        root = find(root)
-        count(root)
-        return _fs(build(root))
+        tag = next(tags) if refs[i] > 1 else 0
+        fi = self.feats[i]
+        if fi is None:
+            node = self.src[i]
+            if tag:
+                node = _node(node.payload, node.feats, tag)
+        else:
+            feats = tuple([(f, self._build(self.find(c), refs, built, tags)) for f, c in sorted(fi.items())])
+            key = (self.payload[i], feats, tag)
+            node = _NODES.get(key) or _node(*key)
+        built[i] = node
+        return node
 
 
 class FS:
-    """Immutable feature structure: an interned root node (see _Node).
+    """Immutable feature structure: an interned node.
 
-    Equal structures have the same root node, and only `_fs` makes an FS,
-    one per root node, so equal structures are one FS: `==` and `hash` are
-    those of the object.
+    A node has a payload (None or an atom bitmask), feats (a tuple of
+    (feature, child node) pairs in alphabetical feature order) and a tag.
+    Its children are nodes too, so equal sub-structures are one object
+    wherever they occur.  A node that its structure reaches by more than one
+    path carries a tag: its number among the shared nodes, by first visit in
+    a DFS that takes features alphabetically (0: not shared).  Sharing stays
+    explicit that way, and only `_node` makes an FS, one per (payload,
+    feats, tag): equal structures are one object, and `==` and `hash` are
+    those of the object.  The table is strong and grows with the distinct
+    nodes seen, not with the structures made.
+
+    `tagged` is true when the node or a node below it has a tag, and `vset`
+    when the node or a node below it holds a value disjunction (two atoms or
+    more).  A child whose tags are numbered by the structure above it is not
+    a value of its own: it leaves this module only through `get` and
+    `_sub`, which renumber its tags and cache the result in `sub`.
     """
 
-    __slots__ = ("root", "_rootmap")
-
-    def __init__(self, root):
-        self.root = root
-        self._rootmap = None
+    __slots__ = ("payload", "feats", "tag", "tagged", "vset", "sub", "_rootmap")
 
     @staticmethod
     def empty():
@@ -384,12 +361,12 @@ class FS:
 
     @property
     def root_features(self):
-        return tuple(f for f, _ in self.root.feats)
+        return tuple(f for f, _ in self.feats)
 
     def get(self, feature, default=None):
         """Value at a root feature: atom str, frozenset, nested FS, or None for
         an unconstrained shared node."""
-        for f, child in self.root.feats:
+        for f, child in self.feats:
             if f == feature:
                 if child.payload is not None:
                     atoms = _atoms(child.payload)
@@ -403,14 +380,14 @@ class FS:
         """Root features with atom payloads (masks), for cheap
         incompatibility checks."""
         if self._rootmap is None:
-            self._rootmap = {f: c.payload for f, c in self.root.feats if c.payload is not None}
+            self._rootmap = {f: c.payload for f, c in self.feats if c.payload is not None}
         return self._rootmap
 
     def __repr__(self):
         return "FS(%s)" % print_fs(Category((self,)))
 
 
-_EMPTY_FS = _fs(_node(None, ()))
+_EMPTY_FS = _node(None, ())
 
 
 class Category:
@@ -459,30 +436,31 @@ def fs_from_pairs(pairs):
 
 def subsumes(d, d2):
     """True iff d is at most as informative as d2 (d generalizes d2)."""
-    mapping = {}  # tag in d -> the node of d2 it maps to
+    return _subsumes(d, d2, {})
 
-    def rec(node, node2):
-        if node is node2 and not node.tagged:
-            return True
-        if node.tag:
-            hit = mapping.get(node.tag)
-            if hit is not None:
-                # the same node of d2 again: one object with a tag
-                return hit is node2 and node2.tag != 0
-            mapping[node.tag] = node2
-        payload, payload2 = node.payload, node2.payload
-        if payload is not None and (payload2 is None or payload2 & ~payload):
-            return False
-        if not node.feats:
-            return True
-        f2 = dict(node2.feats)
-        for feat, child in node.feats:
-            child2 = f2.get(feat)
-            if child2 is None or not rec(child, child2):
-                return False
+
+def _subsumes(node, node2, mapping):
+    """subsumes on a node of d and its counterpart in d2; mapping: tag in d
+    -> the node of d2 it maps to."""
+    if node is node2 and not node.tagged:
         return True
-
-    return rec(d.root, d2.root)
+    if node.tag:
+        hit = mapping.get(node.tag)
+        if hit is not None:
+            # the same node of d2 again: one object with a tag
+            return hit is node2 and node2.tag != 0
+        mapping[node.tag] = node2
+    payload, payload2 = node.payload, node2.payload
+    if payload is not None and (payload2 is None or payload2 & ~payload):
+        return False
+    if not node.feats:
+        return True
+    f2 = dict(node2.feats)
+    for feat, child in node.feats:
+        child2 = f2.get(feat)
+        if child2 is None or not _subsumes(child, child2, mapping):
+            return False
+    return True
 
 
 def equal(d, d2):
@@ -513,30 +491,26 @@ def matches(p, d, presence):
     """Pattern match, path by path: a value of p must share an atom with d's
     value there, and the wildcard accepts any value.  presence=True: every
     feature of p must be present in d; presence=False: absent ones pass."""
-
-    def rec(node, node2):
-        payload, feats = node.payload, node.feats
-        payload2, feats2 = node2.payload, node2.feats
-        if payload is not None:
-            if payload == _WILD:
-                return True
-            return bool(payload & payload2) if payload2 is not None else not feats2
-        if not feats:
+    payload, feats = p.payload, p.feats
+    payload2, feats2 = d.payload, d.feats
+    if payload is not None:
+        if payload == _WILD:
             return True
-        if payload2 is not None:
-            return False
-        if not feats2:
-            return not presence
-        f2 = dict(feats2)
-        for feat, child in feats:
-            if feat not in f2:
-                if presence:
-                    return False
-            elif not rec(child, f2[feat]):
-                return False
+        return bool(payload & payload2) if payload2 is not None else not feats2
+    if not feats:
         return True
-
-    return rec(p.root, d.root)
+    if payload2 is not None:
+        return False
+    if not feats2:
+        return not presence
+    f2 = dict(feats2)
+    for feat, child in feats:
+        if feat not in f2:
+            if presence:
+                return False
+        elif not matches(child, f2[feat], presence):
+            return False
+    return True
 
 
 # -- unification -----------------------------------------------------------
@@ -573,7 +547,7 @@ def unify(d, d2, at=None):
         if subsumes(d, d2):
             return d2
     else:
-        for feat, child in d.root.feats:
+        for feat, child in d.feats:
             if feat == at:
                 if subsumes(d2, _sub(child)):
                     return d
@@ -623,25 +597,19 @@ def _in_order(feats, registry):
     return sorted(feats, key=lambda fc: registry.feature_key(fc[0]))
 
 
-def _first_features(root):
-    """Tag -> the feature of the first edge into its node, in canonical order:
-    nodes by first visit in a DFS that takes features alphabetically, and
-    each node's edges alphabetically."""
-    first = {}
-    visited = set()
-
-    def rec(node):
-        for feat, child in node.feats:
+def _first_features(node, first, visited):
+    """Fill first with tag -> the feature of the first edge into its node,
+    in canonical order: nodes by first visit in a DFS from node that takes
+    features alphabetically, and each node's edges alphabetically.  visited
+    holds the tags walked."""
+    for feat, child in node.feats:
+        if child.tag:
+            first.setdefault(child.tag, feat)
+    for _, child in node.feats:
+        if child.tagged and child.tag not in visited:
             if child.tag:
-                first.setdefault(child.tag, feat)
-        for _, child in node.feats:
-            if child.tagged and child.tag not in visited:
-                if child.tag:
-                    visited.add(child.tag)
-                rec(child)
-
-    rec(root)
-    return first
+                visited.add(child.tag)
+            _first_features(child, first, visited)
 
 
 def _choices(fs, registry):
@@ -650,54 +618,50 @@ def _choices(fs, registry):
     known.  A shared disjunction takes the value order of the feature of its
     first edge in canonical order."""
     out = []
-    seen = set()  # tags walked
-    first = None
-
-    def rec(node, feat):
-        nonlocal first
-        if node.tag:
-            if node.tag in seen:
-                return
-            seen.add(node.tag)
-        if node.payload is not None:  # rec sees vset nodes only: a value disjunction
-            vals = _atoms(node.payload)
-            if registry is None:
-                vals.sort()
-            else:
-                if node.tag:
-                    first = first or _first_features(fs.root)
-                    feat = first[node.tag]
-                vals.sort(key=lambda v: registry.value_key(feat, v))
-            out.append([_BITS[v] for v in vals])
-        for f, child in _in_order(node.feats, registry):
-            if child.vset:
-                rec(child, f)
-
-    rec(fs.root, "")
+    _add_choices(fs, "", fs, registry, out, set(), {})
     return out
 
 
-def _resolved(root, registry, values):
-    """root with its value disjunctions set, in `_choices`'s walk order, to
-    values.  Only the nodes on paths to them are made anew; the shape stays,
-    so every tag keeps its number."""
-    values = iter(values)
-    done = {}  # tag -> its new node
-
-    def rec(node):
-        hit = done.get(node.tag)
-        if hit is not None:
-            return hit
-        if node.feats:
-            new = {f: rec(c) for f, c in _in_order(node.feats, registry) if c.vset}
-            hit = _node(None, tuple([(f, new.get(f, c)) for f, c in node.feats]), node.tag)
+def _add_choices(node, feat, fs, registry, out, seen, first):
+    """_choices's walk from node, reached through feat: seen holds the tags
+    walked, and first is filled by _first_features(fs) when first needed."""
+    if node.tag:
+        if node.tag in seen:
+            return
+        seen.add(node.tag)
+    if node.payload is not None:  # only vset nodes are walked: a value disjunction
+        vals = _atoms(node.payload)
+        if registry is None:
+            vals.sort()
         else:
-            hit = _node(next(values), (), node.tag)
-        if node.tag:
-            done[node.tag] = hit
-        return hit
+            if node.tag:
+                if not first:
+                    _first_features(fs, first, set())
+                feat = first[node.tag]
+            vals.sort(key=lambda v: registry.value_key(feat, v))
+        out.append([_BITS[v] for v in vals])
+    for f, child in _in_order(node.feats, registry):
+        if child.vset:
+            _add_choices(child, f, fs, registry, out, seen, first)
 
-    return rec(root)
+
+def _resolved(node, registry, values, done):
+    """node with its value disjunctions set, in `_choices`'s walk order, to
+    the next items of the iterator values; done maps a tag to its new node.
+    Only the nodes on paths to them are made anew; the shape stays, so every
+    tag keeps its number."""
+    hit = done.get(node.tag)
+    if hit is not None:
+        return hit
+    if node.feats:
+        walked = _in_order(node.feats, registry)
+        new = {f: _resolved(c, registry, values, done) for f, c in walked if c.vset}
+        hit = _node(None, tuple([(f, new.get(f, c)) for f, c in node.feats]), node.tag)
+    else:
+        hit = _node(next(values), (), node.tag)
+    if node.tag:
+        done[node.tag] = hit
+    return hit
 
 
 def expand(c, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
@@ -713,7 +677,7 @@ def expand(c, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
         room = None if cap is None else cap - len(out)
         if room == 0 and on_cap is None:
             break
-        if not d.root.vset:
+        if not d.vset:
             total += 1
             if room != 0:
                 out.append(d)
@@ -724,7 +688,7 @@ def expand(c, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
             fanout *= len(vals)
         total += fanout
         for combo in itertools.islice(itertools.product(*choices), room):
-            out.append(_fs(_resolved(d.root, registry, combo)))
+            out.append(_resolved(d, registry, iter(combo), {}))
     if cap is not None and total > cap and on_cap is not None:
         on_cap(total)
     return out
@@ -916,43 +880,41 @@ class _Printer:
         """The text of the structure under the node root.  A tagged node
         prints as its number in tagno (node -> number), given it on first
         print."""
-        if tagno is None:
-            tagno = {}
         out = []
-
-        def emit(node, feat_ctx):
-            payload, feats = node.payload, node.feats
-            if node.tag:
-                if node in tagno:
-                    out.append("#%d" % tagno[node])
-                    return
-                tagno[node] = self.next_tag
-                self.next_tag += 1
-                out.append("#%d" % tagno[node])
-                if payload is None and not feats:
-                    return
-                out.append("=")
-            if payload is not None:
-                vals = sorted(_atoms(payload), key=lambda v: self._vkey(feat_ctx, v))
-                out.append(vals[0] if len(vals) == 1 else "{" + ", ".join(vals) + "}")
-            else:
-                out.append("[")
-                first = True
-                for feat, child in _in_order(feats, self.registry):
-                    if not first:
-                        out.append(", ")
-                    first = False
-                    out.append(feat + " ")
-                    emit(child, feat)
-                out.append("]")
-
-        emit(root, "")
+        self._emit(root, "", {} if tagno is None else tagno, out)
         return "".join(out)
+
+    def _emit(self, node, feat_ctx, tagno, out):
+        """Append to out the text of node, the value of feature feat_ctx."""
+        payload, feats = node.payload, node.feats
+        if node.tag:
+            if node in tagno:
+                out.append("#%d" % tagno[node])
+                return
+            tagno[node] = self.next_tag
+            self.next_tag += 1
+            out.append("#%d" % tagno[node])
+            if payload is None and not feats:
+                return
+            out.append("=")
+        if payload is not None:
+            vals = sorted(_atoms(payload), key=lambda v: self._vkey(feat_ctx, v))
+            out.append(vals[0] if len(vals) == 1 else "{" + ", ".join(vals) + "}")
+        else:
+            out.append("[")
+            first = True
+            for feat, child in _in_order(feats, self.registry):
+                if not first:
+                    out.append(", ")
+                first = False
+                out.append(feat + " ")
+                self._emit(child, feat, tagno, out)
+            out.append("]")
 
     def cat_text(self, cat):
         if cat.is_bottom:
             return "⊥"
-        texts = [self.fs_text(d.root) for d in cat.disjuncts]
+        texts = [self.fs_text(d) for d in cat.disjuncts]
         if len(texts) == 1:
             return texts[0]
         return "{" + ", ".join(texts) + "}"
@@ -969,7 +931,7 @@ def print_parts(fs, part_features, registry=None):
     with sharing between the parts surfaced as common tags."""
     printer = _Printer(registry)
     tagno = {}
-    roots = dict(fs.root.feats)
+    roots = dict(fs.feats)
     out = {}
     for feat in part_features:
         node = roots.get(feat)

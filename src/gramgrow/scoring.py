@@ -142,17 +142,15 @@ def decompose(tree):
     are lexical tokens contribute their (preterminal) category, below which
     nothing is produced."""
     pairs = []
-
-    def rec(node):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
         if node.is_leaf:
-            return
+            continue
         m = _single(node.cat)
         for child in node.children:
             pairs.append((m, _single(child.cat)))
-        for child in node.children:
-            rec(child)
-
-    rec(tree)
+        stack.extend(reversed(node.children))
     return pairs
 
 

@@ -283,6 +283,30 @@ def test_a_parser_is_freed_without_the_cyclic_collector(demo, learning):
             gc.enable()
 
 
+def test_cold_learning_parses_leave_no_reference_cycles(demo, monkeypatch):
+    """With every memo bypassed, so that the fs walks run, learning parses
+    leave nothing for the cyclic collector."""
+    _, grammar, lexicon, _, model = demo
+    _uncache(monkeypatch)
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for sentence in ("Sam chases the happy cat", "the happy cat chases Sam down the road"):
+            result = parse(sentence.split(), grammar, lexicon, model, flags=full_flags())
+            assert result.learnt
+        del result
+        gc.collect()
+        left = collections.Counter(type(o).__qualname__ for o in gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert not left, left.most_common(5)
+
+
 def test_no_super_edges_with_learning_off(demo):
     registry, grammar, lexicon, _, model = demo
     res = parse("Sam chases the cat".split(), grammar, lexicon, model)
@@ -729,7 +753,7 @@ def test_node_table_stops_growing_when_a_session_is_repeated(demo):
             parse(sentence.split(), g, lexicon, model, flags=full_flags())
         for rule in g.rules:
             format_rule(rule, registry)
-        values = sum(node.fs is not None for node in fs_module._NODES.values())
+        values = sum(node.sub is not None for node in fs_module._NODES.values())
         memos = tuple(f.cache_info().currsize for f in CACHED + INTERNERS)
         sizes.append((len(fs_module._NODES), values) + memos)
     assert sizes[0] == sizes[1]

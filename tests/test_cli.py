@@ -1,5 +1,6 @@
 import hashlib
 import io
+from pathlib import Path
 
 from gramgrow.cli import EXIT_OK, EXIT_RESOURCE, Session, cmd_eval, main, run_repl
 from gramgrow import resources
@@ -249,7 +250,7 @@ def test_cmd_eval_reports_byte_identical(tmp_path):
         prefix = str(tmp_path / ("run%d" % run))
         cmd_eval(session, test_path=str(test_file), random_count=20, random_length=4,
                  seed=99, out_prefix=prefix)
-        texts.append((open(prefix + ".tsv").read(), open(prefix + ".txt").read()))
+        texts.append((Path(prefix + ".tsv").read_text(), Path(prefix + ".txt").read_text()))
     assert texts[0] == texts[1]
 
 

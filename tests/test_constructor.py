@@ -69,7 +69,7 @@ def test_project_identity_at_own_bar(demo, lex):
 
 
 def test_construct_unary_raises_bar(demo, lex):
-    rule = construct_unary_cat(one(lex["happy"]), 2, None, "*unary1")
+    rule = construct_unary_cat(one(lex["happy"]), 2, None)
     assert not isinstance(rule, str)
     assert rule.arity == 1
     lhs = rule.lhs
@@ -79,25 +79,25 @@ def test_construct_unary_raises_bar(demo, lex):
 
 
 def test_construct_unary_boundary(demo, lex):
-    got = construct_unary_cat(one(lex["Sam"]), 2, None, "*unary2")
+    got = construct_unary_cat(one(lex["Sam"]), 2, None)
     assert got == MAX_BAR == "max-bar"
 
 
 def test_construct_unary_no_bar(demo, lex):
-    got = construct_unary_cat(one(lex["the"]), 3, None, "*unary3")
+    got = construct_unary_cat(one(lex["the"]), 3, None)
     assert got == NO_BAR == "no-bar"
 
 
 def test_construct_unary_minor():
     _, _, lexicon, _, _ = load_bundle("claws")
     det = lexicon.lexical_categories("AT")[0]
-    got = construct_unary_cat(one(det), 3, None, "*unary4")
+    got = construct_unary_cat(one(det), 3, None)
     assert got == MINOR_DAUGHTER == "minor"
 
 
 def test_construct_binary_worked_example(demo, lex):
     registry, _, _, labels = demo
-    rule = construct_binary_cat(one(lex["happy"]), one(lex["cat"]), 2, None, "*binary1")
+    rule = construct_binary_cat(one(lex["happy"]), one(lex["cat"]), 2, None)
     assert not isinstance(rule, str)
     got = {labels.paraphrase(d) for d in rule.lhs.disjuncts}
     assert got == {"AP", "NP", "Adj", "N1"}
@@ -115,18 +115,18 @@ def test_construct_binary_worked_example(demo, lex):
 
 def test_construct_binary_minor_daughter_skipped(demo, lex):
     registry, _, _, labels = demo
-    rule = construct_binary_cat(one(lex["the"]), one(lex["cat"]), 2, None, "*binary2")
+    rule = construct_binary_cat(one(lex["the"]), one(lex["cat"]), 2, None)
     assert not isinstance(rule, str)
     assert {labels.paraphrase(d) for d in rule.lhs.disjuncts} == {"N1", "NP"}
 
 
 def test_construct_binary_two_minor_daughters(demo, lex):
-    got = construct_binary_cat(one(lex["the"]), one(lex["the"]), 3, None, "*binary3")
+    got = construct_binary_cat(one(lex["the"]), one(lex["the"]), 3, None)
     assert got == NO_HEAD == "no-head-candidate"
 
 
 def test_construct_binary_hfc_lhs_is_pure_head(demo, lex):
-    rule = construct_binary_cat(one(lex["happy"]), one(lex["cat"]), 2, DEFAULT_NONHEAD, "*b4")
+    rule = construct_binary_cat(one(lex["happy"]), one(lex["cat"]), 2, DEFAULT_NONHEAD)
     for d in rule.lhs.disjuncts:
         assert d.get("NTYPE") is None
         for feat in d.root_features:
@@ -137,6 +137,6 @@ def test_construct_binary_disjunctive_daughter(demo):
     registry, _, _, labels = demo
     c1 = parse_fs("[N -, V +, BAR 0, DET -]", registry)
     c2 = parse_fs("{[N -, V -, BAR 2, DET -], [N +, V -, BAR 3, DET -]}", registry)
-    rule = construct_binary_cat(c1, c2, 3, None, "*b5")
+    rule = construct_binary_cat(c1, c2, 3, None)
     labels_got = {labels.paraphrase(d) for d in rule.lhs.disjuncts}
     assert labels_got == {"V0", "VP", "PP", "P3", "N3"}

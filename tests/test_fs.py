@@ -308,8 +308,8 @@ def test_unify_commutative_associative_idempotent():
 
 
 def _same_nodes(a, b):
-    """One root node, so every node is the same object."""
-    return a.root is b.root
+    """One structure object, so every node below is the same object too."""
+    return a is b
 
 
 def test_equal_structures_share_their_node_tuples():

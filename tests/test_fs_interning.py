@@ -1,5 +1,5 @@
 """Every feature structure the package builds comes from the intern helper
-`fs._fs`, and every rule from the interner `grammar.rule_of`."""
+`fs._node`, and every rule from the interner `grammar.rule_of`."""
 
 import ast
 import os
@@ -38,10 +38,10 @@ def _constructor_calls(cls, module, helper):
 
 
 def test_only_the_intern_helper_calls_the_fs_constructor():
-    allowed, stray = _constructor_calls("FS", "fs.py", "_fs")
-    # FS equality is identity: it holds only while `_fs` makes every FS, one
-    # per root node
-    assert len(allowed) == 1 and not stray, ("FS(...) outside fs._fs breaks identity equality", stray)
+    allowed, stray = _constructor_calls("FS", "fs.py", "_node")
+    # FS equality is identity: it holds only while `_node` makes every FS,
+    # one per (payload, feats, tag)
+    assert len(allowed) == 1 and not stray, ("FS(...) outside fs._node breaks identity equality", stray)
 
 
 def test_only_rule_of_calls_the_rule_constructor():

@@ -323,7 +323,6 @@ def test_hfc_check_on_projected_rule(demo):
         Category((lex1(lexicon, "cat"),)),
         3,
         model.nonhead,
-        "*b1",
     )
     assert hfc_check(rule, model.nonhead)
 
