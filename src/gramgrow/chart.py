@@ -72,17 +72,19 @@ class SessionFlags:
 
 
 class Edge:
+    """A lexical or inactive edge: a lexicon entry, or a rule with all its
+    daughters found.  Only these are criticised, counted, scored, indexed
+    by start and extracted, so only these carry the slots for it."""
+
     __slots__ = (
         "id",
         "start",
         "end",
         "rule_id",
         "arity",
-        "nfound",
         "instances",
         "children",
         "token",
-        "inactive",
         "seen",
         "bad",
         "bad_reason",
@@ -92,17 +94,17 @@ class Edge:
         "_cat",
     )
 
-    def __init__(self, eid, start, end, rule_id, arity, nfound, instances, children, token=None):
+    inactive = is_inactive = True
+
+    def __init__(self, eid, start, end, rule_id, arity, instances, children, token=None):
         self.id = eid
         self.start = start
         self.end = end
         self.rule_id = rule_id
         self.arity = arity
-        self.nfound = nfound
         self.instances = instances
         self.children = children
         self.token = token
-        self.inactive = token is not None or nfound == arity
         self.seen = 0  # the chart's edge count when the edge left the agenda
         self.bad = False
         self.bad_reason = None
@@ -112,12 +114,12 @@ class Edge:
         self._cat = None
 
     @property
-    def is_lexical(self):
-        return self.token is not None
+    def nfound(self):
+        return self.arity
 
     @property
-    def is_inactive(self):
-        return self.inactive
+    def is_lexical(self):
+        return self.token is not None
 
     def cat(self):
         if self._cat is None:
@@ -135,8 +137,47 @@ class Edge:
         self._cat = None
 
     def __repr__(self):
-        kind = "lex" if self.is_lexical else ("inactive" if self.inactive else "active")
+        kind = "lex" if self.is_lexical else "inactive"
         return "Edge(%d %s %d..%d %s)" % (self.id, kind, self.start, self.end, self.rule_id)
+
+
+class Active:
+    """An active edge: a rule with `nfound` of its `arity` daughters found.
+    It is never criticised, scored or extracted, so what an `Edge` keeps
+    for those is a class default here, and readers of either kind need not
+    tell them apart."""
+
+    __slots__ = (
+        "id", "start", "end", "rule_id", "arity", "nfound", "instances", "children", "seen",
+    )
+
+    inactive = is_inactive = is_lexical = False
+    token = None
+    bad = False
+    bad_reason = None
+    built_rule = None
+    score = None
+    derivations = 1
+
+    def __init__(self, eid, start, end, rule_id, arity, nfound, instances, children):
+        self.id = eid
+        self.start = start
+        self.end = end
+        self.rule_id = rule_id
+        self.arity = arity
+        self.nfound = nfound
+        self.instances = instances
+        self.children = children
+        self.seen = 0
+
+    def cat(self):
+        return cat_at(self.instances, LHS)
+
+    def slot_cat(self, i):
+        return cat_at(self.instances, slot(i))
+
+    def __repr__(self):
+        return "Edge(%d active %d..%d %s)" % (self.id, self.start, self.end, self.rule_id)
 
 
 class Chart:
@@ -206,7 +247,8 @@ class _Bounded(Exception):
 
 
 class ChartParser:
-    """One parse session; not shareable mid-run."""
+    """A parser over one grammar and lexicon.  It parses one token list at a
+    time, and may parse many: `_start` sets the per-parse state."""
 
     def __init__(
         self,
@@ -227,33 +269,38 @@ class ChartParser:
         self.limits = limits or ParserLimits()
         self.root = root if root is not None else EMPTY_CAT
         self.trace = trace
-        self.chart = None
-        self.agenda = deque()
         self.supers = ()
         if self.flags.unary_super:
             self.supers += (super_rule(1),)
         if self.flags.binary_super:
             self.supers += (super_rule(2),)
         self._super_ids = frozenset(rule.id for rule in self.supers)
-        self.seeded = False
-        self._rules = None  # the phase's _proposal_rules(), built on first use
         self._originals = tuple(grammar.original)  # the critic's redundancy check reads these
         # slot names by position, for every arity the grammar holds; learnt
         # and super rules have arity 1 or 2
         arity = max([2] + [rule.arity for rule in self._originals])
         self._slots = tuple(slot(i) for i in range(arity + 1))
-        self.spanning = []  # (edge, its category forced by the root), in creation order
-        self.parses_found = 0
-        self.resource_bounded = False
-        self.cap_hits = 0
 
     def _on_cap(self, fanout):
         self.cap_hits += 1
 
     # -- driving -----------------------------------------------------------
 
+    def _start(self, n_tokens):
+        """Set every field that one parse reads and writes, for a new parse
+        of n_tokens tokens."""
+        self.chart = Chart(n_tokens)
+        self.agenda = deque()  # a bounded parse leaves edges on it
+        self.seeded = False
+        self._rules = None  # the phase's _proposal_rules(), built on first use
+        self.spanning = []  # (edge, its category forced by the root), in creation order
+        self.parses_found = 0
+        self.resource_bounded = False
+        self.cap_hits = 0
+        self.built = {}  # rule id -> the rule criticise built under it
+
     def parse(self, tokens):
-        self.chart = Chart(len(tokens))
+        self._start(len(tokens))
         try:
             self._init_lexical(tokens)
             self._run()
@@ -282,7 +329,7 @@ class ChartParser:
             if not cats:
                 raise UnknownTerminal("unknown terminal %r" % tok)
             for d in cats:
-                self._add_edge(None, i, i + 1, 0, 0, (d,), (), token=tok)
+                self._add_inactive(None, i, i + 1, 0, (d,), (), token=tok)
 
     def _proposal_rules(self):
         rules = tuple(self.grammar.original)
@@ -321,8 +368,9 @@ class ChartParser:
     # -- the chart operations ------------------------------------------------
 
     def propose(self, inactive, rules=None):
-        """Add an active edge for every rule whose first daughter accepts the
-        inactive edge's category.
+        """Add an edge for every rule whose first daughter accepts the
+        inactive edge's category: an `Active`, or for a unary rule an
+        inactive edge.
 
         No edge is made twice, so the chart keeps no keys: phase one
         proposes each inactive edge once, from _proposal_rules(), which holds
@@ -336,29 +384,50 @@ class ChartParser:
             if self._rules is None:
                 self._rules = self._proposal_rules()
             rules = self._rules
-        for rule, insts in proposals(rules, inactive.cat().disjuncts):
-            self._add_edge(
-                rule.id, inactive.start, inactive.end, rule.arity, 1, insts, (inactive.id,)
-            )
+        found = proposals(rules, inactive.cat().disjuncts)
+        if not found:
+            return
+        start, end = inactive.start, inactive.end
+        children = (inactive.id,)
+        # _add_active's steps, inlined with their lookups hoisted: most
+        # edges are the active edges made here
+        edges = self.chart.edges
+        actives = self.chart.actives_by_end[end]
+        queue = self.agenda.append
+        trace = self.trace
+        max_edges = self.limits.max_edges
+        for rule, insts in found:
+            arity = rule.arity
+            if arity == 1:
+                self._add_inactive(rule.id, start, end, 1, insts, children)
+                continue
+            eid = len(edges)
+            edge = Active(eid, start, end, rule.id, arity, 1, insts, children)
+            edges.append(edge)
+            actives.append(edge)
+            queue(edge)
+            if trace:
+                trace(edge)
+            if max_edges is not None and eid + 1 >= max_edges:
+                raise _Bounded("edges")
 
     def extend(self, active, inactive):
-        """Move the head of the active edge's needed list to found if the
-        inactive edge's category unifies with it."""
+        """Fill the active edge's next daughter slot with the inactive edge,
+        if its category unifies there: an `Active` while daughters remain,
+        else an inactive edge."""
         if active.end != inactive.start or inactive.bad:
             return
         # edges may share this tuple: Edge.replace_instances rebinds
         nfound = active.nfound + 1
         insts = narrow(active.instances, self._slots[nfound], inactive.cat().disjuncts)
-        if insts:
-            self._add_edge(
-                active.rule_id,
-                active.start,
-                inactive.end,
-                active.arity,
-                nfound,
-                insts,
-                active.children + (inactive.id,),
-            )
+        if not insts:
+            return
+        rule_id, start, end = active.rule_id, active.start, inactive.end
+        children = active.children + (inactive.id,)
+        if nfound < active.arity:
+            self._add_active(rule_id, start, end, active.arity, nfound, insts, children)
+        else:
+            self._add_inactive(rule_id, start, end, nfound, insts, children)
 
     def seed_super(self):
         """After a failed parse, propose the enabled super rules from every
@@ -370,27 +439,38 @@ class ChartParser:
             if edge.inactive and not edge.bad:
                 self.propose(edge, rules=self.supers)
 
-    def _add_edge(self, rule_id, start, end, arity, nfound, instances, children, token=None):
+    def _add_active(self, rule_id, start, end, arity, nfound, instances, children):
         chart = self.chart
         edges = chart.edges
         eid = len(edges)
-        edge = Edge(eid, start, end, rule_id, arity, nfound, instances, children, token)
+        edge = Active(eid, start, end, rule_id, arity, nfound, instances, children)
         edges.append(edge)
-        if edge.inactive and rule_id in self._super_ids:
+        chart.actives_by_end[end].append(edge)
+        self.agenda.append(edge)
+        if self.trace:
+            self.trace(edge)
+        max_edges = self.limits.max_edges
+        if max_edges is not None and eid + 1 >= max_edges:
+            raise _Bounded("edges")
+
+    def _add_inactive(self, rule_id, start, end, arity, instances, children, token=None):
+        chart = self.chart
+        edges = chart.edges
+        eid = len(edges)
+        edge = Edge(eid, start, end, rule_id, arity, instances, children, token)
+        edges.append(edge)
+        if rule_id in self._super_ids:
             self.criticise(edge)
         if not edge.bad:
-            if edge.inactive:
-                for cid in children:
-                    edge.derivations *= edges[cid].derivations
-                if token is None and self.flags.data and self.store is not None:
-                    edge.score = self._edge_score(edge)
-                chart.inactives_by_start[start].append(edge)
-            else:
-                chart.actives_by_end[end].append(edge)
+            for cid in children:
+                edge.derivations *= edges[cid].derivations
+            if token is None and self.flags.data and self.store is not None:
+                edge.score = self._edge_score(edge)
+            chart.inactives_by_start[start].append(edge)
             self.agenda.append(edge)
         if self.trace:
             self.trace(edge)  # before _note_parse, which may end the parse
-        if edge.inactive and not edge.bad:
+        if not edge.bad:
             self._note_parse(edge)
         max_edges = self.limits.max_edges
         if max_edges is not None and eid + 1 >= max_edges:
@@ -425,6 +505,7 @@ class ChartParser:
         else:
             edge.replace_instances(built.instances)
             edge.built_rule = built
+            self.built[built.id] = built
 
     def _rule_or_reason(self, arity, rhs):
         """The rule built over the RHS, or the bad_reason of the first check
@@ -503,30 +584,41 @@ class ChartParser:
 
     def _retain_rules(self, trees):
         """Rules used in extracted parses pass through the retention check,
-        children before parents so support records resolve.  The walk is a
-        loop: a nested function that called itself would put the parser and
-        its chart in a reference cycle, freed only by the cyclic collector."""
-        built_by_id = {}
-        for edge in self.chart.edges:
-            if edge.built_rule is not None:
-                built_by_id[edge.built_rule.id] = edge.built_rule
+        children before parents so support records resolve, and each
+        distinct rule (arity and instances) once.  The walk is a loop: a
+        nested function that called itself would put the parser and its
+        chart in a reference cycle, freed only by the cyclic collector."""
+        built = self.built
         alias = {}
         retained = []
-        seen = set()
+        # (arity, instances) -> (the first offer's id, the id it was stored
+        # under or its subsumer's)
+        offered = {}
         for tree in trees:
             for node in tree.postorder():
                 rid = node.rule_id
-                if rid is None or rid not in built_by_id or rid in seen:
+                if rid is None or rid not in built:
                     continue
-                seen.add(rid)
+                rule = built[rid]
+                key = (rule.arity, rule.instances)
+                if key in offered:
+                    # add_learnt would alias a repeat to the same id: it only
+                    # appends, so the first rule that covers key stays first
+                    first, outcome = offered[key]
+                    if rid != first:
+                        alias[rid] = outcome
+                    continue
                 daughters = tuple(
                     SupportRecord.LEXICAL if c.is_leaf else alias.get(c.rule_id, c.rule_id)
                     for c in node.children
                 )
                 support = SupportRecord(rid, daughters)
-                stored = self.grammar.add_learnt(built_by_id[rid], support, aliases=alias)
+                stored = self.grammar.add_learnt(rule, support, aliases=alias)
                 if stored is not None:
                     retained.append(stored)
+                    offered[key] = rid, stored.id
+                else:
+                    offered[key] = rid, alias[rid]
         return retained
 
 

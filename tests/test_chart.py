@@ -110,7 +110,7 @@ def test_every_lexical_entry_of_a_word_gives_an_edge(demo):
 def _session(demo, tokens, **kw):
     registry, grammar, lexicon, _, model = demo
     parser = ChartParser(grammar, lexicon, model, flags=full_flags(**kw))
-    parser.chart = type(parser).parse.__globals__["Chart"](len(tokens))
+    parser._start(len(tokens))
     parser._init_lexical(tokens)
     return parser
 
@@ -940,7 +940,108 @@ def test_critic_verdicts_follow_the_flags_and_the_model(demo):
 # -- proposals ---------------------------------------------------------------------
 
 
-class _PerRuleParser(ChartParser):
+class _OneKindEdge:
+    """An edge as the chart made every edge before active edges got a class
+    of their own: one class for the three kinds, all fields set per edge."""
+
+    __slots__ = (
+        "id", "start", "end", "rule_id", "arity", "nfound", "instances", "children", "token",
+        "inactive", "seen", "bad", "bad_reason", "score", "built_rule", "derivations", "_cat",
+    )
+
+    def __init__(self, eid, start, end, rule_id, arity, nfound, instances, children, token=None):
+        self.id = eid
+        self.start = start
+        self.end = end
+        self.rule_id = rule_id
+        self.arity = arity
+        self.nfound = nfound
+        self.instances = instances
+        self.children = children
+        self.token = token
+        self.inactive = token is not None or nfound == arity
+        self.seen = 0
+        self.bad = False
+        self.bad_reason = None
+        self.score = None
+        self.built_rule = None
+        self.derivations = 1
+        self._cat = None
+
+    @property
+    def is_lexical(self):
+        return self.token is not None
+
+    @property
+    def is_inactive(self):
+        return self.inactive
+
+    def cat(self):
+        if self._cat is None:
+            if self.is_lexical:
+                self._cat = Category(self.instances)
+            else:
+                self._cat = cat_at(self.instances, LHS)
+        return self._cat
+
+    def slot_cat(self, i):
+        return cat_at(self.instances, slot(i))
+
+    def replace_instances(self, instances):
+        self.instances = instances
+        self._cat = None
+
+
+class _OneKindParser(ChartParser):
+    """Makes every edge as the chart did before the two edge kinds: through
+    one `_add_edge`, whatever the kind, and `propose` calls it per rule."""
+
+    def propose(self, inactive, rules=None):
+        if inactive.bad:
+            return
+        if rules is None:
+            if self._rules is None:
+                self._rules = self._proposal_rules()
+            rules = self._rules
+        for rule, insts in chart_module.proposals(rules, inactive.cat().disjuncts):
+            self._add_edge(
+                rule.id, inactive.start, inactive.end, rule.arity, 1, insts, (inactive.id,)
+            )
+
+    def _add_active(self, rule_id, start, end, arity, nfound, instances, children):
+        self._add_edge(rule_id, start, end, arity, nfound, instances, children)
+
+    def _add_inactive(self, rule_id, start, end, arity, instances, children, token=None):
+        self._add_edge(rule_id, start, end, arity, arity, instances, children, token)
+
+    def _add_edge(self, rule_id, start, end, arity, nfound, instances, children, token=None):
+        chart = self.chart
+        edges = chart.edges
+        eid = len(edges)
+        edge = _OneKindEdge(eid, start, end, rule_id, arity, nfound, instances, children, token)
+        edges.append(edge)
+        if edge.inactive and rule_id in self._super_ids:
+            self.criticise(edge)
+        if not edge.bad:
+            if edge.inactive:
+                for cid in children:
+                    edge.derivations *= edges[cid].derivations
+                if token is None and self.flags.data and self.store is not None:
+                    edge.score = self._edge_score(edge)
+                chart.inactives_by_start[start].append(edge)
+            else:
+                chart.actives_by_end[end].append(edge)
+            self.agenda.append(edge)
+        if self.trace:
+            self.trace(edge)
+        if edge.inactive and not edge.bad:
+            self._note_parse(edge)
+        max_edges = self.limits.max_edges
+        if max_edges is not None and eid + 1 >= max_edges:
+            raise chart_module._Bounded("edges")
+
+
+class _PerRuleParser(_OneKindParser):
     """Proposes as the chart did before `proposals`: one narrow()
     per rule, an edge for each rule that accepts the category."""
 
@@ -959,7 +1060,8 @@ def _parse_trace(res):
     return (
         [
             (e.rule_id, e.start, e.end, e.children, e.instances, e.bad_reason,
-             e.built_rule.id if e.built_rule is not None else None)
+             e.built_rule.id if e.built_rule is not None else None,
+             e.inactive, e.nfound, e.arity, e.derivations, e.bad, e.score)
             for e in res.chart.edges
         ],
         res.resource_bounded,
@@ -1025,11 +1127,12 @@ class _PairCountingParser(ChartParser):
         super().extend(active, inactive)
 
 
-class _AllPairsParser(_PairCountingParser):
+class _AllPairsParser(_OneKindParser, _PairCountingParser):
     """Runs the agenda as the chart did before the pair-once rule: a popped
     edge tries every partner indexed so far, from a copy of the index list,
     so a pair whose edges were both created before either was popped is
-    tried at both pops.  Its own key set drops the repeats that makes."""
+    tried at both pops.  Its own key set drops the repeats that makes.
+    Its edges are made as `_OneKindParser` makes them."""
 
     def parse(self, tokens):
         self.keys = set()
@@ -1275,3 +1378,152 @@ def test_extraction_derives_each_edge_once_per_forced_category(demo, monkeypatch
         assert unshared.keys() == calls.keys()
         shared += sum(unshared.values()) > len(unshared)
     assert shared >= 3
+
+
+# -- the two edge kinds ---------------------------------------------------------------
+
+# what Record (bench/workloads.py), harvest_local_trees and the CLI trace
+# read of an edge, whatever its kind
+EDGE_READS = (
+    "id", "start", "end", "rule_id", "arity", "nfound", "instances", "children", "token",
+    "inactive", "is_inactive", "is_lexical", "bad", "bad_reason", "built_rule", "score",
+    "derivations", "seen", "cat", "slot_cat",
+)
+
+
+def test_both_edge_kinds_answer_what_their_readers_read(demo):
+    registry, grammar, lexicon, _, model = demo
+    res = parse("the happy cat chases Sam".split(), grammar, lexicon, model, flags=full_flags())
+    kinds = {}
+    for e in res.chart.edges:
+        kinds.setdefault((type(e), e.is_lexical, e.is_inactive), e)
+    assert {(t.__name__, lex, inactive) for t, lex, inactive in kinds} == {
+        ("Edge", True, True), ("Edge", False, True), ("Active", False, False),
+    }
+    for edge in kinds.values():
+        assert all(hasattr(edge, name) for name in EDGE_READS), edge
+    active = kinds[chart_module.Active, False, False]
+    assert not hasattr(active, "__dict__")
+    assert not hasattr(kinds[chart_module.Edge, False, True], "__dict__")
+    assert (active.inactive, active.token, active.bad, active.bad_reason, active.built_rule,
+            active.score, active.derivations) == (False, None, False, None, None, None, 1)
+    assert active.nfound < active.arity
+    assert repr(active) == "Edge(%d active %d..%d %s)" % (
+        active.id, active.start, active.end, active.rule_id)
+    assert all(e.nfound == e.arity for e in res.chart.edges if e.is_inactive)
+
+
+def test_the_trace_of_a_learning_session_is_pinned(capsys):
+    session = Session(out=io.StringIO(), trace=True)
+    session.load_bundle("demo")
+    run_repl(session, [
+        "set learning on", "set hfc on", "the happy cat chases Sam",
+        "set unary on", "limits off 60", "Sam chases the cat down the road",
+    ])
+    err = capsys.readouterr().err
+    assert "resource-bounded" in session.out.getvalue()
+    assert len(err.splitlines()) == 95
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "a53ae4ddb65e777ba144d1eea2738412b11568ccf6217236303f06384fc5a173"
+    )
+
+
+# -- reuse and retention --------------------------------------------------------------
+
+
+def test_a_reused_parser_parses_as_a_fresh_one(demo):
+    registry, _, lexicon, _, model = demo
+    learning = SessionFlags(learning=True, hfc=True)
+    runs = [
+        # the first parse leaves a spanning edge behind, which once kept
+        # the second from seeding super rules
+        (ParserLimits(), "Sam chases the cat", "the happy cat chases Sam", ["*binary1"]),
+        # the first parse is bounded, and leaves edges on the agenda
+        (ParserLimits(max_edges=20), "Sam chases the happy cat", "Sam chases the cat", []),
+    ]
+    for limits, first, second, learnt in runs:
+        grammars = []
+        for _ in range(2):
+            g = Grammar(registry)
+            g.load_rules(data_path("demo.grammar"))
+            grammars.append(g)
+        reused = ChartParser(grammars[0], lexicon, model, flags=learning, limits=limits)
+        before = reused.parse(first.split())
+        ChartParser(grammars[1], lexicon, model, flags=learning, limits=limits).parse(first.split())
+        got = reused.parse(second.split())
+        want = ChartParser(grammars[1], lexicon, model, flags=learning, limits=limits).parse(second.split())
+        assert before.n_parses == 1 or before.resource_bounded
+        assert (want.n_parses, [r.id for r in want.learnt]) == (1, learnt)
+        assert (got.n_parses, got.edges_created, got.cap_hits) == (
+            want.n_parses, want.edges_created, want.cap_hits)
+        assert _parse_trace(got) == _parse_trace(want), second
+        assert [r.id for r in grammars[0].learnt] == [r.id for r in grammars[1].learnt]
+
+
+def test_unary_learning_offers_each_distinct_rule_once(tmp_path, monkeypatch):
+    """"the happy cat chases Sam", unary super rules on, no bound: the saved
+    rules, the learnt ids, the support records and the trees are pinned
+    (taken before retention offered each distinct rule once)."""
+    offers = []
+    add_learnt = Grammar.add_learnt
+
+    def counting(self, rule, support=None, aliases=None):
+        offers.append((rule.arity, rule.instances))
+        return add_learnt(self, rule, support, aliases)
+
+    monkeypatch.setattr(Grammar, "add_learnt", counting)
+    saved = tmp_path / "learnt.rules"
+    session = Session(out=io.StringIO())
+    session.load_bundle("demo")
+    run_repl(session, [
+        "set learning on", "set hfc on", "set unary on", "limits off off",
+        "the happy cat chases Sam", "save-learnt %s" % saved,
+    ])
+    assert "error:" not in session.out.getvalue()
+    grammar, res = session.grammar, session.last_result
+
+    def sha(text):
+        return hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
+
+    assert (len(res.trees), len(grammar.learnt)) == (671, 78)
+    assert sha(saved.read_bytes()) == (
+        "ada40f183a0ede8a1fc60587a99209edbd38f5a2ba22b770c7cb6d75d1fc75d2"
+    )
+    assert sha("\n".join(r.id for r in grammar.learnt)) == (
+        "c179cc22b3bce485bb556072a78b9661c910586745368138e9bf2b3b5cdd4911"
+    )
+    assert sha("\n".join("%s %r" % kv for kv in grammar.support.items())) == (
+        "ade1f5654185900cecff25661e6d801ed475d108b9054b83c86fbdadd54363db"
+    )
+    assert sha("\n".join(t.display() for t in res.trees)) == (
+        "163f7c78a763248e3524a35bcebf477176a66e5c9650610ddcfa2e33d537868e"
+    )
+    # one offer per distinct (arity, instances) of the rules the trees name
+    built = {e.built_rule.id: e.built_rule for e in res.chart.edges if e.built_rule is not None}
+    named = {node.rule_id for t in res.trees for node in t.walk()}
+    distinct = {(built[rid].arity, built[rid].instances) for rid in named if rid in built}
+    assert len(offers) == len(set(offers)) == len(distinct) < len(named & set(built))
+
+
+def test_a_ternary_original_rule_extends_through_active_edges(demo, tmp_path):
+    """An original rule of arity 3 keeps an `Active` after its second
+    daughter, and builds the edges the one-kind chart built."""
+    registry, _, lexicon, _, model = demo
+    ternary = tmp_path / "ternary.grammar"
+    ternary.write_text(
+        "rule S3 : [N -, V +, BAR 2, DET -, VFORM FIN] -> [N +, V -, BAR 2, DET -, CASE NOM]"
+        " [N -, V +, BAR 0, DET -, SUBCAT TRANS, VFORM FIN] [N +, V -, BAR 2, DET -, CASE ACC]\n"
+    )
+    results = []
+    for cls in (ChartParser, _OneKindParser):
+        g = Grammar(registry)
+        g.load_rules(data_path("demo.grammar"))
+        g.load_rules(ternary)
+        res = cls(g, lexicon, model).parse("Sam chases the cat".split())
+        results.append(res)
+    got, want = results
+    assert _parse_trace(got) == _parse_trace(want)
+    assert got.n_parses == 2
+    assert any(t.display().startswith('("S3"') for t in got.trees)
+    two_found = [e for e in got.chart.edges if e.rule_id == "S3" and e.nfound == 2]
+    assert two_found and all(type(e) is chart_module.Active for e in two_found)
