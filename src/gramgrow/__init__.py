@@ -1,11 +1,11 @@
 """gramgrow: learns unification-grammar rules that repair undergeneration.
 
-When a sentence fails to parse, the chart is reseeded with maximally general
-"super" rule templates; their instantiations are filtered by a model of
-grammaticality (linear precedence, semantic types, head-feature convention)
-and by treebank statistics, and the survivors are kept as new rules.  An
-evaluation harness measures undergeneration, overgeneration and parse
-plausibility of the resulting grammars.
+When a sentence fails to parse, the learner seeds the chart again with
+maximally general "super" rule templates; their instantiations are filtered
+by a model of grammaticality (linear precedence, semantic types,
+head-feature convention) and by treebank statistics, and the survivors are
+kept as new rules.  An evaluation harness measures undergeneration,
+overgeneration and parse plausibility of the resulting grammars.
 """
 
 from .chart import ChartParser, ParserLimits, ParseTree, SessionFlags, parse

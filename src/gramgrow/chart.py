@@ -1,8 +1,8 @@
 """Bottom-up active chart parser with super-rule seeding and critic hooks.
 
 Phase one parses with the ordinary grammar.  If that fails and learning is
-enabled, the chart is reseeded with super-rule proposals from every inactive
-edge; every super-rule instantiation that completes is criticised (redundancy
+enabled, super-rule proposals from every inactive edge seed the chart again;
+every super-rule instantiation that completes is criticised (redundancy
 against the original grammar, the grammaticality model, the rule constructor,
 and optionally the treebank judge) and either carries a freshly constructed
 rule or is marked bad.  Rules used in extracted parses are retained.
@@ -94,7 +94,7 @@ class Edge:
         "_cat",
     )
 
-    inactive = is_inactive = True
+    is_inactive = True
 
     def __init__(self, eid, start, end, rule_id, arity, instances, children, token=None):
         self.id = eid
@@ -132,10 +132,6 @@ class Edge:
     def slot_cat(self, i):
         return cat_at(self.instances, slot(i))
 
-    def replace_instances(self, instances):
-        self.instances = instances
-        self._cat = None
-
     def __repr__(self):
         kind = "lex" if self.is_lexical else "inactive"
         return "Edge(%d %s %d..%d %s)" % (self.id, kind, self.start, self.end, self.rule_id)
@@ -151,7 +147,7 @@ class Active:
         "id", "start", "end", "rule_id", "arity", "nfound", "instances", "children", "seen",
     )
 
-    inactive = is_inactive = is_lexical = False
+    is_inactive = is_lexical = False
     token = None
     bad = False
     bad_reason = None
@@ -291,8 +287,10 @@ class ChartParser:
         of n_tokens tokens."""
         self.chart = Chart(n_tokens)
         self.agenda = deque()  # a bounded parse leaves edges on it
-        self.seeded = False
-        self._rules = None  # the phase's _proposal_rules(), built on first use
+        # the rules phase one proposes from; seed_super sets those of phase two
+        self._rules = tuple(self.grammar.original)
+        if not self.flags.learning:
+            self._rules += tuple(self.grammar.learnt)
         self.spanning = []  # (edge, its category forced by the root), in creation order
         self.parses_found = 0
         self.resource_bounded = False
@@ -331,23 +329,16 @@ class ChartParser:
             for d in cats:
                 self._add_inactive(None, i, i + 1, 0, (d,), (), token=tok)
 
-    def _proposal_rules(self):
-        rules = tuple(self.grammar.original)
-        if not self.flags.learning:
-            rules += tuple(self.grammar.learnt)
-        if self.seeded:
-            rules += self.supers
-        return rules
-
     def _run(self):
         """Pop edges in creation order and try each with the partners indexed
         so far.  A pair is tried once, at the earlier of its two pops: a
         partner popped earlier already tried this edge if the chart held it
         then, that is if the partner's `seen` exceeds this edge's id.
 
-        Bad edges never reach the agenda or the index lists.  A pair's new
-        edge spans active.start..inactive.end, so it never joins the list
-        being walked."""
+        Bad edges never reach the agenda or the index lists, and each list
+        holds the edges that meet a partner at its position.  A pair's new
+        edge spans from the active edge's start to the inactive edge's end,
+        so it never joins the list being walked."""
         chart, agenda = self.chart, self.agenda
         edges = chart.edges
         propose, extend = self.propose, self.extend
@@ -355,7 +346,7 @@ class ChartParser:
             edge = agenda.popleft()
             eid = edge.id
             edge.seen = len(edges)
-            if edge.inactive:
+            if edge.is_inactive:
                 propose(edge)
                 for active in chart.actives_by_end[edge.start]:
                     if active.seen <= eid:
@@ -367,24 +358,18 @@ class ChartParser:
 
     # -- the chart operations ------------------------------------------------
 
-    def propose(self, inactive, rules=None):
-        """Add an edge for every rule whose first daughter accepts the
-        inactive edge's category: an `Active`, or for a unary rule an
-        inactive edge.
+    def propose(self, inactive):
+        """Add an edge for every one of the phase's `_rules` whose first
+        daughter accepts the (non-bad) inactive edge's category: an
+        `Active`, or for a unary rule an inactive edge.
 
         No edge is made twice, so the chart keeps no keys: phase one
-        proposes each inactive edge once, from _proposal_rules(), which holds
-        no super rule; seed_super proposes only the super rules, from each
+        proposes each inactive edge once, from `_rules`, which holds no
+        super rule; seed_super proposes only the super rules, from each
         inactive edge of phase one; phase two proposes only its new edges;
         rule ids are distinct within a grammar; and each (active, inactive)
         pair reaches extend once (see _run)."""
-        if inactive.bad:
-            return
-        if rules is None:
-            if self._rules is None:
-                self._rules = self._proposal_rules()
-            rules = self._rules
-        found = proposals(rules, inactive.cat().disjuncts)
+        found = proposals(self._rules, inactive.cat().disjuncts)
         if not found:
             return
         start, end = inactive.start, inactive.end
@@ -412,12 +397,10 @@ class ChartParser:
                 raise _Bounded("edges")
 
     def extend(self, active, inactive):
-        """Fill the active edge's next daughter slot with the inactive edge,
-        if its category unifies there: an `Active` while daughters remain,
-        else an inactive edge."""
-        if active.end != inactive.start or inactive.bad:
-            return
-        # edges may share this tuple: Edge.replace_instances rebinds
+        """Fill the active edge's next daughter slot with the inactive edge
+        that starts where it ends, if its category unifies there: an
+        `Active` while daughters remain, else an inactive edge.  Neither
+        edge is bad (see _run)."""
         nfound = active.nfound + 1
         insts = narrow(active.instances, self._slots[nfound], inactive.cat().disjuncts)
         if not insts:
@@ -431,13 +414,15 @@ class ChartParser:
 
     def seed_super(self):
         """After a failed parse, propose the enabled super rules from every
-        inactive edge in the chart.  The new active edges extend with the
-        existing inactive edges when they come off the agenda."""
-        self.seeded = True
-        self._rules = None
+        inactive edge in the chart, then leave phase one's rules and the
+        super rules for phase two.  The new active edges extend with the
+        existing inactive edges when they come off the agenda.  Phase one
+        criticises nothing, so none of its edges is bad."""
+        phase_one, self._rules = self._rules, self.supers
         for edge in list(self.chart.edges):
-            if edge.inactive and not edge.bad:
-                self.propose(edge, rules=self.supers)
+            if edge.is_inactive:
+                self.propose(edge)
+        self._rules = phase_one + self.supers
 
     def _add_active(self, rule_id, start, end, arity, nfound, instances, children):
         chart = self.chart
@@ -503,7 +488,7 @@ class ChartParser:
             edge.bad = True
             edge.bad_reason = built
         else:
-            edge.replace_instances(built.instances)
+            edge.instances = built.instances  # nothing has read edge.cat() yet
             edge.built_rule = built
             self.built[built.id] = built
 
@@ -583,42 +568,33 @@ class ChartParser:
     # -- retention ---------------------------------------------------------------
 
     def _retain_rules(self, trees):
-        """Rules used in extracted parses pass through the retention check,
-        children before parents so support records resolve, and each
-        distinct rule (arity and instances) once.  The walk is a loop: a
-        nested function that called itself would put the parser and its
-        chart in a reference cycle, freed only by the cyclic collector."""
+        """Offer the rules used in extracted parses to add_learnt, children
+        before parents so support records resolve, and each distinct rule
+        (arity and instances) once: add_learnt only appends, so the rule
+        that covers a repeat is the one that covered its first offer.  A
+        support record names each daughter by its covering rule.  The walk
+        is a loop: a nested function that called itself would put the
+        parser and its chart in a reference cycle, freed only by the cyclic
+        collector."""
         built = self.built
-        alias = {}
+        covering = {}  # (arity, instances) -> the first rule that covers them
         retained = []
-        # (arity, instances) -> (the first offer's id, the id it was stored
-        # under or its subsumer's)
-        offered = {}
         for tree in trees:
             for node in tree.postorder():
-                rid = node.rule_id
-                if rid is None or rid not in built:
+                rule = built.get(node.rule_id)
+                if rule is None or (rule.arity, rule.instances) in covering:
                     continue
-                rule = built[rid]
-                key = (rule.arity, rule.instances)
-                if key in offered:
-                    # add_learnt would alias a repeat to the same id: it only
-                    # appends, so the first rule that covers key stays first
-                    first, outcome = offered[key]
-                    if rid != first:
-                        alias[rid] = outcome
-                    continue
-                daughters = tuple(
-                    SupportRecord.LEXICAL if c.is_leaf else alias.get(c.rule_id, c.rule_id)
-                    for c in node.children
-                )
-                support = SupportRecord(rid, daughters)
-                stored = self.grammar.add_learnt(rule, support, aliases=alias)
-                if stored is not None:
-                    retained.append(stored)
-                    offered[key] = rid, stored.id
-                else:
-                    offered[key] = rid, alias[rid]
+                daughters = []
+                for child in node.children:
+                    used = built.get(child.rule_id)
+                    if used is not None:
+                        daughters.append(covering[used.arity, used.instances].id)
+                    else:
+                        daughters.append(SupportRecord.LEXICAL if child.is_leaf else child.rule_id)
+                cover = self.grammar.add_learnt(rule, SupportRecord(rule.id, daughters))
+                covering[rule.arity, rule.instances] = cover
+                if cover is rule:
+                    retained.append(rule)
         return retained
 
 

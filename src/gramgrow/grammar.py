@@ -290,22 +290,14 @@ class Grammar:
             if rule_id not in self._by_id:
                 return rule_id
 
-    def add_learnt(self, rule, support=None, aliases=None):
-        """Retain rule unless some existing non-super rule subsumes it.
-        Returns the rule as stored (renamed if its id is taken), or None;
-        a refused rule's id is then mapped to its subsumer's in `aliases`,
-        if given."""
+    def add_learnt(self, rule, support=None):
+        """The first rule that covers `rule`: the existing non-super rule
+        that subsumes it, or else `rule` itself, stored with its support
+        record if given.  A stored rule's id must be free (next_learnt_id
+        draws only free ids); a taken one raises GrammarError."""
         subsumer = self.subsumer_of(rule)
         if subsumer is not None:
-            if aliases is not None:
-                aliases[rule.id] = subsumer.id
-            return None
-        if rule.id in self._by_id:
-            base = rule.id
-            n = 2
-            while "%s_%d" % (base, n) in self._by_id:
-                n += 1
-            rule = rule.renamed("%s_%d" % (base, n))
+            return subsumer
         self._add(rule, self.learnt)
         if support is not None:
             self.support[rule.id] = support

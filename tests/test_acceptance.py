@@ -377,7 +377,7 @@ def test_criterion_10_refinement(demo):
             registry,
             origin="learnt",
         )
-        assert g2.add_learnt(rule, SupportRecord(rid, daughters))
+        assert g2.add_learnt(rule, SupportRecord(rid, daughters)) is rule
     victim = ids[0]
     g2.remove_learnt(victim)
     from gramgrow.refine import prune_unsupported

@@ -124,15 +124,6 @@ def test_propose_builds_active_edge(demo):
     assert any(e.rule_id == "S1" for e in actives)
 
 
-def test_propose_from_bad_edge_is_noop(demo):
-    parser = _session(demo, ["Sam"])
-    sam = parser.chart.edges[0]
-    sam.bad = True
-    created = len(parser.chart.edges)
-    parser.propose(sam)
-    assert len(parser.chart.edges) == created
-
-
 def test_extend_category_mismatch_yields_nothing(demo):
     parser = _session(demo, ["the", "chases"])
     det, verb = parser.chart.edges[:2]
@@ -775,15 +766,15 @@ def test_a_refused_rule_is_aliased_from_its_one_subsumption_scan(demo, monkeypat
 
     refused = []
 
-    def add_learnt(self, rule, support=None, aliases=None):
+    def add_learnt(self, rule, support=None):
         inside.append(rule)
         try:
-            stored = plain_add(self, rule, support, aliases)
+            cover = plain_add(self, rule, support)
         finally:
             inside.pop()
-        if stored is None:
-            refused.append((rule, aliases[rule.id]))
-        return stored
+        if cover is not rule:
+            refused.append((rule, cover.id))
+        return cover
 
     monkeypatch.setattr(grammar_module, "rule_subsumes", counting_subsumes)
     monkeypatch.setattr(Grammar, "add_learnt", add_learnt)
@@ -946,7 +937,7 @@ class _OneKindEdge:
 
     __slots__ = (
         "id", "start", "end", "rule_id", "arity", "nfound", "instances", "children", "token",
-        "inactive", "seen", "bad", "bad_reason", "score", "built_rule", "derivations", "_cat",
+        "is_inactive", "seen", "bad", "bad_reason", "score", "built_rule", "derivations", "_cat",
     )
 
     def __init__(self, eid, start, end, rule_id, arity, nfound, instances, children, token=None):
@@ -959,7 +950,7 @@ class _OneKindEdge:
         self.instances = instances
         self.children = children
         self.token = token
-        self.inactive = token is not None or nfound == arity
+        self.is_inactive = token is not None or nfound == arity
         self.seen = 0
         self.bad = False
         self.bad_reason = None
@@ -972,10 +963,6 @@ class _OneKindEdge:
     def is_lexical(self):
         return self.token is not None
 
-    @property
-    def is_inactive(self):
-        return self.inactive
-
     def cat(self):
         if self._cat is None:
             if self.is_lexical:
@@ -987,23 +974,13 @@ class _OneKindEdge:
     def slot_cat(self, i):
         return cat_at(self.instances, slot(i))
 
-    def replace_instances(self, instances):
-        self.instances = instances
-        self._cat = None
-
 
 class _OneKindParser(ChartParser):
     """Makes every edge as the chart did before the two edge kinds: through
     one `_add_edge`, whatever the kind, and `propose` calls it per rule."""
 
-    def propose(self, inactive, rules=None):
-        if inactive.bad:
-            return
-        if rules is None:
-            if self._rules is None:
-                self._rules = self._proposal_rules()
-            rules = self._rules
-        for rule, insts in chart_module.proposals(rules, inactive.cat().disjuncts):
+    def propose(self, inactive):
+        for rule, insts in chart_module.proposals(self._rules, inactive.cat().disjuncts):
             self._add_edge(
                 rule.id, inactive.start, inactive.end, rule.arity, 1, insts, (inactive.id,)
             )
@@ -1020,10 +997,10 @@ class _OneKindParser(ChartParser):
         eid = len(edges)
         edge = _OneKindEdge(eid, start, end, rule_id, arity, nfound, instances, children, token)
         edges.append(edge)
-        if edge.inactive and rule_id in self._super_ids:
+        if edge.is_inactive and rule_id in self._super_ids:
             self.criticise(edge)
         if not edge.bad:
-            if edge.inactive:
+            if edge.is_inactive:
                 for cid in children:
                     edge.derivations *= edges[cid].derivations
                 if token is None and self.flags.data and self.store is not None:
@@ -1034,7 +1011,7 @@ class _OneKindParser(ChartParser):
             self.agenda.append(edge)
         if self.trace:
             self.trace(edge)
-        if edge.inactive and not edge.bad:
+        if edge.is_inactive and not edge.bad:
             self._note_parse(edge)
         max_edges = self.limits.max_edges
         if max_edges is not None and eid + 1 >= max_edges:
@@ -1045,10 +1022,8 @@ class _PerRuleParser(_OneKindParser):
     """Proposes as the chart did before `proposals`: one narrow()
     per rule, an edge for each rule that accepts the category."""
 
-    def propose(self, inactive, rules=None):
-        if inactive.bad:
-            return
-        for rule in rules if rules is not None else self._proposal_rules():
+    def propose(self, inactive):
+        for rule in self._rules:
             found = narrow(rule.instances, slot(1), inactive.cat().disjuncts)
             if found:
                 self._add_edge(
@@ -1061,7 +1036,7 @@ def _parse_trace(res):
         [
             (e.rule_id, e.start, e.end, e.children, e.instances, e.bad_reason,
              e.built_rule.id if e.built_rule is not None else None,
-             e.inactive, e.nfound, e.arity, e.derivations, e.bad, e.score)
+             e.is_inactive, e.nfound, e.arity, e.derivations, e.bad, e.score)
             for e in res.chart.edges
         ],
         res.resource_bounded,
@@ -1195,35 +1170,60 @@ def test_the_agenda_loop_builds_the_all_pairs_edge_sequence(demo):
 
 def test_the_parser_calls_the_wrapped_propose_and_extend(demo, monkeypatch):
     """bench/trace.py counts, and bench/run.py's clock ticks on, these two
-    methods, rebound on the class."""
-    registry, grammar, lexicon, _, model = demo
+    methods, rebound on the class.  They get only what `_run` and
+    seed_super hand them, and keep no guard of their own: a non-bad
+    inactive edge to propose from, and an `Active` with a non-bad inactive
+    edge that starts where it ends."""
+    registry, _, lexicon, _, model = demo
     proposed, tried = collections.Counter(), collections.Counter()
     propose, extend = vars(ChartParser)["propose"], vars(ChartParser)["extend"]
 
-    def counting_propose(self, inactive, rules=None):
-        proposed[inactive.id, rules is None] += 1
-        return propose(self, inactive, rules)
+    def counting_propose(self, inactive):
+        assert inactive.is_inactive and not inactive.bad, inactive
+        proposed[inactive.id, self._rules is self.supers] += 1
+        return propose(self, inactive)
 
     def counting_extend(self, active, inactive):
+        assert type(active) is chart_module.Active, active
+        assert inactive.is_inactive and not inactive.bad, inactive
+        assert active.end == inactive.start, (active, inactive)
         tried[active.id, inactive.id] += 1
         return extend(self, active, inactive)
 
     monkeypatch.setattr(ChartParser, "propose", counting_propose)
     monkeypatch.setattr(ChartParser, "extend", counting_extend)
-    res = parse("Sam chases the happy cat".split(), grammar, lexicon, model, flags=full_flags())
-    assert res.n_parses == 1 and not res.resource_bounded
-    edges = [e for e in res.chart.edges if not e.bad]
-    # unbounded, every edge left the agenda: bad edges never reach it
-    popped = {(e.id, True): 1 for e in edges if e.is_inactive}
-    assert {k: n for k, n in proposed.items() if k[1]} == popped
-    assert any(not k[1] for k in proposed)  # seed_super's proposals
-    pairs = {
-        (a.id, i.id): 1
-        for a in edges if not a.is_inactive
-        for i in edges if i.is_inactive and i.start == a.end
-    }
-    assert tried == pairs
-    assert any(e.bad for e in res.chart.edges)
+    binary, both = full_flags(), full_flags(unary_super=True)
+    runs = [
+        ("Sam chases the happy cat", binary, ParserLimits()),
+        ("the happy cat chases Sam", both, ParserLimits()),
+        # stopped by the edge bound, then by the parse bound
+        ("Sam chases the cat down the road", both, ParserLimits(max_edges=300)),
+        ("the happy cat down the road chases Sam", binary, ParserLimits(1, 3000)),
+    ]
+    bounded = bad = 0
+    for sentence, flags, limits in runs:
+        grammar = Grammar(registry)
+        grammar.load_rules(data_path("demo.grammar"))
+        proposed.clear()
+        tried.clear()
+        res = parse(sentence.split(), grammar, lexicon, model, flags=flags, limits=limits)
+        assert res.n_parses >= 1 or res.resource_bounded, sentence
+        assert any(seeding for _, seeding in proposed), sentence
+        bounded += res.resource_bounded
+        bad += any(e.bad for e in res.chart.edges)
+        if limits.max_edges is not None:
+            continue  # a bound may leave edges on the agenda
+        edges = [e for e in res.chart.edges if not e.bad]
+        # unbounded, every edge left the agenda: bad edges never reach it
+        popped = {(e.id, False): 1 for e in edges if e.is_inactive}
+        assert {k: n for k, n in proposed.items() if not k[1]} == popped
+        pairs = {
+            (a.id, i.id): 1
+            for a in edges if not a.is_inactive
+            for i in edges if i.is_inactive and i.start == a.end
+        }
+        assert tried == pairs
+    assert bounded == 1 and bad == len(runs)
 
 
 # sha256 of what save-learnt writes after learning with no bound from each
@@ -1386,7 +1386,7 @@ def test_extraction_derives_each_edge_once_per_forced_category(demo, monkeypatch
 # read of an edge, whatever its kind
 EDGE_READS = (
     "id", "start", "end", "rule_id", "arity", "nfound", "instances", "children", "token",
-    "inactive", "is_inactive", "is_lexical", "bad", "bad_reason", "built_rule", "score",
+    "is_inactive", "is_lexical", "bad", "bad_reason", "built_rule", "score",
     "derivations", "seen", "cat", "slot_cat",
 )
 
@@ -1405,7 +1405,7 @@ def test_both_edge_kinds_answer_what_their_readers_read(demo):
     active = kinds[chart_module.Active, False, False]
     assert not hasattr(active, "__dict__")
     assert not hasattr(kinds[chart_module.Edge, False, True], "__dict__")
-    assert (active.inactive, active.token, active.bad, active.bad_reason, active.built_rule,
+    assert (active.is_inactive, active.token, active.bad, active.bad_reason, active.built_rule,
             active.score, active.derivations) == (False, None, False, None, None, None, 1)
     assert active.nfound < active.arity
     assert repr(active) == "Edge(%d active %d..%d %s)" % (
@@ -1440,6 +1440,9 @@ def test_a_reused_parser_parses_as_a_fresh_one(demo):
         (ParserLimits(), "Sam chases the cat", "the happy cat chases Sam", ["*binary1"]),
         # the first parse is bounded, and leaves edges on the agenda
         (ParserLimits(max_edges=20), "Sam chases the happy cat", "Sam chases the cat", []),
+        # phase one ends at 8 edges, so the first parse stops inside
+        # seed_super, and leaves the super rules as the rules to propose from
+        (ParserLimits(max_edges=10), "Sam chases the happy cat", "Sam chases Sam", []),
     ]
     for limits, first, second, learnt in runs:
         grammars = []
@@ -1467,9 +1470,9 @@ def test_unary_learning_offers_each_distinct_rule_once(tmp_path, monkeypatch):
     offers = []
     add_learnt = Grammar.add_learnt
 
-    def counting(self, rule, support=None, aliases=None):
+    def counting(self, rule, support=None):
         offers.append((rule.arity, rule.instances))
-        return add_learnt(self, rule, support, aliases)
+        return add_learnt(self, rule, support)
 
     monkeypatch.setattr(Grammar, "add_learnt", counting)
     saved = tmp_path / "learnt.rules"

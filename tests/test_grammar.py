@@ -240,8 +240,9 @@ def test_add_learnt_retains_new_rule(demo):
         registry,
         origin="learnt",
     )
-    assert g.add_learnt(rule)
-    assert not g.add_learnt(rule)  # identical rule is self-subsumed
+    assert g.add_learnt(rule) is rule and g.learnt[-1] is rule
+    assert g.add_learnt(rule) is rule  # identical rule is self-subsumed
+    assert g.learnt.count(rule) == 1
 
 
 def test_add_learnt_rejects_rule_already_in_g(demo):
@@ -254,32 +255,37 @@ def test_add_learnt_rejects_rule_already_in_g(demo):
         registry,
         origin="learnt",
     )
-    assert not g.add_learnt(np1_copy)  # NP1 subsumes it
+    assert g.add_learnt(np1_copy) is g.rule("NP1")  # NP1 subsumes it
+    assert g.learnt == [] and "*binary9" not in g
 
 
-def test_add_learnt_renames_duplicate_id(demo):
+def test_add_learnt_refuses_a_taken_id(demo):
     registry, _, _, _ = demo
     g = Grammar(registry)
     r1 = parse_rule_line("rule *u1 : [N +, BAR 2] -> [N +, BAR 1]", registry, origin="learnt")
     r2 = parse_rule_line("rule *u1 : [N -, V +, BAR 2] -> [N -, V +, BAR 1]", registry, origin="learnt")
-    assert g.add_learnt(r1)
-    assert g.add_learnt(r2)
-    assert len({r.id for r in g.learnt}) == 2
+    support = SupportRecord("*u1", (SupportRecord.LEXICAL,))
+    assert g.add_learnt(r1, support) is r1
+    with pytest.raises(GrammarError):
+        g.add_learnt(r2, SupportRecord("*u1", ("*u1",)))
+    assert g.learnt == [r1] and g.rule("*u1") is r1 and list(g._by_id) == ["*u1"]
+    assert g.support == {"*u1": support}
 
 
 def test_add_learnt_returns_the_stored_rule(demo):
     registry = demo[0]
     g = Grammar(registry)
     r1 = parse_rule_line("rule *u1 : [N +, BAR 2] -> [N +, BAR 1]", registry, origin="learnt")
-    r2 = parse_rule_line("rule *u1 : [N -, V +, BAR 2] -> [N -, V +, BAR 1]", registry, origin="learnt")
-    support = SupportRecord("*u1", (SupportRecord.LEXICAL,))
+    r2 = parse_rule_line("rule *u2 : [N -, V +, BAR 2] -> [N -, V +, BAR 1]", registry, origin="learnt")
+    copy = parse_rule_line("rule *u3 : [N -, V +, BAR 2] -> [N -, V +, BAR 1]", registry, origin="learnt")
+    support = SupportRecord("*u2", (SupportRecord.LEXICAL,))
     assert g.add_learnt(r1) is r1
-    stored = g.add_learnt(r2, support)
-    assert stored.id == "*u1_2" and g.support["*u1_2"] is support
-    assert g.learnt[-1] is stored and g.rule("*u1_2") is stored
-    assert g.add_learnt(r2) is None  # now subsumed by the stored copy
-    g.remove_learnt("*u1_2")
-    assert "*u1_2" not in g.support
+    assert g.add_learnt(r2, support) is r2 and g.support["*u2"] is support
+    assert g.learnt[-1] is r2 and g.rule("*u2") is r2
+    assert g.add_learnt(copy) is r2  # now subsumed by the stored rule
+    assert "*u3" not in g
+    g.remove_learnt("*u2")
+    assert "*u2" not in g.support
 
 
 def test_learnt_rule_with_a_taken_id_is_refused(tmp_path, demo):

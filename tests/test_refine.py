@@ -115,7 +115,7 @@ def test_prune_unsupported_matches_reachability_oracle():
                 % (rid, cats[i % len(cats)], i % 3),
                 rid,
             )
-            assert g.add_learnt(rule, SupportRecord(rid, daughters))
+            assert g.add_learnt(rule, SupportRecord(rid, daughters)) is rule
         victim = rng.choice(ids)
         g.remove_learnt(victim)
         removed = set(prune_unsupported(g))
