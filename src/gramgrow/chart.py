@@ -22,7 +22,7 @@ from .constructor import (
     construct_binary_cat,
     construct_unary_cat,
 )
-from .fs import Category, EMPTY_CAT, unify_cat
+from .fs import Category, EMPTY_CAT, subsumes_cat, unify_cat
 from .grammar import (
     LHS, SupportRecord, UnknownTerminal, cat_at, max_bar_of, narrow, proposals, slot, super_rule,
 )
@@ -90,7 +90,6 @@ class Edge:
         "bad_reason",
         "score",
         "built_rule",
-        "derivations",
         "_cat",
     )
 
@@ -110,7 +109,6 @@ class Edge:
         self.bad_reason = None
         self.score = None
         self.built_rule = None
-        self.derivations = 1
         self._cat = None
 
     @property
@@ -153,7 +151,6 @@ class Active:
     bad_reason = None
     built_rule = None
     score = None
-    derivations = 1
 
     def __init__(self, eid, start, end, rule_id, arity, nfound, instances, children):
         self.id = eid
@@ -292,7 +289,11 @@ class ChartParser:
         if not self.flags.learning:
             self._rules += tuple(self.grammar.learnt)
         self.spanning = []  # (edge, its category forced by the root), in creation order
-        self.parses_found = 0
+        # a first-parse parse (see _add_inactive) keeps, by (start, end), the
+        # categories of the non-lexical inactive edges it has built
+        flags = self.flags
+        first_parse = not (flags.learning or flags.training) and self.limits.max_parses == 1
+        self.kept = {} if first_parse else None
         self.resource_bounded = False
         self.cap_hits = 0
         self.built = {}  # rule id -> the rule criticise built under it
@@ -439,6 +440,31 @@ class ChartParser:
             raise _Bounded("edges")
 
     def _add_inactive(self, rule_id, start, end, arity, instances, children, token=None):
+        """Add a lexical or inactive edge, unless this is a first-parse parse
+        (learning and training off, n = 1) and an earlier non-lexical
+        inactive edge over the same span has a category that covers the new
+        non-lexical edge's.
+
+        Dropping it keeps the first parse: edges leave the agenda in creation
+        order and the index lists keep that order, so every pair or proposal
+        that would use the covered edge has an earlier twin that uses the
+        covering one, whose category covers the twin's result.  The first
+        spanning, root-compatible edge of a parse that made every edge is
+        then never derived from a covered edge, and is built here from the
+        same children.  The m bound counts the edges kept.  Training reads
+        the partial chart of a parse that finds no tree, and learning the
+        whole chart, so those parses make every edge."""
+        kept = self.kept
+        if kept is not None and token is None:
+            cat = cat_at(instances, LHS)
+            cats = kept.get((start, end))
+            if cats is None:
+                kept[start, end] = [cat]
+            else:
+                for other in cats:
+                    if other is cat or _covers_cat(other, cat):
+                        return
+                cats.append(cat)
         chart = self.chart
         edges = chart.edges
         eid = len(edges)
@@ -447,8 +473,6 @@ class ChartParser:
         if rule_id in self._super_ids:
             self.criticise(edge)
         if not edge.bad:
-            for cid in children:
-                edge.derivations *= edges[cid].derivations
             if token is None and self.flags.data and self.store is not None:
                 edge.score = self._edge_score(edge)
             chart.inactives_by_start[start].append(edge)
@@ -467,10 +491,9 @@ class ChartParser:
             forced = unify_cat(edge.cat(), self.root)
             if not forced.is_bottom:
                 self.spanning.append((edge, forced))
-                self.parses_found += edge.derivations
                 if (
                     self.limits.max_parses is not None
-                    and self.parses_found >= self.limits.max_parses
+                    and len(self.spanning) >= self.limits.max_parses
                 ):
                     raise _Bounded("parses")
 
@@ -626,6 +649,12 @@ def _verdict(arity, rhs, originals, model, registry, lp, types, hfc):
     if arity == 1:
         return construct_unary_cat(rhs[0], max_bar, nonhead)
     return construct_binary_cat(rhs[0], rhs[1], max_bar, nonhead)
+
+
+@functools.cache
+def _covers_cat(cat, cat2):
+    """subsumes_cat, cached for the process: categories are values."""
+    return subsumes_cat(cat, cat2)
 
 
 def harvest_local_trees(chart):

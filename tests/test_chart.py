@@ -2,6 +2,7 @@ import ast
 import collections
 import gc
 import hashlib
+import importlib.util
 import io
 import itertools
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from gramgrow.chart import ChartParser, ParseTree, ParserLimits, SessionFlags, parse
 from gramgrow.cli import Session, run_repl
-from gramgrow.evaluate import undergen
+from gramgrow.evaluate import gen_random, undergen
 from gramgrow import (
     chart as chart_module,
     constructor as constructor_module,
@@ -21,7 +22,7 @@ from gramgrow import (
     refine as refine_module,
     scoring as scoring_module,
 )
-from gramgrow.fs import Category, FeatureRegistry, parse_fs, unify, unify_cat
+from gramgrow.fs import Category, FeatureRegistry, parse_fs, subsumes_cat, unify, unify_cat
 from gramgrow.grammar import (
     LHS,
     Grammar,
@@ -499,6 +500,15 @@ C11_HELD_OUT = [
     "the cat down the road chases the cat",
     "Sam chases",
 ]
+# the eval benchmark's undergeneration line that a chart making every edge
+# cuts short at ParserLimits(1, 3000); its first tree, taken at
+# ParserLimits(1, 10000) from such a chart (9,474 edges):
+BOUNDED_EVAL = "the happy cat down the road chases the happy road"
+BOUNDED_EVAL_TREE = (
+    '("*binary35" (("*binary12" (("NP1" ((|the|) ("*binary1" ((|happy|) (|cat|)))))'
+    ' ("*binary8" (("*binary4" ((|down|) (|the|))) ("*binary26" ((|road|) (|chases|)))))))'
+    ' ("NP1" ((|the|) ("*binary1" ((|happy|) ("N1" ((|road|)))))))))'
+)
 DEMO_SENTENCES = [
     "Sam chases the cat",
     "Sam chases the happy cat",
@@ -518,6 +528,7 @@ CACHED = (
     constructor_module._instance,
     model_module._most_specific,
     chart_module._verdict,
+    chart_module._covers_cat,
     scoring_module._compatible,
 )
 # caches that make one object per value: transparency is not theirs to show,
@@ -583,6 +594,8 @@ def _observed(grammar, lexicon, model):
     out = []
     runs = [(s, ParserLimits(max_edges=3000)) for s in DEMO_SENTENCES]
     runs += [(s, ParserLimits(1, 3000)) for s in C11_HELD_OUT]
+    # first-parse parses keep fewer edges: two held-out lines need over 500
+    runs += [(s, ParserLimits(1, 500)) for s in C11_HELD_OUT]
     for sentence, limits in runs:
         res = parse(sentence.split(), grammar, lexicon, model, limits=limits)
         out.append((
@@ -600,7 +613,8 @@ def test_combine_memo_is_transparent(demo, monkeypatch):
     g = _c11_grammar(registry, lexicon, model)
     assert g.learnt
     cold = _observed(g, lexicon, model)
-    assert all(f.cache_info().currsize for f in (narrow, grammar_module._unified, grammar_module.proposals))
+    assert all(f.cache_info().currsize for f in (
+        narrow, grammar_module._unified, grammar_module.proposals, chart_module._covers_cat))
     warm = _observed(g, lexicon, model)
     fresh = _observed(_c11_grammar(registry, lexicon, model), lexicon, model)
     with monkeypatch.context() as m:
@@ -937,7 +951,7 @@ class _OneKindEdge:
 
     __slots__ = (
         "id", "start", "end", "rule_id", "arity", "nfound", "instances", "children", "token",
-        "is_inactive", "seen", "bad", "bad_reason", "score", "built_rule", "derivations", "_cat",
+        "is_inactive", "seen", "bad", "bad_reason", "score", "built_rule", "_cat",
     )
 
     def __init__(self, eid, start, end, rule_id, arity, nfound, instances, children, token=None):
@@ -956,7 +970,6 @@ class _OneKindEdge:
         self.bad_reason = None
         self.score = None
         self.built_rule = None
-        self.derivations = 1
         self._cat = None
 
     @property
@@ -977,7 +990,8 @@ class _OneKindEdge:
 
 class _OneKindParser(ChartParser):
     """Makes every edge as the chart did before the two edge kinds: through
-    one `_add_edge`, whatever the kind, and `propose` calls it per rule."""
+    one `_add_edge`, whatever the kind, and `propose` calls it per rule.
+    A first-parse parse drops covered inactive edges, by `_covered`."""
 
     def propose(self, inactive):
         for rule, insts in chart_module.proposals(self._rules, inactive.cat().disjuncts):
@@ -991,7 +1005,23 @@ class _OneKindParser(ChartParser):
     def _add_inactive(self, rule_id, start, end, arity, instances, children, token=None):
         self._add_edge(rule_id, start, end, arity, arity, instances, children, token)
 
+    def _covered(self, start, end, instances):
+        """The first-parse rule, written out: with learning and training
+        off and n = 1, a non-lexical inactive edge is dropped when another
+        of the chart over its span has a category that subsumes its own.  With learning off no edge is bad, so the index
+        list holds every inactive edge."""
+        flags = self.flags
+        if flags.learning or flags.training or self.limits.max_parses != 1:
+            return False
+        cat = cat_at(instances, LHS)
+        return any(
+            not e.is_lexical and e.end == end and subsumes_cat(e.cat(), cat)
+            for e in self.chart.inactives_by_start[start]
+        )
+
     def _add_edge(self, rule_id, start, end, arity, nfound, instances, children, token=None):
+        if token is None and nfound == arity and self._covered(start, end, instances):
+            return
         chart = self.chart
         edges = chart.edges
         eid = len(edges)
@@ -1001,8 +1031,6 @@ class _OneKindParser(ChartParser):
             self.criticise(edge)
         if not edge.bad:
             if edge.is_inactive:
-                for cid in children:
-                    edge.derivations *= edges[cid].derivations
                 if token is None and self.flags.data and self.store is not None:
                     edge.score = self._edge_score(edge)
                 chart.inactives_by_start[start].append(edge)
@@ -1036,7 +1064,7 @@ def _parse_trace(res):
         [
             (e.rule_id, e.start, e.end, e.children, e.instances, e.bad_reason,
              e.built_rule.id if e.built_rule is not None else None,
-             e.is_inactive, e.nfound, e.arity, e.derivations, e.bad, e.score)
+             e.is_inactive, e.nfound, e.arity, e.bad, e.score)
             for e in res.chart.edges
         ],
         res.resource_bounded,
@@ -1056,6 +1084,8 @@ def test_proposals_match_the_per_rule_reference(demo):
     runs = [(s, learning, ParserLimits()) for s in C11_TRAIN]
     runs += [(s, None, ParserLimits(max_edges=3000)) for s in DEMO_SENTENCES]
     runs += [(s, None, ParserLimits(1, 3000)) for s in C11_HELD_OUT]
+    # first-parse parses keep fewer edges: two held-out lines need over 500
+    runs += [(s, None, ParserLimits(1, 500)) for s in C11_HELD_OUT]
     bounded = seeded = 0
     for sentence, flags, limits in runs:
         got, want = (
@@ -1139,13 +1169,14 @@ def test_the_agenda_loop_builds_the_all_pairs_edge_sequence(demo):
     for g in grammars:
         g.load_rules(data_path("demo.grammar"))
     c11 = _c11_grammar(registry, lexicon, model)
-    bounded_eval = "the happy cat down the road chases the happy road"
     # (sentences, flags, limits, one grammar per parser class)
     runs = [
         (DEMO_SENTENCES, learning, ParserLimits(), grammars),
         (C11_TRAIN, both_supers, ParserLimits(max_edges=3000), grammars),
         (C11_HELD_OUT, None, ParserLimits(1, 3000), (c11, c11)),
-        ([bounded_eval], None, ParserLimits(1, 3000), (c11, c11)),
+        ([BOUNDED_EVAL], None, ParserLimits(1, 3000), (c11, c11)),
+        # the first parse of BOUNDED_EVAL keeps 751 edges
+        ([BOUNDED_EVAL], None, ParserLimits(1, 500), (c11, c11)),
     ]
     twice = bounded = 0
     for sentences, flags, limits, pair in runs:
@@ -1166,6 +1197,109 @@ def test_the_agenda_loop_builds_the_all_pairs_edge_sequence(demo):
     assert [r.id for r in grammars[0].learnt] == [r.id for r in grammars[1].learnt]
     assert twice > 100 and bounded >= 3
     assert any(r.id.startswith("*unary") for r in grammars[0].learnt)
+
+
+# -- first-parse parses ---------------------------------------------------------------
+
+INPUTS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "inputs.py")
+
+
+def _undergen_corpus():
+    # loaded by path: the eval benchmark's undergeneration lines
+    spec = importlib.util.spec_from_file_location("bench_inputs", INPUTS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.UNDERGEN_CORPUS
+
+
+def test_a_first_parse_parse_finds_the_first_parse_of_the_full_chart(demo):
+    """Learning and training off and n = 1, the parser drops a non-lexical
+    inactive edge that an earlier one over its span covers.  It finds the
+    tree that a parser making every edge finds first, and the m bound counts
+    kept edges only, so BOUNDED_EVAL, bounded at m = 3000 when every edge
+    was made, parses."""
+    registry, _, lexicon, _, model = demo
+    g = _c11_grammar(registry, lexicon, model)
+    sentences = C11_HELD_OUT + _undergen_corpus()
+    sentences += gen_random(lexicon, 4, 16, 7) + gen_random(lexicon, 6, 8, 11)
+    compared = fewer = 0
+    for sentence in dict.fromkeys(sentences):
+        tokens = sentence.split()
+        first = parse(tokens, g, lexicon, model, limits=ParserLimits(1, 3000))
+        every = parse(tokens, g, lexicon, model, limits=ParserLimits(None, 5000))
+        assert not first.resource_bounded, sentence
+        if every.resource_bounded:
+            continue
+        compared += 1
+        fewer += first.edges_created < every.edges_created
+        assert [t.display() for t in first.trees] == [t.display() for t in every.trees[:1]], sentence
+        assert first.n_parses == min(1, every.n_parses), sentence
+    assert compared > 40 and fewer > 20
+    res = parse(BOUNDED_EVAL.split(), g, lexicon, model, limits=ParserLimits(1, 3000))
+    assert (res.n_parses, res.edges_created, res.resource_bounded) == (1, 751, False)
+    assert res.trees[0].display() == BOUNDED_EVAL_TREE
+
+
+def test_only_a_first_parse_parse_drops_covered_edges(demo):
+    """Every parse but a first-parse one makes the edges of the parser that
+    makes every edge, here `_OneKindParser`; so does a first-parse one,
+    once that parser drops covered edges by its own reading of the rule."""
+    registry, _, lexicon, _, model = demo
+    c11 = _c11_grammar(registry, lexicon, model)
+    grammars = []
+    for _ in range(2):
+        g = Grammar(registry)
+        g.load_rules(data_path("demo.grammar"))
+        grammars.append(g)
+    learning = SessionFlags(learning=True, hfc=True)
+    training = SessionFlags(training=True)
+    long_lines = [C11_HELD_OUT[2], C11_HELD_OUT[8], BOUNDED_EVAL]
+    runs = [
+        (C11_TRAIN, learning, ParserLimits(1, 3000), grammars),
+        (long_lines, None, ParserLimits(1, 3000), (c11, c11)),
+        (long_lines, None, ParserLimits(2, 3000), (c11, c11)),
+        (long_lines, None, ParserLimits(None, 3000), (c11, c11)),
+        (long_lines, training, ParserLimits(1, 3000), (c11, c11)),
+    ]
+    edges = {}
+    for sentences, flags, limits, pair in runs:
+        for sentence in sentences:
+            got, want = (
+                cls(g, lexicon, model, flags=flags, limits=limits).parse(sentence.split())
+                for cls, g in zip((ChartParser, _OneKindParser), pair)
+            )
+            assert _parse_trace(got) == _parse_trace(want), (sentence, limits)
+            edges[sentence, flags, limits.max_parses] = got.edges_created
+    assert [r.id for r in grammars[0].learnt] == [r.id for r in grammars[1].learnt]
+    for sentence in long_lines:
+        kept = edges[sentence, None, 1]
+        assert kept < 1000 < min(edges[sentence, f, n] for f, n in ((None, 2), (None, None), (training, 1)))
+
+
+def test_training_harvests_the_partial_charts_of_every_edge(tmp_path):
+    """With training on, a parse that finds no tree trains on the local
+    trees of its partial chart, so it drops no edge: learning off and
+    `limits 1 3000`, the saved store is pinned (taken when every parse
+    made every edge; two lines hit the bound)."""
+    train = tmp_path / "c11.train"
+    train.write_text("\n".join(C11_TRAIN) + "\n")
+    held = tmp_path / "held-out.txt"
+    held.write_text("\n".join(C11_HELD_OUT + [BOUNDED_EVAL]) + "\n")
+    triples = tmp_path / "empty.triples"
+    triples.write_text("params delta 0.001 omega 0.35\n")
+    session = Session(out=io.StringIO())
+    session.load_bundle("demo")
+    run_repl(session, [
+        "set learning on", "set hfc on", "limits off off", "learn-corpus %s" % train,
+        "set learning off", "load-triples %s" % triples, "limits 1 3000", "set training on",
+        "learn-corpus %s" % held,
+    ])
+    assert session.out.getvalue().count("resource-bounded") == 2
+    saved = tmp_path / "out.triples"
+    session.store.save(saved, session.registry)
+    assert hashlib.sha256(saved.read_bytes()).hexdigest() == (
+        "5de7999cf3ef03e41bbb2fb9cd025845f9b804dabd9ffc10ce51d00ea9732e12"
+    )
 
 
 def test_the_parser_calls_the_wrapped_propose_and_extend(demo, monkeypatch):
@@ -1387,7 +1521,7 @@ def test_extraction_derives_each_edge_once_per_forced_category(demo, monkeypatch
 EDGE_READS = (
     "id", "start", "end", "rule_id", "arity", "nfound", "instances", "children", "token",
     "is_inactive", "is_lexical", "bad", "bad_reason", "built_rule", "score",
-    "derivations", "seen", "cat", "slot_cat",
+    "seen", "cat", "slot_cat",
 )
 
 
@@ -1406,7 +1540,7 @@ def test_both_edge_kinds_answer_what_their_readers_read(demo):
     assert not hasattr(active, "__dict__")
     assert not hasattr(kinds[chart_module.Edge, False, True], "__dict__")
     assert (active.is_inactive, active.token, active.bad, active.bad_reason, active.built_rule,
-            active.score, active.derivations) == (False, None, False, None, None, None, 1)
+            active.score) == (False, None, False, None, None, None)
     assert active.nfound < active.arity
     assert repr(active) == "Edge(%d active %d..%d %s)" % (
         active.id, active.start, active.end, active.rule_id)
