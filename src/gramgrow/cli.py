@@ -392,7 +392,9 @@ def _eval_args():
     ap.add_argument("--test")
     ap.add_argument("--plausible")
     ap.add_argument("--random", nargs=2, type=int, metavar=("COUNT", "LENGTH"))
-    ap.add_argument("--k", type=int, default=10)
+    ap.add_argument(
+        "--k", type=int, default=10, help="plausibility takes the best of K trees; --limits 1 M keeps one"
+    )
     # absent unless given, so that it leaves a seed given before the eval
     # subcommand in place
     ap.add_argument("--seed", type=int, default=argparse.SUPPRESS)

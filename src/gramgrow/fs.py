@@ -3,11 +3,12 @@
 A feature structure is a frozen rooted DAG, stored as a tree of interned
 nodes in which a node reached by more than one path carries a tag numbered
 within its structure, so tag scoping never leaks between structures.  The
-tree is the only form of a structure: parsing and unification build it
-through a scratch graph, and subsumption, matching, expansion and printing
-walk it.  Equal structures are one object.  A Category is a finite
-disjunction of feature structures; the empty disjunction is the
-inconsistent category (bottom).
+tree is the only form of a structure: unification builds it through a
+scratch graph, and so does parsing under a tag, while the parser builds a
+value with no tag below it as its node at once; subsumption, matching,
+expansion and printing walk the tree.  Equal structures are one object.  A
+Category is a finite disjunction of feature structures; the empty
+disjunction is the inconsistent category (bottom).
 """
 
 from __future__ import annotations
@@ -699,50 +700,53 @@ def expand(c, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<lbrack>\[)|(?P<rbrack>\])|(?P<lbrace>\{)|(?P<rbrace>\})"
     r"|(?P<comma>,)|(?P<eq>=)|(?P<tag>#\d+)|(?P<bottom>⊥)"
-    r"|(?P<atom>[A-Za-z0-9_+\-$'*][A-Za-z0-9_+\-$'*]*))"
+    r"|(?P<atom>[A-Za-z0-9_+\-$'*][A-Za-z0-9_+\-$'*]*)|(?P<bad>\S[\s\S]*))"
 )
+
+_END = (None, None)  # the token after the last one
 
 
 def _tokenize(text):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise MalformedSyntax("cannot tokenize %r" % rest[:20])
-        pos = m.end()
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
+    """The (kind, text) tokens of text, then _END."""
+    tokens = [(m.lastgroup, m[m.lastgroup]) for m in _TOKEN_RE.finditer(text)]
+    if tokens and tokens[-1][0] == "bad":
+        raise MalformedSyntax("cannot tokenize %r" % tokens[-1][1].rstrip()[:20])
+    tokens.append(_END)
     return tokens
 
 
 class _Parser:
+    """Reads categories into interned nodes.  A value with no tag below it
+    is built as its node at once; only a tag, or a structure with a tag
+    below it, is a node id of the scratch graph, which `category` freezes."""
+
     def __init__(self, text, registry, pattern, shared):
         self.tokens = _tokenize(text)
         self.i = 0
         self.registry = registry
         self.pattern = pattern
-        self.graph = _Graph()
+        self.graph = None  # made at the first tag
         # tag text -> node id; shared: one scope for the whole text, otherwise
         # each disjunct is its own scope
         self.shared = shared
         self.tags = {}
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
+        return self.tokens[self.i]
 
     def take(self, kind=None):
-        tok = self.peek()
-        if tok[0] is None or (kind and tok[0] != kind):
-            raise MalformedSyntax("expected %s, got %r" % (kind or "token", tok[1]))
+        tok = self.tokens[self.i]
+        if kind and tok[0] != kind:
+            raise MalformedSyntax("expected %s, got %r" % (kind, tok[1]))
         self.i += 1
         return tok
 
+    def node_id(self, value):
+        """The graph id of a value: a node enters as a loaded one."""
+        return value if type(value) is int else self.graph._loaded(value, None)
+
     def category(self):
-        """The next category, frozen at once, and its disjuncts' node ids."""
+        """The next category, frozen at once, and its disjuncts' values."""
         kind, _ = self.peek()
         if kind == "bottom":
             self.take()
@@ -757,7 +761,7 @@ class _Parser:
                 self.take("rbrace")
             else:
                 roots = [self._scoped_fs()]
-            return Category([self.graph.freeze(r) for r in roots]), roots
+            return Category([self.graph.freeze(r) if type(r) is int else r for r in roots]), roots
         except _Bottom:
             raise MalformedSyntax("a tag is bound to clashing or cyclic values") from None
 
@@ -768,25 +772,27 @@ class _Parser:
 
     def fs(self):
         self.take("lbrack")
-        root = self.graph.add()
-        if self.peek()[0] == "rbrack":
-            self.take()
-            return root
-        while True:
-            feat = self.take("atom")[1].upper()
-            if self.registry is not None:
-                self.registry.check(feat)
-            if feat in self.graph.feats[root]:
-                raise MalformedSyntax("duplicate feature %r" % feat)
-            self.graph.feats[root][feat] = self.value(feat)
-            if self.peek()[0] == "comma":
+        feats = {}
+        if self.peek()[0] != "rbrack":
+            while True:
+                feat = self.take("atom")[1].upper()
+                if self.registry is not None:
+                    self.registry.check(feat)
+                if feat in feats:
+                    raise MalformedSyntax("duplicate feature %r" % feat)
+                feats[feat] = self.value(feat)
+                if self.peek()[0] != "comma":
+                    break
                 self.take()
-                continue
-            break
         self.take("rbrack")
+        if int not in map(type, feats.values()):  # no tag below
+            return _node(None, tuple(sorted(feats.items())))
+        root = self.graph.add()
+        self.graph.feats[root] = {f: self.node_id(v) for f, v in feats.items()}
         return root
 
     def value(self, feat):
+        """The next value: its node, or the graph id of one with a tag."""
         kind, text = self.peek()
         if kind == "atom":
             self.take()
@@ -795,7 +801,7 @@ class _Parser:
                 raise UndeclaredValue("wildcard only allowed in patterns")
             if self.registry is not None:
                 self.registry.check(feat, value)
-            return self.graph.add((value,))
+            return _node(_mask((value,)), ())
         if kind == "lbrace":
             self.take()
             values = [self.take("atom")[1].upper()]
@@ -808,17 +814,19 @@ class _Parser:
                     self.registry.check(feat, v)
             if len(set(values)) == 1:
                 warnings.warn("singleton value disjunction collapsed to %r" % values[0])
-            return self.graph.add(values)
+            return _node(_mask(values), ())
         if kind == "lbrack":
             return self.fs()
         if kind == "tag":
             self.take()
+            if self.graph is None:
+                self.graph = _Graph()
             node = self.tags.get(text)
             if node is None:
                 node = self.tags[text] = self.graph.add()
             if self.peek()[0] == "eq":
                 self.take()
-                self.graph.merge(node, self.value(feat))
+                self.graph.merge(node, self.node_id(self.value(feat)))
             return node
         raise MalformedSyntax("expected a value, got %r" % (text,))
 
@@ -827,7 +835,7 @@ def parse_fs(text, registry=None, pattern=False):
     """Parse one category literal; each disjunct is its own tag scope."""
     parser = _Parser(text, registry, pattern, shared=False)
     cat, _ = parser.category()
-    if parser.i != len(parser.tokens):
+    if parser.peek() is not _END:
         raise MalformedSyntax("trailing input after category: %r" % (parser.peek()[1],))
     return cat
 
@@ -849,18 +857,20 @@ def parse_cats(text, registry=None, joint=None):
     for piece in [text] if isinstance(text, str) else text:
         parser.tokens, parser.i = _tokenize(piece), 0
         groups.append([])
-        while parser.i < len(parser.tokens):
-            cat, ids = parser.category()
+        while parser.peek() is not _END:
+            cat, values = parser.category()
             groups[-1].append(cat)
-            roots.append(ids)
+            roots.append(values)
     cats = groups[0] if isinstance(text, str) else groups
     if joint is None:
         return cats
-    if any(len(ids) != 1 for ids in roots):
+    if any(len(values) != 1 for values in roots):
         return cats, None
     graph = parser.graph
+    if graph is None:
+        return cats, _node(None, tuple(sorted(zip(joint, (values[0] for values in roots)))))
     top = graph.add()
-    graph.feats[top].update(zip(joint, (ids[0] for ids in roots)))
+    graph.feats[top].update(zip(joint, (parser.node_id(values[0]) for values in roots)))
     # a cycle runs through a tag of the category that closed it, and that
     # category's freeze has already raised
     return cats, graph.freeze(top)

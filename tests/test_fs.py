@@ -30,6 +30,9 @@ from gramgrow.fs import (
     _Graph,
 )
 
+from gramgrow.grammar import LHS, format_rule, parse_rule_line, slot
+from gramgrow.resources import load_bundle
+
 from genfs import GEN_REGISTRY, denotation, random_category, random_extension, random_fs
 
 REG = FeatureRegistry.from_text(
@@ -96,6 +99,66 @@ def test_parse_cyclic_or_clashing_tag_is_malformed():
         parse_fs("[CAT #1 = [CAT #1]]")
     with pytest.raises(MalformedSyntax):
         cat("[PER #1 = 3, PERSON #1 = 2]")
+
+
+def test_parse_error_messages_are_pinned():
+    # the exception class and the message of each malformed input
+    def rule(line):
+        return parse_rule_line(line, None)
+
+    bound = "a tag is bound to clashing or cyclic values"
+    cases = [
+        (cat, "[N +", MalformedSyntax, "expected rbrack, got None"),
+        (cat, "[N + V -]", MalformedSyntax, "expected rbrack, got 'V'"),
+        (cat, "[N ?]", MalformedSyntax, "cannot tokenize '?]'"),
+        (cat, "[N +, N -] ;  ", MalformedSyntax, "cannot tokenize ';'"),
+        (cat, "[N +] [V -]", MalformedSyntax, "trailing input after category: '['"),
+        (cat, "[N +, N -]", MalformedSyntax, "duplicate feature 'N'"),
+        (cat, "[CAT #1 = [PER 1, PER 2]]", MalformedSyntax, "duplicate feature 'PER'"),
+        (cat, "[PER #1 = 3, PERSON #1 = 2]", MalformedSyntax, bound),
+        (parse_fs, "[CAT #1 = [CAT #1]]", MalformedSyntax, bound),
+        # the cycle runs through the LHS and the RHS
+        (rule, "rule r : [A #1 = [B #2]] -> [C #2 = [D #1]]", MalformedSyntax, bound),
+        (cat, "[N *]", UndeclaredValue, "wildcard only allowed in patterns"),
+        (cat, "[WIBBLE +]", UndeclaredFeature, "undeclared feature 'WIBBLE'"),
+        (cat, "[BAR 9]", UndeclaredValue, "value '9' not declared for feature 'BAR'"),
+        (cat, "[BAR {1, 9}]", UndeclaredValue, "value '9' not declared for feature 'BAR'"),
+        (cat, "[N", MalformedSyntax, "expected a value, got None"),
+        (cat, "", MalformedSyntax, "expected lbrack, got None"),
+        (cat, "[N +,]", MalformedSyntax, "expected atom, got ']'"),
+    ]
+    for parse, text, error, message in cases:
+        with pytest.raises(error) as caught:
+            parse(text)
+        assert type(caught.value) is error and str(caught.value) == message, text
+    for text in ("[BAR {1}]", "[CAT #1 = [BAR {1}], PER #1]"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cat(text)
+        assert [str(w.message) for w in caught] == ["singleton value disjunction collapsed to '1'"], text
+
+
+def test_reading_printed_values_gives_the_same_objects():
+    rng = random.Random(29)
+    for _ in range(300):
+        c = random_category(rng)
+        again = parse_fs(print_fs(c, GEN_REGISTRY), GEN_REGISTRY)
+        assert len(again) == len(c) and all(a is b for a, b in zip(again, c))
+    # a rule line without a tag gives the joint structure the scratch graph builds
+    tag_free = parse_rule_line("rule r : [A 1] -> [B [C {x, y}]] []", None)
+    parts = zip([LHS, slot(1), slot(2)], ("[A 1]", "[B [C {x, y}]]", "[]"))
+    assert tag_free.instances == (fs_from_pairs([(f, parse_fs(t).disjuncts[0]) for f, t in parts]),)
+    registry, grammar, _, _, _ = load_bundle("demo")
+    for rule in grammar.rules:
+        again = parse_rule_line(format_rule(rule, registry), registry)
+        assert len(again.instances) == len(rule.instances)
+        assert all(a is b for a, b in zip(again.instances, rule.instances)), rule.id
+    for bundle in ("demo", "claws"):
+        registry, _, lexicon, _, _ = load_bundle(bundle)
+        for entries in lexicon.entries.values():
+            for entry in entries:
+                (again,) = parse_fs(print_fs(entry, registry), registry).disjuncts
+                assert again is entry
 
 
 def test_print_parse_fixpoint():

@@ -23,6 +23,10 @@ and records the sha256 of each artefact:
   set-up's included: its tokens, then per edge its id, kind, rule, span,
   children, bad_reason and built rule id.
 
+It also records, for each shipped bundle, `bundle/<name>/printed`: the
+sha256 of `format_rule` of every rule, then `print_fs` of every lexicon
+entry, model pattern and label, in the order the bundle holds them.
+
 FILE maps `<workload>/s<seed>/r<round>/<artefact>` to a hex digest.  DIR
 defaults to the checkout holding this script, and gramgrow is imported
 from DIR/src only, so the digests of two checkouts can be compared.
@@ -40,6 +44,7 @@ import shutil
 import sys
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BUNDLES = ("demo", "claws")
 
 
 def _sha(data):
@@ -150,6 +155,23 @@ def _round(workload, parses, seed, r, check):
     return out
 
 
+def _bundle(name):
+    """The digest of a shipped bundle as the program reads it."""
+    from gramgrow.fs import print_fs
+    from gramgrow.grammar import format_rule
+    from gramgrow.resources import load_bundle
+
+    registry, grammar, lexicon, model, labels = load_bundle(name)
+    texts = [format_rule(rule, registry) for rule in grammar.rules]
+    values = [entry for entries in lexicon.entries.values() for entry in entries]
+    if model is not None:
+        values += [p.fs for rule in model.lp_rules for p in (rule.left, rule.right)]
+        values += [pattern.fs for pattern, _ in model.type_rows]
+    values += [entry.pattern for entry in labels.entries]
+    texts += [print_fs(value, registry) for value in values]
+    return _sha("\n".join(texts))
+
+
 def digest(checkout, seeds, rounds, check=False):
     """{entry: sha256} over every workload, seed and round."""
     sys.path.insert(0, os.path.join(checkout, "bench"))
@@ -170,6 +192,8 @@ def digest(checkout, seeds, rounds, check=False):
                         entries["%s/s%d/r%d/%s" % (name, seed, r, what)] = value
         finally:
             parses.uninstall()
+    for name in BUNDLES:
+        entries["bundle/%s/printed" % name] = _bundle(name)
     return entries
 
 
