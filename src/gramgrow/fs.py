@@ -725,7 +725,7 @@ class _Parser:
         self.i = 0
         self.registry = registry
         self.pattern = pattern
-        self.graph = None  # made at the first tag
+        self.graph = _Graph()
         # tag text -> node id; shared: one scope for the whole text, otherwise
         # each disjunct is its own scope
         self.shared = shared
@@ -819,8 +819,6 @@ class _Parser:
             return self.fs()
         if kind == "tag":
             self.take()
-            if self.graph is None:
-                self.graph = _Graph()
             node = self.tags.get(text)
             if node is None:
                 node = self.tags[text] = self.graph.add()
@@ -867,8 +865,6 @@ def parse_cats(text, registry=None, joint=None):
     if any(len(values) != 1 for values in roots):
         return cats, None
     graph = parser.graph
-    if graph is None:
-        return cats, _node(None, tuple(sorted(zip(joint, (values[0] for values in roots)))))
     top = graph.add()
     graph.feats[top].update(zip(joint, (parser.node_id(values[0]) for values in roots)))
     # a cycle runs through a tag of the category that closed it, and that
