@@ -22,7 +22,7 @@ from .constructor import (
     construct_binary_cat,
     construct_unary_cat,
 )
-from .fs import Category, EMPTY_CAT, subsumes_cat, unify_cat
+from .fs import Category, subsumes_cat, unify_cat
 from .grammar import (
     LHS, SupportRecord, UnknownTerminal, cat_at, max_bar_of, narrow, proposals, slot, super_rule,
 )
@@ -201,9 +201,12 @@ class ParseTree:
         return self.token is not None
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """The nodes in preorder, each before its children, children in order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def postorder(self):
         """The nodes, each after its children, children in order."""
@@ -251,7 +254,6 @@ class ChartParser:
         store=None,
         flags=None,
         limits=None,
-        root=None,
         trace=None,
     ):
         self.grammar = grammar
@@ -260,7 +262,6 @@ class ChartParser:
         self.store = store
         self.flags = flags or SessionFlags()
         self.limits = limits or ParserLimits()
-        self.root = root if root is not None else EMPTY_CAT
         self.trace = trace
         self.supers = ()
         if self.flags.unary_super:
@@ -268,7 +269,7 @@ class ChartParser:
         if self.flags.binary_super:
             self.supers += (super_rule(2),)
         self._super_ids = frozenset(rule.id for rule in self.supers)
-        self._originals = tuple(grammar.original)  # the critic's redundancy check reads these
+        self._originals = tuple(grammar.original)  # phase one's rules, and the critic's
         # slot names by position, for every arity the grammar holds; learnt
         # and super rules have arity 1 or 2
         arity = max([2] + [rule.arity for rule in self._originals])
@@ -285,10 +286,10 @@ class ChartParser:
         self.chart = Chart(n_tokens)
         self.agenda = deque()  # a bounded parse leaves edges on it
         # the rules phase one proposes from; seed_super sets those of phase two
-        self._rules = tuple(self.grammar.original)
+        self._rules = self._originals
         if not self.flags.learning:
             self._rules += tuple(self.grammar.learnt)
-        self.spanning = []  # (edge, its category forced by the root), in creation order
+        self.spanning = []  # the edges over the whole input, in creation order
         # a first-parse parse (see _add_inactive) keeps, by (start, end), the
         # categories of the non-lexical inactive edges it has built
         flags = self.flags
@@ -375,27 +376,11 @@ class ChartParser:
             return
         start, end = inactive.start, inactive.end
         children = (inactive.id,)
-        # _add_active's steps, inlined with their lookups hoisted: most
-        # edges are the active edges made here
-        edges = self.chart.edges
-        actives = self.chart.actives_by_end[end]
-        queue = self.agenda.append
-        trace = self.trace
-        max_edges = self.limits.max_edges
         for rule, insts in found:
-            arity = rule.arity
-            if arity == 1:
+            if rule.arity == 1:
                 self._add_inactive(rule.id, start, end, 1, insts, children)
-                continue
-            eid = len(edges)
-            edge = Active(eid, start, end, rule.id, arity, 1, insts, children)
-            edges.append(edge)
-            actives.append(edge)
-            queue(edge)
-            if trace:
-                trace(edge)
-            if max_edges is not None and eid + 1 >= max_edges:
-                raise _Bounded("edges")
+            else:
+                self._add_active(rule.id, start, end, rule.arity, 1, insts, children)
 
     def extend(self, active, inactive):
         """Fill the active edge's next daughter slot with the inactive edge
@@ -449,11 +434,11 @@ class ChartParser:
         order and the index lists keep that order, so every pair or proposal
         that would use the covered edge has an earlier twin that uses the
         covering one, whose category covers the twin's result.  The first
-        spanning, root-compatible edge of a parse that made every edge is
-        then never derived from a covered edge, and is built here from the
-        same children.  The m bound counts the edges kept.  Training reads
-        the partial chart of a parse that finds no tree, and learning the
-        whole chart, so those parses make every edge."""
+        spanning edge of a parse that made every edge is then never derived
+        from a covered edge, and is built here from the same children.  The
+        m bound counts the edges kept.  Training reads the partial chart of
+        a parse that finds no tree, and learning the whole chart, so those
+        parses make every edge."""
         kept = self.kept
         if kept is not None and token is None:
             cat = cat_at(instances, LHS)
@@ -488,14 +473,9 @@ class ChartParser:
     def _note_parse(self, edge):
         # no edge is marked bad after this, so the spanning list stays valid
         if edge.start == 0 and edge.end == self.chart.n:
-            forced = unify_cat(edge.cat(), self.root)
-            if not forced.is_bottom:
-                self.spanning.append((edge, forced))
-                if (
-                    self.limits.max_parses is not None
-                    and len(self.spanning) >= self.limits.max_parses
-                ):
-                    raise _Bounded("parses")
+            self.spanning.append(edge)
+            if self.limits.max_parses is not None and len(self.spanning) >= self.limits.max_parses:
+                raise _Bounded("parses")
 
     # -- criticism -------------------------------------------------------------
 
@@ -555,12 +535,12 @@ class ChartParser:
     # -- extraction ------------------------------------------------------------
 
     def extract_trees(self, k=None):
-        """Up to k parse trees over spanning, root-compatible edges, in edge
-        creation order then found-child order."""
+        """Up to k parse trees over the spanning edges, in edge creation
+        order then found-child order."""
         trees = []
         memo = {}  # (edge id, forced category) -> tree list, for this call
-        for edge, forced in self.spanning:
-            for tree in self._edge_trees(edge, forced, memo):
+        for edge in self.spanning:
+            for tree in self._edge_trees(edge, edge.cat(), memo):
                 trees.append(tree)
                 if k is not None and len(trees) >= k:
                     return trees
@@ -669,7 +649,7 @@ def harvest_local_trees(chart):
     return out
 
 
-def parse(tokens, grammar, lexicon, model=None, store=None, flags=None, limits=None, root=None, trace=None):
+def parse(tokens, grammar, lexicon, model=None, store=None, flags=None, limits=None, trace=None):
     """Parse a terminal sequence, learning missing rules when enabled."""
-    parser = ChartParser(grammar, lexicon, model, store, flags, limits, root, trace)
+    parser = ChartParser(grammar, lexicon, model, store, flags, limits, trace)
     return parser.parse(tokens)

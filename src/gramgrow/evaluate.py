@@ -129,9 +129,7 @@ def normalize_tree(pm, tree):
     """Preorder label list: paraphrase labels at internal nodes (bar levels
     above one promoted to phrasal labels), tokens at leaves."""
     out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
+    for node in tree.walk():
         if node.is_leaf:
             # the leaf's category is its preterminal; a bare leaf with an
             # empty category contributes the token alone
@@ -140,7 +138,6 @@ def normalize_tree(pm, tree):
             out.append(node.token)
             continue
         out.append(pm.paraphrase_cat(node.cat, promote=True))
-        stack.extend(reversed(node.children))
     return out
 
 

@@ -15,9 +15,10 @@ def load_bundle(name):
     """(registry, grammar, lexicon, model, labels) of a shipped bundle, all
     loaded or none.  A bundle without a grammar gets an empty one, and one
     without a model None."""
+    data = resources.files("gramgrow").joinpath("data")  # resolved once per load
 
     def path(ext):
-        return data_path(name + ext)
+        return data.joinpath(name + ext)
 
     registry = FeatureRegistry.load(path(".features"))
     grammar = Grammar(registry)

@@ -142,15 +142,12 @@ def decompose(tree):
     are lexical tokens contribute their (preterminal) category, below which
     nothing is produced."""
     pairs = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
+    for node in tree.walk():
         if node.is_leaf:
             continue
         m = _single(node.cat)
         for child in node.children:
             pairs.append((m, _single(child.cat)))
-        stack.extend(reversed(node.children))
     return pairs
 
 

@@ -37,8 +37,10 @@ def test_digests_agree_under_two_hash_seeds_and_equal_the_pinned_file(tmp_path):
     tool = _tool()
     assert tool.compare(first, second) == []
     assert tool.compare(first, pinned) == []
-    assert len(pinned) == 65 and "eval/s1/r0/tsv" in pinned and "learn/s1/r2/edges" in pinned
+    assert len(pinned) == 69 and "eval/s1/r0/tsv" in pinned and "learn/s1/r2/edges" in pinned
     assert "bundle/demo/printed" in pinned and "bundle/claws/printed" in pinned
+    for what in ("repl", "learnt_ids", "save_learnt", "support"):
+        assert "unary/%s" % what in pinned
 
 
 def test_compare_names_the_entries_that_differ(tmp_path):
@@ -59,7 +61,7 @@ def test_compare_names_the_entries_that_differ(tmp_path):
     assert out.getvalue().splitlines() == [
         "differs: eval/s1/r1/tsv",
         "differs: learn/s1/r0/repl",
-        "2 of 65 entries differ",
+        "2 of 69 entries differ",
     ]
     with redirect_stdout(io.StringIO()):
         assert tool.main(["--compare", str(paths[0]), str(paths[0])]) == 0

@@ -25,7 +25,12 @@ and records the sha256 of each artefact:
 
 It also records, for each shipped bundle, `bundle/<name>/printed`: the
 sha256 of `format_rule` of every rule, then `print_fs` of every lexicon
-entry, model pattern and label, in the order the bundle holds them.
+entry, model pattern and label, in the order the bundle holds them; and
+`unary/<artefact>` for one unbounded learning session on the demo bundle
+(unary super rules on, `limits off off`, "the happy cat chases Sam", then
+`!*parses*` and `save-learnt`): its `repl` text, `learnt_ids`,
+`save_learnt` bytes and `support` records, from a parse that extracts
+every tree of a learning chart.
 
 FILE maps `<workload>/s<seed>/r<round>/<artefact>` to a hex digest.  DIR
 defaults to the checkout holding this script, and gramgrow is imported
@@ -38,10 +43,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import shutil
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUNDLES = ("demo", "claws")
@@ -172,6 +179,32 @@ def _bundle(name):
     return _sha("\n".join(texts))
 
 
+UNARY_SESSION = (
+    "load-bundle demo", "set learning on", "set hfc on", "set unary on", "limits off off",
+    "the happy cat chases Sam", "!*parses*",
+)
+
+
+def _unary():
+    """The digests of the unbounded unary learning session."""
+    from gramgrow.cli import Session, run_repl
+
+    tmp = tempfile.mkdtemp(prefix="gramgrow-digest-")
+    try:
+        saved = os.path.join(tmp, "unary.learnt")
+        session = Session(out=io.StringIO())
+        run_repl(session, UNARY_SESSION + ("save-learnt %s" % saved,))
+        grammar = session.grammar
+        return {
+            "repl": _sha(session.out.getvalue().replace(tmp, "<tmp>")),
+            "learnt_ids": _sha("\n".join(rule.id for rule in grammar.learnt)),
+            "save_learnt": _sha(_read(saved)),
+            "support": _sha("\n".join("%s %r" % kv for kv in grammar.support.items())),
+        }
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def digest(checkout, seeds, rounds, check=False):
     """{entry: sha256} over every workload, seed and round."""
     sys.path.insert(0, os.path.join(checkout, "bench"))
@@ -194,6 +227,8 @@ def digest(checkout, seeds, rounds, check=False):
             parses.uninstall()
     for name in BUNDLES:
         entries["bundle/%s/printed" % name] = _bundle(name)
+    for what, value in _unary().items():
+        entries["unary/%s" % what] = value
     return entries
 
 
