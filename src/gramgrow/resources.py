@@ -7,18 +7,20 @@ from .grammar import Grammar, Lexicon, ParaphraseMap
 from .model import load_model
 
 
+_DATA = resources.files("gramgrow").joinpath("data")
+
+
 def data_path(name):
-    return resources.files("gramgrow").joinpath("data", name)
+    return _DATA.joinpath(name)
 
 
 def load_bundle(name):
     """(registry, grammar, lexicon, model, labels) of a shipped bundle, all
     loaded or none.  A bundle without a grammar gets an empty one, and one
     without a model None."""
-    data = resources.files("gramgrow").joinpath("data")  # resolved once per load
 
     def path(ext):
-        return data.joinpath(name + ext)
+        return data_path(name + ext)
 
     registry = FeatureRegistry.load(path(".features"))
     grammar = Grammar(registry)

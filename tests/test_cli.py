@@ -302,6 +302,7 @@ def test_load_bundle_replaces_every_resource_or_none(tmp_path, monkeypatch):
         m.setattr(resources, "data_path", lambda name: tmp_path / name)
         run_script(session, ["load-bundle broken"])
     assert out.getvalue().count("error:") == 1
+    assert "error: lexicon lines start with 'lex'" in out.getvalue()
     assert session.registry is demo and session.grammar.registry is demo
     run_script(session, ["load-bundle claws"])
     assert out.getvalue().count("error:") == 1
