@@ -21,7 +21,9 @@ and records the sha256 of each artefact:
   benchmark's oracle, which takes most of the time, so it is an option;
 * `edges`: every parse that the workload's per-input entry point made,
   set-up's included: its tokens, then per edge its id, kind, rule, span,
-  children, bad_reason and built rule id.
+  children, bad_reason and built rule id;
+* `scores`: for the same parses, each parse's `cap_hits`, then
+  `repr(edge.score)` for every edge.
 
 It also records, for each shipped bundle, `bundle/<name>/printed`: the
 sha256 of `format_rule` of every rule, then `print_fs` of every lexicon
@@ -74,7 +76,8 @@ def _kind(edge):
 class _Parses:
     """Wraps the workload's per-input entry point, as `bench/run.py`'s
     timer does: keeps a `Record` of each result for the workload's check,
-    and feeds each parse's edge sequence to a hash."""
+    and feeds each parse's edge sequence to one hash and its scores to
+    another."""
 
     def __init__(self, workload, cli, evaluate, record_class):
         owner_name, attr = workload.timer_target
@@ -85,6 +88,7 @@ class _Parses:
         self.record_class = record_class
         self.records = []
         self.edges = hashlib.sha256()
+        self.scores = hashlib.sha256()
 
     def install(self):
         original, record = self.original, self.record_class
@@ -112,13 +116,16 @@ class _Parses:
 
     def _feed(self, tokens, result):
         lines = ["parse %s" % " ".join(tokens)]
+        scores = ["cap_hits %d" % result.cap_hits]
         for e in result.chart.edges if result.chart is not None else ():
             built = e.built_rule.id if e.built_rule is not None else None
             lines.append("%d %s %s %d..%d %s %s %s" % (
                 e.id, _kind(e), e.rule_id, e.start, e.end,
                 ",".join(map(str, e.children)), e.bad_reason, built,
             ))
+            scores.append(repr(e.score))
         self.edges.update(("\n".join(lines) + "\n").encode("utf-8"))
+        self.scores.update(("\n".join(scores) + "\n").encode("utf-8"))
 
 
 def _round(workload, parses, seed, r, check):
@@ -128,6 +135,7 @@ def _round(workload, parses, seed, r, check):
 
     out = {}
     parses.edges = hashlib.sha256()
+    parses.scores = hashlib.sha256()
     state = workload.setup(seed, r)
     try:
         state.pretrain_pairs = sum(rec.pairs for rec in parses.take())
@@ -157,6 +165,7 @@ def _round(workload, parses, seed, r, check):
             session.store.save(triples, session.registry)
             out["triples"] = _sha(_read(triples))
         out["edges"] = parses.edges.hexdigest()
+        out["scores"] = parses.scores.hexdigest()
     finally:
         shutil.rmtree(state.tmp, ignore_errors=True)
     return out
