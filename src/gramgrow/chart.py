@@ -458,7 +458,7 @@ class ChartParser:
         if rule_id in self._super_ids:
             self.criticise(edge)
         if not edge.bad:
-            if token is None and self.flags.data and self.store is not None:
+            if token is None and edge.score is None and self.flags.data and self.store is not None:
                 edge.score = self._edge_score(edge)
             chart.inactives_by_start[start].append(edge)
             self.agenda.append(edge)
@@ -481,12 +481,25 @@ class ChartParser:
 
     def criticise(self, edge):
         """Give a completed super-rule instantiation a freshly built rule, or
-        mark it bad with the reason of the first step that rejects it."""
-        rhs = tuple(edge.slot_cat(i) for i in range(1, edge.arity + 1))
-        built = self._rule_or_reason(edge.arity, rhs)
+        mark it bad with the reason of the first step that rejects it.  An
+        edge the judge accepts keeps the local score of its judgement when
+        the built rule's daughter categories are the super edge's, since
+        _add_inactive would then score it with the same arguments: the
+        mother is the built rule's in both."""
+        built = self._rule_or_reason(edge.arity, edge.instances)
         if not isinstance(built, str) and self.flags.data and self.store is not None:
-            if not self._judge(edge, built):
+            daughters = self._daughter_summary(edge)
+            hits = self.cap_hits
+            local = scoring.judge(
+                self.store, built.lhs, daughters, registry=self.grammar.registry, on_cap=self._on_cap
+            )
+            if local is None:
                 built = "judged"
+            elif all(cat == built.rhs(i) for i, (cat, _) in enumerate(daughters, start=1)):
+                edge.score = local
+                # the score_local call that _add_inactive now skips would
+                # hit the cap as often as the judgement did
+                self.cap_hits += self.cap_hits - hits
         if isinstance(built, str):
             edge.bad = True
             edge.bad_reason = built
@@ -495,16 +508,19 @@ class ChartParser:
             edge.built_rule = built
             self.built[built.id] = built
 
-    def _rule_or_reason(self, arity, rhs):
-        """The rule built over the RHS, or the bad_reason of the first check
-        it fails: redundancy, the model, then X-bar construction.
+    def _rule_or_reason(self, arity, instances):
+        """The rule built over the RHS of a super edge's instances, or the
+        bad_reason of the first check it fails: redundancy, the model, then
+        X-bar construction.
 
-        The verdict comes from the process-wide _verdict.  A learnt id is
-        drawn, hit or miss, whenever the verdict is a rule or a construction
-        reason, so ids are those of a run without the memo."""
+        The verdict comes from the process-wide _verdict, keyed by the
+        instance tuple, which the chart holds already, so no RHS is built
+        for a hit.  A learnt id is drawn, hit or miss, whenever the verdict
+        is a rule or a construction reason, so ids are those of a run
+        without the memo."""
         flags = self.flags
         built = _verdict(
-            arity, rhs, self._originals, self.model, self.grammar.registry,
+            arity, instances, self._originals, self.model, self.grammar.registry,
             flags.lp, flags.types, flags.hfc,
         )
         if isinstance(built, str):
@@ -519,12 +535,6 @@ class ChartParser:
             child = self.chart.edges[cid]
             out.append((edge.slot_cat(i), child.score if not child.is_lexical else None))
         return out
-
-    def _judge(self, edge, built):
-        daughters = self._daughter_summary(edge)
-        return scoring.judge(
-            self.store, built.lhs, daughters, registry=self.grammar.registry, on_cap=self._on_cap
-        )
 
     def _edge_score(self, edge):
         daughters = self._daughter_summary(edge)
@@ -602,12 +612,13 @@ class ChartParser:
 
 
 @functools.cache
-def _verdict(arity, rhs, originals, model, registry, lp, types, hfc):
-    """The critic's verdict on an RHS (a tuple of categories): a rule under a
-    placeholder id, or the bad_reason of the first check it fails.  The
-    checks read only the arguments, `originals` being the original rules,
-    and rules, a model and a registry are interned values, so the verdict
-    is cached for the process."""
+def _verdict(arity, instances, originals, model, registry, lp, types, hfc):
+    """The critic's verdict on the RHS of a super edge's instances: a rule
+    under a placeholder id, or the bad_reason of the first check it fails.
+    The checks read only the arguments, `originals` being the original
+    rules, and instances, rules, a model and a registry are interned
+    values, so the verdict is cached for the process."""
+    rhs = tuple(cat_at(instances, slot(i)) for i in range(1, arity + 1))
     for rule in originals:
         if rule.arity != arity:
             continue

@@ -32,7 +32,9 @@ LHS = "*LHS*"
 BAR = "BAR"
 
 
+@functools.cache
 def slot(i):
+    """The feature name of RHS position i, made once per position."""
     return "*R%d*" % i
 
 

@@ -47,6 +47,8 @@ class TripleStore:
         # among them]; a lookup tests only the triples added since its last
         # visit
         self._cache = {}
+        # (a, b) disjuncts -> the lookup value, until the next add
+        self._values = {}
         self.total = 0
 
     def add(self, mother, daughter, freq=1):
@@ -59,17 +61,26 @@ class TripleStore:
         else:
             triple.freq += freq
         self.total += freq
+        self._values.clear()
 
     def lookup(self, a, b):
         """Summed frequency of the triples whose mother unifies with a
         disjunct of category a and whose daughter with a disjunct of b, over
-        the grand total; delta when none does (or the store is empty)."""
+        the grand total; delta when none does (or the store is empty).  The
+        value is kept until the next add."""
+        key = (a.disjuncts, b.disjuncts)
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self._lookup(key)
+        return value
+
+    def _lookup(self, key):
         if self.total == 0:
             return self.delta
-        ka, kb = a.disjuncts, b.disjuncts
-        entry = self._cache.get((ka, kb))
+        ka, kb = key
+        entry = self._cache.get(key)
         if entry is None:
-            entry = self._cache[ka, kb] = [0, []]
+            entry = self._cache[key] = [0, []]
         tested, found = entry
         for t in self.triples[tested:]:
             if _compatible(t.mother, ka) and _compatible(t.daughter, kb):
@@ -193,10 +204,12 @@ def score_local(store, mother, daughters, registry=None, on_cap=None):
     node scores as the maximum over its non-disjunctive expansions, taken
     over the first DEFAULT_EXPANSION_CAP combinations of them.
     """
-    exps = [
-        [Category((e,)) for e in expand(c, registry, on_cap=on_cap)]
-        for c in [mother] + [c for c, _ in daughters]
-    ]
+    exps = []
+    for c in [mother] + [c for c, _ in daughters]:
+        images, over_cap = _images(c, registry)
+        if over_cap and on_cap is not None:
+            on_cap(over_cap)
+        exps.append(images)
     total = math.prod(len(e) for e in exps)
     if total > DEFAULT_EXPANSION_CAP and on_cap is not None:
         on_cap(total)
@@ -213,6 +226,17 @@ def score_local(store, mother, daughters, registry=None, on_cap=None):
     return best
 
 
+@functools.cache
+def _images(c, registry):
+    """The first DEFAULT_EXPANSION_CAP non-disjunctive images of c, each as a
+    category, and the number of its images when that is more (else 0): a
+    pure function of interned values, cached for the process.  `expand` is
+    looked up per call, so a wrapper bound in its place sees every miss."""
+    over_cap = []
+    images = tuple(Category((e,)) for e in expand(c, registry, on_cap=over_cap.append))
+    return images, over_cap[0] if over_cap else 0
+
+
 def score_tree(store, tree, registry=None):
     """Recursive tree score: every daughter's subtree is scored first and
     feeds its parent's local score."""
@@ -225,7 +249,8 @@ def score_tree(store, tree, registry=None):
 def judge(store, mother, daughters, registry=None, on_cap=None):
     """Acceptance test for a super-rule instantiation: the geometric mean of
     the local tree's score and its interior daughters' scores must exceed
-    omega."""
+    omega.  The local score when it does, so that an accepted edge need
+    not score again; None when it does not."""
     local = score_local(store, mother, daughters, registry, on_cap)
     outer = [local] + [s for _, s in daughters if s is not None]
-    return geo_mean(outer) > store.omega
+    return local if geo_mean(outer) > store.omega else None

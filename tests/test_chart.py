@@ -39,6 +39,7 @@ from gramgrow.grammar import (
 )
 from gramgrow.model import load_model
 from gramgrow.resources import data_path, load_bundle
+from gramgrow.scoring import TripleStore, train
 
 
 @pytest.fixture()
@@ -518,6 +519,7 @@ DEMO_SENTENCES = [
 
 
 CACHED = (
+    grammar_module.slot,
     grammar_module.cat_at,
     grammar_module.narrow,
     grammar_module._unified,
@@ -530,6 +532,7 @@ CACHED = (
     chart_module._verdict,
     chart_module._covers_cat,
     scoring_module._compatible,
+    scoring_module._images,
 )
 # caches that make one object per value: transparency is not theirs to show,
 # since `is` and `==` coincide on what they make
@@ -1031,7 +1034,7 @@ class _OneKindParser(ChartParser):
             self.criticise(edge)
         if not edge.bad:
             if edge.is_inactive:
-                if token is None and self.flags.data and self.store is not None:
+                if token is None and edge.score is None and self.flags.data and self.store is not None:
                     edge.score = self._edge_score(edge)
                 chart.inactives_by_start[start].append(edge)
             else:
@@ -1410,8 +1413,9 @@ def _covered_reference(grammar, arity, rhs):
 class _CheckedParser(ChartParser):
     """Records each redundancy verdict next to the reference's."""
 
-    def _rule_or_reason(self, arity, rhs):
-        got = super()._rule_or_reason(arity, rhs)
+    def _rule_or_reason(self, arity, instances):
+        got = super()._rule_or_reason(arity, instances)
+        rhs = tuple(cat_at(instances, slot(i)) for i in range(1, arity + 1))
         self.verdicts.append((got == "redundant", _covered_reference(self.grammar, arity, rhs)))
         return got
 
@@ -1430,6 +1434,60 @@ def test_redundancy_check_matches_product_reference(demo):
         parser.parse(sentence.split())
     assert {got for got, _ in verdicts} == {True, False}
     assert all(got == want for got, want in verdicts)
+
+
+# -- the judged score ------------------------------------------------------------------
+
+
+class _RescoringParser(ChartParser):
+    """Criticises as the chart did before an accepted edge kept the score of
+    its judgement: `_add_inactive` scores every accepted edge again."""
+
+    def criticise(self, edge):
+        built = self._rule_or_reason(edge.arity, edge.instances)
+        if not isinstance(built, str) and self.flags.data and self.store is not None:
+            daughters = self._daughter_summary(edge)
+            if chart_module.scoring.judge(
+                self.store, built.lhs, daughters, registry=self.grammar.registry, on_cap=self._on_cap
+            ) is None:
+                built = "judged"
+        if isinstance(built, str):
+            edge.bad = True
+            edge.bad_reason = built
+        else:
+            edge.instances = built.instances
+            edge.built_rule = built
+            self.built[built.id] = built
+
+
+def _over_cap_sbl_parse(demo, parser_class):
+    """Learning with the treebank judge on C11_TRAIN, training on each
+    parse, then "Sam road happy road", whose spanning edge is accepted with
+    a local tree of 7 x 4 x 4 images, over DEFAULT_EXPANSION_CAP."""
+    registry, _, lexicon, _, model = demo
+    g = Grammar(registry)
+    g.load_rules(data_path("demo.grammar"))
+    store = TripleStore(delta=0.001, omega=0.005)
+    flags = SessionFlags(learning=True, hfc=True, data=True)
+    for line in C11_TRAIN + ["Sam road happy road"]:
+        res = parser_class(g, lexicon, model, store, flags, ParserLimits(1, 3000)).parse(line.split())
+        train(store, res.trees)
+    return res
+
+
+def test_an_accepted_edge_keeps_its_judged_score_and_cap_hits(demo, monkeypatch):
+    got = _over_cap_sbl_parse(demo, ChartParser)
+    want = _over_cap_sbl_parse(demo, _RescoringParser)
+    with monkeypatch.context() as m:
+        _uncache(m)
+        cold = _over_cap_sbl_parse(demo, ChartParser)
+    (top,) = [e for e in got.chart.edges if e.start == 0 and e.end == 4 and not e.bad]
+    assert top.built_rule is not None and got.trees
+    for res in (want, cold):
+        assert [e.score for e in got.chart.edges] == [e.score for e in res.chart.edges]
+        assert [e.bad_reason for e in got.chart.edges] == [e.bad_reason for e in res.chart.edges]
+    # one hit each for the judgement and the score of the spanning edge
+    assert got.cap_hits == want.cap_hits == cold.cap_hits == 2
 
 
 # -- tree extraction ------------------------------------------------------------------

@@ -167,11 +167,30 @@ def test_lookup_equals_recount_under_interleaved_adds(monkeypatch):
     monkeypatch.setattr(scoring, "unify", counting)
     rng = random.Random(7)
     store = TripleStore()
+
+    def twice(a, b):
+        """A pair looked up twice in a row, each time equal to the recount."""
+        got = [store.lookup(a, b) for _ in range(2)]
+        assert got == [_recount(store, a, b)] * 2
+        return got[0]
+
+    np_ = queries[1]
+    assert twice(np_, np_) == store.delta  # an empty store
     # one structure as both the mother and the daughter of a triple
     store.add(pool[1], pool[1])
-    assert store.lookup(queries[1], queries[1]) == _recount(store, queries[1], queries[1]) == 1.0
-    assert asked == {(pool[1], queries[1].disjuncts): 2}
+    assert twice(np_, np_) == 1.0
+    assert asked == {(pool[1], np_.disjuncts): 2}
     assert unified == {(pool[1], pool[1]): 1}
+    # each add below moves the value of the same pair: a new incompatible
+    # triple, a raised frequency of each kind, a new compatible triple
+    store.add(pool[0], pool[0])
+    assert twice(np_, np_) == 1 / 2
+    store.add(pool[0], pool[0], 2)
+    assert twice(np_, np_) == 1 / 4
+    store.add(pool[1], pool[1])
+    assert twice(np_, np_) == 2 / 5
+    store.add(pool[2], pool[1])
+    assert len(store.triples) == 3 and twice(np_, np_) == 3 / 6
     adds = lookups = 0
     for _ in range(400):
         if rng.random() < 0.3:
@@ -194,6 +213,25 @@ def test_lookup_equals_recount_under_interleaved_adds(monkeypatch):
     assert max(asked.values()) > 1
     mothers = {t.mother for t in store.triples}
     assert any(t.daughter in mothers for t in store.triples)
+
+
+def test_score_local_reports_the_cap_on_every_call(monkeypatch):
+    """A category with more images than the cap, and a product of images
+    over it, reach on_cap on every call, as expand and the product report
+    them, and the score is the one computed afresh."""
+    reg = FeatureRegistry.from_text("feature A 1 2 3 4\nfeature B 1 2 3 4\nfeature C 1 2 3 4\nfeature D x")
+    wide = parse_fs("{[A {1,2,3,4}, B {1,2,3,4}, C {1,2,3,4}], [D x]}", reg)  # 65 images
+    half = parse_fs("[A {1,2}, B {1,2,3,4}, C {1,2,3,4}]", reg)  # 32 images
+    store = TripleStore()
+    store.add(parse_fs("[A 1, B 1]", reg).disjuncts[0], parse_fs("[C 2]", reg).disjuncts[0])
+    daughters = [(half, None), (wide, 0.5)]
+    hits = []
+    got = [scoring.score_local(store, half, daughters, reg, on_cap=hits.append) for _ in range(2)]
+    assert hits == [65, 32 * 32 * 64] * 2
+    monkeypatch.setattr(scoring, "_images", scoring._images.__wrapped__)
+    fresh = []
+    assert got == [scoring.score_local(store, half, daughters, reg, on_cap=fresh.append)] * 2
+    assert fresh == hits[:2] and got[0] > store.delta
 
 
 # -- score_tree ------------------------------------------------------------------
