@@ -1447,7 +1447,7 @@ class _RescoringParser(ChartParser):
         built = self._rule_or_reason(edge.arity, edge.instances)
         if not isinstance(built, str) and self.flags.data and self.store is not None:
             daughters = self._daughter_summary(edge)
-            if chart_module.scoring.judge(
+            if scoring_module.judge(
                 self.store, built.lhs, daughters, registry=self.grammar.registry, on_cap=self._on_cap
             ) is None:
                 built = "judged"

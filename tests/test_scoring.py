@@ -182,7 +182,8 @@ def test_lookup_equals_recount_under_interleaved_adds(monkeypatch):
     assert asked == {(pool[1], np_.disjuncts): 2}
     assert unified == {(pool[1], pool[1]): 1}
     # each add below moves the value of the same pair: a new incompatible
-    # triple, a raised frequency of each kind, a new compatible triple
+    # triple, a raised frequency (of it, then of the compatible triple), a
+    # new compatible triple
     store.add(pool[0], pool[0])
     assert twice(np_, np_) == 1 / 2
     store.add(pool[0], pool[0], 2)
