@@ -270,6 +270,10 @@ class ChartParser:
             self.supers += (super_rule(2),)
         self._super_ids = frozenset(rule.id for rule in self.supers)
         self._originals = tuple(grammar.original)  # phase one's rules, and the critic's
+        # slot names by position, for every arity the grammar holds; learnt
+        # and super rules have arity 1 or 2
+        arity = max([2] + [rule.arity for rule in self._originals])
+        self._slots = tuple(slot(i) for i in range(arity + 1))
 
     def _on_cap(self, fanout):
         self.cap_hits += 1
@@ -384,7 +388,7 @@ class ChartParser:
         `Active` while daughters remain, else an inactive edge.  Neither
         edge is bad (see _run)."""
         nfound = active.nfound + 1
-        insts = narrow(active.instances, slot(nfound), inactive.cat().disjuncts)
+        insts = narrow(active.instances, self._slots[nfound], inactive.cat().disjuncts)
         if not insts:
             return
         rule_id, start, end = active.rule_id, active.start, inactive.end
