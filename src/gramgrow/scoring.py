@@ -22,14 +22,15 @@ DEFAULT_OMEGA = 0.35
 
 
 class Triple:
-    __slots__ = ("mother", "daughter", "freq")
+    __slots__ = ("mother", "daughter", "freq", "entries")
 
     def __init__(self, mother, daughter, freq=1):
-        if freq < 1:
-            raise ValueError("triple frequency must be positive")
         self.mother = mother  # FS, non-disjunctive
         self.daughter = daughter
         self.freq = freq
+        # the store's lookup entries that counted this triple, so that a
+        # raised frequency reaches their sums
+        self.entries = []
 
     def __repr__(self):
         return "Triple(%s, %s, %d)" % (print_fs(self.mother), print_fs(self.daughter), self.freq)
@@ -43,15 +44,15 @@ class TripleStore:
         self.omega = omega
         self.triples = []
         self._index = {}
-        # (a, b) disjuncts -> [triples tested so far, the compatible ones
-        # among them]; a lookup tests only the triples added since its last
-        # visit
+        # (a, b) disjuncts -> [triples tested so far, summed frequency of the
+        # compatible ones]; a lookup tests only the triples added since its
+        # last visit, and `add` keeps the sums of existing triples current
         self._cache = {}
-        # (a, b) disjuncts -> the lookup value, until the next add
-        self._values = {}
         self.total = 0
 
     def add(self, mother, daughter, freq=1):
+        if freq < 1:
+            raise ValueError("triple frequency must be positive")
         key = (mother, daughter)  # structural equality coincides with `equal`
         triple = self._index.get(key)
         if triple is None:
@@ -60,34 +61,29 @@ class TripleStore:
             self.triples.append(triple)
         else:
             triple.freq += freq
+            for entry in triple.entries:
+                entry[1] += freq
         self.total += freq
-        self._values.clear()
 
     def lookup(self, a, b):
         """Summed frequency of the triples whose mother unifies with a
         disjunct of category a and whose daughter with a disjunct of b, over
         the grand total; delta when none does (or the store is empty).  The
-        value is kept until the next add."""
+        sum is kept across adds, so each triple is tested once per pair."""
         key = (a.disjuncts, b.disjuncts)
-        value = self._values.get(key)
-        if value is None:
-            value = self._values[key] = self._lookup(key)
-        return value
-
-    def _lookup(self, key):
-        if self.total == 0:
-            return self.delta
-        ka, kb = key
         entry = self._cache.get(key)
         if entry is None:
-            entry = self._cache[key] = [0, []]
-        tested, found = entry
-        for t in self.triples[tested:]:
-            if _compatible(t.mother, ka) and _compatible(t.daughter, kb):
-                found.append(t)
-        entry[0] = len(self.triples)
-        # frequencies are integers, so the sum is exact in any order
-        acc = sum(t.freq for t in found)
+            entry = self._cache[key] = [0, 0]
+        triples = self.triples
+        if entry[0] < len(triples):
+            ka, kb = key
+            for t in triples[entry[0]:]:
+                if _compatible(t.mother, ka) and _compatible(t.daughter, kb):
+                    entry[1] += t.freq
+                    t.entries.append(entry)
+            entry[0] = len(triples)
+        # frequencies are integers, so the kept sum is exact
+        acc = entry[1]
         return acc / self.total if acc else self.delta
 
     def save(self, path, registry=None):
@@ -214,16 +210,19 @@ def score_local(store, mother, daughters, registry=None, on_cap=None):
     if total > DEFAULT_EXPANSION_CAP and on_cap is not None:
         on_cap(total)
     subs = [sub for _, sub in daughters]
+    # the n-th root is monotone, so the root of the largest product is the
+    # largest geometric mean
     best = 0.0
     for m, *combo in itertools.islice(itertools.product(*exps), DEFAULT_EXPANSION_CAP):
-        factors = []
+        prod = 1.0
         for d, sub in zip(combo, subs):
             f = store.lookup(m, d)
             if sub is not None:
                 f *= sub
-            factors.append(f)
-        best = max(best, geo_mean(factors))
-    return best
+            prod *= f
+        if prod > best:
+            best = prod
+    return best ** (1.0 / len(subs)) if subs else best
 
 
 @functools.cache

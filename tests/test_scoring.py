@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from genfs import GEN_REGISTRY, random_category, random_fs
 from gramgrow import scoring
 from gramgrow.chart import ParseTree
-from gramgrow.fs import Category, FS, FeatureRegistry, MalformedSyntax, parse_fs, unify
+from gramgrow.fs import DEFAULT_EXPANSION_CAP, Category, FS, FeatureRegistry, MalformedSyntax, parse_fs, unify
 from gramgrow.scoring import (
     TripleStore,
     decompose,
@@ -214,6 +215,97 @@ def test_lookup_equals_recount_under_interleaved_adds(monkeypatch):
     assert max(asked.values()) > 1
     mothers = {t.mother for t in store.triples}
     assert any(t.daughter in mothers for t in store.triples)
+
+
+def test_lookup_sums_follow_raised_frequencies(tmp_path):
+    """A raised frequency reaches every pair that counted the triple, and a
+    triple no pair has tested yet is counted with its raised frequency;
+    also in a store loaded from a file that repeats a triple line."""
+    reg = FeatureRegistry.from_text("feature CAT S NP VP\nfeature PLU + -")
+    texts = ["[CAT S]", "[CAT NP]", "[CAT NP, PLU +]", "[CAT VP, PLU -]", "[]"]
+    pool = [parse_fs(t, reg).disjuncts[0] for t in texts]
+    queries = [Category((d,)) for d in pool] + [parse_fs("{[CAT S], [CAT NP]}", reg)]
+    pairs = list(itertools.product(queries, queries))
+
+    def check(store):
+        for a, b in pairs:
+            assert store.lookup(a, b) == _recount(store, a, b)
+
+    store = TripleStore()
+    store.add(pool[1], pool[2], 2)
+    store.add(pool[0], pool[3])
+    check(store)
+    counted = store.triples[0]
+    assert len({id(e) for e in counted.entries}) >= 2  # two different pairs counted it
+    store.add(pool[4], pool[0], 3)  # new: no pair has tested it
+    store.add(pool[4], pool[0], 2)
+    store.add(pool[1], pool[2], 5)
+    assert store.triples[2].entries == [] and counted.freq == 7
+    check(store)
+    path = tmp_path / "triples.txt"
+    store.save(path, reg)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n")  # the first triple once more
+    back = TripleStore.load(path, reg)
+    assert back.triples[0].freq == 14 and back.total == store.total + 7
+    check(back)
+    back.add(pool[1], pool[2])
+    check(back)
+
+
+def test_add_refuses_a_frequency_below_one_for_an_existing_triple(tmp_path, six_triple_store):
+    st = six_triple_store
+    t = st.triples[0]
+    before = st.lookup(Category((t.mother,)), Category((t.daughter,)))
+    for freq in (-3, 0):
+        with pytest.raises(ValueError, match="triple frequency must be positive"):
+            st.add(t.mother, t.daughter, freq)
+    assert (t.freq, st.total) == (2, 9)
+    assert st.lookup(Category((t.mother,)), Category((t.daughter,))) == before
+    path = tmp_path / "triples.txt"
+    st.save(path, ATOM_REG)
+    assert TripleStore.load(path, ATOM_REG).total == 9
+
+
+def _score_local_per_combination(store, mother, daughters, registry):
+    """score_local as a geometric mean per image combination, the maximum
+    over the first DEFAULT_EXPANSION_CAP combinations (test-local)."""
+    exps = [scoring._images(c, registry)[0] for c in [mother] + [c for c, _ in daughters]]
+    subs = [sub for _, sub in daughters]
+    best = 0.0
+    for m, *combo in itertools.islice(itertools.product(*exps), DEFAULT_EXPANSION_CAP):
+        factors = []
+        for d, sub in zip(combo, subs):
+            f = store.lookup(m, d)
+            if sub is not None:
+                f *= sub
+            factors.append(f)
+        best = max(best, geo_mean(factors))
+    return best
+
+
+def test_score_local_equals_the_per_combination_loop():
+    rng = random.Random(31)
+    draws = disjunctive = over_cap = 0
+    for _ in range(12):
+        store = TripleStore()
+        for _ in range(rng.randint(0, 12)):
+            m, d = random_fs(rng, depth=1), random_fs(rng, depth=1)
+            store.add(m, d, rng.randint(1, 4))
+        for _ in range(50):
+            mother = random_category(rng)
+            daughters = [
+                (random_category(rng), rng.choice([None, rng.random(), store.delta]))
+                for _ in range(rng.randint(1, 3))
+            ]
+            cats = [mother] + [c for c, _ in daughters]
+            images = [len(scoring._images(c, GEN_REGISTRY)[0]) for c in cats]
+            disjunctive += any(len(c) > 1 for c in cats)
+            over_cap += math.prod(images) > DEFAULT_EXPANSION_CAP
+            got = scoring.score_local(store, mother, daughters, GEN_REGISTRY)
+            assert got == _score_local_per_combination(store, mother, daughters, GEN_REGISTRY)
+            draws += 1
+    assert disjunctive > draws // 4 and over_cap > draws // 10
 
 
 def test_score_local_reports_the_cap_on_every_call(monkeypatch):
