@@ -558,7 +558,7 @@ class ChartParser:
 
     def _edge_trees(self, edge, forced, memo):
         if edge.is_lexical:
-            cat = unify_cat(Category(edge.instances), forced)
+            cat = _leaf_cat(edge.instances, forced)
             if not cat.is_bottom:
                 yield ParseTree(cat, token=edge.token)
             return
@@ -646,6 +646,14 @@ def _verdict(arity, instances, originals, model, registry, lp, types, hfc):
 def _covers_cat(cat, cat2):
     """subsumes_cat, cached for the process: categories are values."""
     return subsumes_cat(cat, cat2)
+
+
+@functools.cache
+def _leaf_cat(instances, forced):
+    """A lexical edge's category under the one its tree position forces,
+    cached for the process; unify_cat is looked up per call, so a rebound
+    unify_cat sees every miss."""
+    return unify_cat(Category(instances), forced)
 
 
 def harvest_local_trees(chart):

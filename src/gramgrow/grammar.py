@@ -113,10 +113,11 @@ def rule_of(rule_id, arity, instances, origin):
     return Rule(rule_id, arity, instances, origin)
 
 
-# cat_at, narrow, _unified, proposals, _covers, _root_atoms and _alternative
-# are pure functions of interned values, so each is cached for the process:
-# an entry never goes stale, and equal arguments get the same result object.
-# Callers pass arguments positionally, so that one call is one cache key.
+# cat_at, narrow, _unified, proposals, _covers (root-atom prefilter
+# included), _root_atoms and _alternative are pure functions of interned
+# values, so each is cached for the process: an entry never goes stale, and
+# equal arguments get the same result object.  Callers pass arguments
+# positionally, so that one call is one cache key.
 
 
 @functools.cache
@@ -205,7 +206,10 @@ def rule_subsumes(r, s):
 @functools.cache
 def _covers(instances, others, arity):
     """The categories of `instances` cover those of `others` at the LHS and
-    at each of `arity` RHS slots."""
+    at each of `arity` RHS slots.  When their root atoms clash (see
+    _atoms_clash) they cannot, and no category is built or compared."""
+    if _atoms_clash(instances, others):
+        return False
     return all(
         subsumes_cat(cat_at(instances, feat), cat_at(others, feat))
         for feat in [LHS] + [slot(i) for i in range(1, arity + 1)]
@@ -232,11 +236,11 @@ def _root_atoms(instances):
     return found
 
 
-def atoms_clash(r, s):
-    """Some position and feature that both rules restrict to atoms admits no
-    common atom, so neither rule covers the other: every expansion of every
-    disjunct there keeps its atoms apart from the other rule's."""
-    a, b = _root_atoms(r.instances), _root_atoms(s.instances)
+def _atoms_clash(instances, others):
+    """Some position and feature that both instance tuples restrict to atoms
+    admits no common atom, so neither covers the other: every expansion of
+    every disjunct there keeps its atoms apart from the other's."""
+    a, b = _root_atoms(instances), _root_atoms(others)
     if len(b) < len(a):
         a, b = b, a
     for key, mask in a.items():
@@ -317,10 +321,10 @@ class Grammar:
         self._by_id[rule_id] = new_rule
 
     def subsumer_of(self, rule):
-        """The first rule, original then learnt, that covers `rule`; rules
-        whose root atoms clash with it are skipped untested."""
+        """The first rule, original then learnt, that covers `rule`: one
+        `_covers` lookup per rule of its arity."""
         for existing in self.rules:
-            if not atoms_clash(existing, rule) and rule_subsumes(existing, rule):
+            if rule_subsumes(existing, rule):
                 return existing
         return None
 

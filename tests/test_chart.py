@@ -41,6 +41,8 @@ from gramgrow.model import load_model
 from gramgrow.resources import data_path, load_bundle
 from gramgrow.scoring import TripleStore, train
 
+from covers import covers_unfiltered
+
 
 @pytest.fixture()
 def demo():
@@ -531,6 +533,7 @@ CACHED = (
     model_module._most_specific,
     chart_module._verdict,
     chart_module._covers_cat,
+    chart_module._leaf_cat,
     scoring_module._compatible,
     scoring_module._images,
 )
@@ -808,28 +811,38 @@ CLAWS_SENTENCES = ["AT NN1 VVZ AT NN1", "AT JJ NN1", "AT AT NN1", "II AT NN1"]
 
 def test_subsumer_scan_skips_only_rules_that_cannot_cover(demo, monkeypatch):
     registry, _, lexicon, _, model = demo
-    plain_subsumes = grammar_module.rule_subsumes
+    plain_covers = grammar_module._covers.__wrapped__
+    plain_compare = grammar_module.subsumes_cat
     plain_scan = Grammar.subsumer_of
-    counts = {"tested": 0, "scanned": 0}
+    counts = {"compared": 0, "tested": 0, "scanned": 0}
 
-    def counting_subsumes(r, s):
-        counts["tested"] += 1
-        return plain_subsumes(r, s)
+    def counting_compare(c, c2):
+        counts["compared"] += 1
+        return plain_compare(c, c2)
+
+    def counting_covers(instances, others, arity):
+        # a full cover test is one that compares a category
+        before = counts["compared"]
+        got = plain_covers(instances, others, arity)
+        counts["tested"] += counts["compared"] > before
+        return got
 
     def checked_scan(self, rule):
         got = plain_scan(self, rule)
-        covering = [r for r in self.rules if plain_subsumes(r, rule)]
+        covering = [r for r in self.rules if covers_unfiltered(r, rule)]
         assert got is (covering[0] if covering else None)
-        counts["scanned"] += len(self.rules)
+        counts["scanned"] += sum(r.arity == rule.arity for r in self.rules)
         return got
 
-    monkeypatch.setattr(grammar_module, "rule_subsumes", counting_subsumes)
+    monkeypatch.setattr(grammar_module, "subsumes_cat", counting_compare)
+    monkeypatch.setattr(grammar_module, "_covers", counting_covers)
     monkeypatch.setattr(Grammar, "subsumer_of", checked_scan)
     g = _c11_grammar(registry, lexicon, model)
     claws_registry, _, claws_lexicon, _, _ = load_bundle("claws")
     _rejections_and_learnt_ids(Grammar(claws_registry), claws_lexicon, None, CLAWS_SENTENCES)
     assert g.learnt
-    # the prefilter spared most of the full tests
+    # the prefilter spared most of the full tests of the rules of an offered
+    # rule's arity
     assert 0 < counts["tested"] < counts["scanned"] / 2
 
 
@@ -1570,6 +1583,28 @@ def test_extraction_derives_each_edge_once_per_forced_category(demo, monkeypatch
         assert unshared.keys() == calls.keys()
         shared += sum(unshared.values()) > len(unshared)
     assert shared >= 3
+
+
+def test_a_second_extraction_unifies_no_leaf_again(demo, monkeypatch):
+    """Leaf categories come from the process-wide _leaf_cat, so extracting
+    the same chart again makes no unify_cat call and gives the same trees."""
+    plain = chart_module.unify_cat
+    calls = []
+
+    def counting(c, c2):
+        calls.append((c, c2))
+        return plain(c, c2)
+
+    monkeypatch.setattr(chart_module, "unify_cat", counting)
+    leaves = 0
+    for parser in _extraction_runs(demo):
+        first = [tree.display() for tree in parser.extract_trees()]
+        calls.clear()
+        again = parser.extract_trees()
+        assert calls == []
+        assert [tree.display() for tree in again] == first
+        leaves += sum(node.is_leaf for tree in again for node in tree.walk())
+    assert leaves > 1000
 
 
 # -- the two edge kinds ---------------------------------------------------------------

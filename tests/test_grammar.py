@@ -20,7 +20,6 @@ from gramgrow.grammar import (
     Grammar,
     GrammarError,
     SupportRecord,
-    atoms_clash,
     format_rule,
     make_rule,
     max_bar_of,
@@ -34,6 +33,7 @@ from gramgrow import grammar as grammar_module
 from gramgrow.model import load_model
 from gramgrow.resources import data_path, load_bundle
 
+from covers import covers_unfiltered
 from genfs import GEN_REGISTRY, random_category, random_extension
 
 
@@ -208,9 +208,12 @@ def test_rule_subsumes_positional(demo):
     assert not rule_subsumes(det_np, det_n1)
 
 
-def test_atoms_clash_only_where_neither_rule_covers_the_other():
+def test_atoms_clash_only_where_neither_rule_covers_the_other(monkeypatch):
+    """The prefilter inside the cover memo: instance tuples whose root atoms
+    clash cover neither way, and the cover test then reads no category."""
     rng = random.Random(7)
-    clashes = covers = 0
+    clashing = []
+    covers = 0
     for n in range(600):
         arity = rng.randint(1, 2)
         cats = [random_category(rng, max_disjuncts=2) for _ in range(arity + 1)]
@@ -220,12 +223,22 @@ def test_atoms_clash_only_where_neither_rule_covers_the_other():
         else:
             cats = [random_category(rng, max_disjuncts=1) for _ in range(arity + 1)]
         s = make_rule("s%d" % n, cats[0], cats[1:])
-        covered = rule_subsumes(r, s) or rule_subsumes(s, r)
-        if atoms_clash(r, s):
-            clashes += 1
+        covered = covers_unfiltered(r, s) or covers_unfiltered(s, r)
+        if grammar_module._atoms_clash(r.instances, s.instances):
+            clashing.append((r, s))
             assert not covered, (format_rule(r), format_rule(s))
         covers += covered
-    assert clashes > 50 and covers > 200
+    assert len(clashing) > 50 and covers > 200
+
+    def unread(*args):
+        raise AssertionError("a clashing pair read a category")
+
+    monkeypatch.setattr(grammar_module, "cat_at", unread)
+    monkeypatch.setattr(grammar_module, "subsumes_cat", unread)
+    plain_covers = grammar_module._covers.__wrapped__
+    for r, s in clashing:
+        assert not plain_covers(r.instances, s.instances, r.arity)
+        assert not plain_covers(s.instances, r.instances, r.arity)
 
 
 # -- retention ---------------------------------------------------------------
