@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 
 from .constructor import (
     MAX_BAR,
@@ -104,7 +103,7 @@ class Edge:
         self.instances = instances
         self.children = children
         self.token = token
-        self.seen = 0  # the chart's edge count when the edge left the agenda
+        self.seen = 0  # the chart's edge count when _run reached the edge
         self.bad = False
         self.bad_reason = None
         self.score = None
@@ -237,9 +236,7 @@ class ParseResult:
 
 
 class _Bounded(Exception):
-    def __init__(self, kind):
-        super().__init__(kind)
-        self.kind = kind
+    pass
 
 
 class ChartParser:
@@ -284,7 +281,6 @@ class ChartParser:
         """Set every field that one parse reads and writes, for a new parse
         of n_tokens tokens."""
         self.chart = Chart(n_tokens)
-        self.agenda = deque()  # a bounded parse leaves edges on it
         # the rules phase one proposes from; seed_super sets those of phase two
         self._rules = self._originals
         if not self.flags.learning:
@@ -305,11 +301,11 @@ class ChartParser:
             self._init_lexical(tokens)
             self._run()
             if self.flags.learning and not self.spanning:
+                phase_two = len(self.chart.edges)
                 self.seed_super()
-                self._run()
-        except _Bounded as stop:
-            if stop.kind == "edges":
-                self.resource_bounded = True
+                self._run(phase_two)
+        except _Bounded:
+            pass
         limit = self.limits.max_parses
         trees = self.extract_trees(limit)
         learnt = self._retain_rules(trees) if self.flags.learning else []
@@ -331,21 +327,23 @@ class ChartParser:
             for d in cats:
                 self._add_inactive(None, i, i + 1, 0, (d,), (), token=tok)
 
-    def _run(self):
-        """Pop edges in creation order and try each with the partners indexed
-        so far.  A pair is tried once, at the earlier of its two pops: a
-        partner popped earlier already tried this edge if the chart held it
-        then, that is if the partner's `seen` exceeds this edge's id.
+    def _run(self, start=0):
+        """Walk the edges from id `start` in creation order, those made on the
+        way included, and try each with the partners indexed so far.  A pair
+        is tried once, at the earlier of its two visits: a partner visited
+        earlier tried this edge if the chart held it then, that is if the
+        partner's `seen` exceeds this edge's id.
 
-        Bad edges never reach the agenda or the index lists, and each list
+        Bad edges are skipped and never reach the index lists, and each list
         holds the edges that meet a partner at its position.  A pair's new
         edge spans from the active edge's start to the inactive edge's end,
         so it never joins the list being walked."""
-        chart, agenda = self.chart, self.agenda
+        chart = self.chart
         edges = chart.edges
         propose, extend = self.propose, self.extend
-        while agenda:
-            edge = agenda.popleft()
+        for edge in itertools.islice(edges, start, None):
+            if edge.bad:
+                continue
             eid = edge.id
             edge.seen = len(edges)
             if edge.is_inactive:
@@ -402,7 +400,7 @@ class ChartParser:
         """After a failed parse, propose the enabled super rules from every
         inactive edge in the chart, then leave phase one's rules and the
         super rules for phase two.  The new active edges extend with the
-        existing inactive edges when they come off the agenda.  Phase one
+        existing inactive edges when _run reaches them.  Phase one
         criticises nothing, so none of its edges is bad."""
         phase_one, self._rules = self._rules, self.supers
         for edge in list(self.chart.edges):
@@ -417,12 +415,11 @@ class ChartParser:
         edge = Active(eid, start, end, rule_id, arity, nfound, instances, children)
         edges.append(edge)
         chart.actives_by_end[end].append(edge)
-        self.agenda.append(edge)
         if self.trace:
             self.trace(edge)
-        max_edges = self.limits.max_edges
-        if max_edges is not None and eid + 1 >= max_edges:
-            raise _Bounded("edges")
+        if self.limits.max_edges is not None and eid + 1 >= self.limits.max_edges:
+            self.resource_bounded = True
+            raise _Bounded()
 
     def _add_inactive(self, rule_id, start, end, arity, instances, children, token=None):
         """Add a lexical or inactive edge, unless this is a first-parse parse
@@ -430,7 +427,7 @@ class ChartParser:
         inactive edge over the same span has a category that covers the new
         non-lexical edge's.
 
-        Dropping it keeps the first parse: edges leave the agenda in creation
+        Dropping it keeps the first parse: _run reaches edges in creation
         order and the index lists keep that order, so every pair or proposal
         that would use the covered edge has an earlier twin that uses the
         covering one, whose category covers the twin's result.  The first
@@ -461,21 +458,20 @@ class ChartParser:
             if token is None and edge.score is None and self.flags.data and self.store is not None:
                 edge.score = self._edge_score(edge)
             chart.inactives_by_start[start].append(edge)
-            self.agenda.append(edge)
         if self.trace:
             self.trace(edge)  # before _note_parse, which may end the parse
         if not edge.bad:
             self._note_parse(edge)
-        max_edges = self.limits.max_edges
-        if max_edges is not None and eid + 1 >= max_edges:
-            raise _Bounded("edges")
+        if self.limits.max_edges is not None and eid + 1 >= self.limits.max_edges:
+            self.resource_bounded = True
+            raise _Bounded()
 
     def _note_parse(self, edge):
         # no edge is marked bad after this, so the spanning list stays valid
         if edge.start == 0 and edge.end == self.chart.n:
             self.spanning.append(edge)
             if self.limits.max_parses is not None and len(self.spanning) >= self.limits.max_parses:
-                raise _Bounded("parses")
+                raise _Bounded()
 
     # -- criticism -------------------------------------------------------------
 

@@ -517,18 +517,21 @@ def matches(p, d, presence):
 # -- unification -----------------------------------------------------------
 
 
+def masks_clash(a, b):
+    """Some key of both atom-mask maps holds disjoint masks in them."""
+    if len(b) < len(a):
+        a, b = b, a
+    for key, mask in a.items():
+        other = b.get(key)
+        if other is not None and not mask & other:
+            return True
+    return False
+
+
 def clashes(d, d2):
     """Cheap sound incompatibility test on root-level payloads (a True result
     guarantees unification failure; False guarantees nothing)."""
-    a = d.root_atoms()
-    b = d2.root_atoms()
-    if len(b) < len(a):
-        a, b = b, a
-    for feat, pa in a.items():
-        pb = b.get(feat)
-        if pb is not None and not pa & pb:
-            return True
-    return False
+    return masks_clash(d.root_atoms(), d2.root_atoms())
 
 
 def unify(d, d2, at=None):
@@ -718,7 +721,7 @@ def _tokenize(text):
 class _Parser:
     """Reads categories into interned nodes.  A value with no tag below it
     is built as its node at once; only a tag, or a structure with a tag
-    below it, is a node id of the scratch graph, which `category` freezes."""
+    below it, is a node id of the scratch graph, which `frozen` freezes."""
 
     def __init__(self, text, registry, pattern, shared):
         self.tokens = _tokenize(text)
@@ -746,22 +749,29 @@ class _Parser:
         return value if type(value) is int else self.graph._loaded(value, None)
 
     def category(self):
-        """The next category, frozen at once, and its disjuncts' values."""
+        """The disjunct roots of the next category, unfrozen: nodes, or graph
+        ids of structures with a tag below them ([] for bottom)."""
         kind, _ = self.peek()
         if kind == "bottom":
             self.take()
-            return BOTTOM, ()
+            return []
         try:
-            if kind == "lbrace":
+            if kind != "lbrace":
+                return [self._scoped_fs()]
+            self.take()
+            roots = [self._scoped_fs()]
+            while self.peek()[0] == "comma":
                 self.take()
-                roots = [self._scoped_fs()]
-                while self.peek()[0] == "comma":
-                    self.take()
-                    roots.append(self._scoped_fs())
-                self.take("rbrace")
-            else:
-                roots = [self._scoped_fs()]
-            return Category([self.graph.freeze(r) if type(r) is int else r for r in roots]), roots
+                roots.append(self._scoped_fs())
+            self.take("rbrace")
+            return roots
+        except _Bottom:
+            raise MalformedSyntax("a tag is bound to clashing or cyclic values") from None
+
+    def frozen(self, roots):
+        """The category of these roots, each graph id frozen."""
+        try:
+            return Category([self.graph.freeze(r) if type(r) is int else r for r in roots])
         except _Bottom:
             raise MalformedSyntax("a tag is bound to clashing or cyclic values") from None
 
@@ -832,44 +842,42 @@ class _Parser:
 def parse_fs(text, registry=None, pattern=False):
     """Parse one category literal; each disjunct is its own tag scope."""
     parser = _Parser(text, registry, pattern, shared=False)
-    cat, _ = parser.category()
+    cat = parser.frozen(parser.category())
     if parser.peek() is not _END:
         raise MalformedSyntax("trailing input after category: %r" % (parser.peek()[1],))
     return cat
 
 
-def parse_cats(text, registry=None, joint=None):
-    """Parse a sequence of categories, each frozen as soon as it is parsed.
+def parse_cats(text, registry=None):
+    """Parse a sequence of categories; each disjunct is its own tag scope."""
+    parser = _Parser(text, registry, False, shared=False)
+    cats = []
+    while parser.peek() is not _END:
+        cats.append(parser.frozen(parser.category()))
+    return cats
 
-    `text` may also be a list of strings, read one after the other as one
-    sequence; the categories then come back as one list per string.  With
-    `joint`, an iterable of feature names for the categories in order (names
-    past the last category are unused), the whole input is one tag scope,
-    and the result is (categories, the structure [joint[0] c0, joint[1] c1,
-    ...] frozen last from the same graph), with None for that structure when
-    a category is not a single disjunct.
-    """
-    parser = _Parser("", registry, False, shared=joint is not None)
-    groups = []
+
+def parse_instances(texts, features, registry=None):
+    """Read the category sequences `texts` of one rule alternative in one tag
+    scope: (the number of categories in each text, one instance [features[0]
+    d0, features[1] d1, ...] per choice of a disjunct d at each position,
+    the first varying slowest, each frozen once from the one graph).  A
+    bottom category leaves no instance."""
+    parser = _Parser("", registry, False, shared=True)
+    counts = []
     roots = []
-    for piece in [text] if isinstance(text, str) else text:
-        parser.tokens, parser.i = _tokenize(piece), 0
-        groups.append([])
+    for text in texts:
+        parser.tokens, parser.i = _tokenize(text), 0
+        before = len(roots)
         while parser.peek() is not _END:
-            cat, values = parser.category()
-            groups[-1].append(cat)
-            roots.append(values)
-    cats = groups[0] if isinstance(text, str) else groups
-    if joint is None:
-        return cats
-    if any(len(values) != 1 for values in roots):
-        return cats, None
-    graph = parser.graph
-    top = graph.add()
-    graph.feats[top].update(zip(joint, (parser.node_id(values[0]) for values in roots)))
-    # a cycle runs through a tag of the category that closed it, and that
-    # category's freeze has already raised
-    return cats, graph.freeze(top)
+            roots.append(parser.category())
+        counts.append(len(roots) - before)
+    names = list(itertools.islice(features, len(roots)))
+    tops = []
+    for combo in itertools.product(*roots):
+        tops.append(parser.graph.add())
+        parser.graph.feats[tops[-1]].update(zip(names, map(parser.node_id, combo)))
+    return counts, parser.frozen(tops).disjuncts
 
 
 class _Printer:

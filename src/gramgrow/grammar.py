@@ -21,8 +21,8 @@ from .fs import (
     FSError,
     MalformedSyntax,
     fs_from_pairs,
-    parse_cats,
     parse_fs,
+    parse_instances,
     read_text,
     simplify,
     subsumes_cat,
@@ -129,19 +129,16 @@ def cat_at(instances, feat):
 
 
 def make_rule(rule_id, lhs_cat, rhs_cats, origin=ORIGINAL):
-    """Build a rule from plain categories (no cross-position sharing)."""
-    if lhs_cat.is_bottom or any(c.is_bottom for c in rhs_cats):
+    """Build a rule from plain categories (no cross-position sharing): one
+    instance per choice of a disjunct at each position, the LHS varying
+    slowest."""
+    cats = [lhs_cat, *rhs_cats]
+    if any(c.is_bottom for c in cats):
         raise GrammarError("rule %s has an inconsistent category" % rule_id)
-    instances = []
-    for ld in lhs_cat.disjuncts:
-        combos = [[ld]]
-        for c in rhs_cats:
-            combos = [prev + [d] for prev in combos for d in c.disjuncts]
-        for combo in combos:
-            pairs = [(LHS, combo[0])]
-            pairs.extend((slot(i), d) for i, d in enumerate(combo[1:], start=1))
-            instances.append(fs_from_pairs(pairs))
-    return rule_of(rule_id, len(rhs_cats), tuple(instances), origin)
+    feats = [LHS] + [slot(i) for i in range(1, len(cats))]
+    combos = itertools.product(*(c.disjuncts for c in cats))
+    instances = tuple(fs_from_pairs(zip(feats, combo)) for combo in combos)
+    return rule_of(rule_id, len(rhs_cats), instances, origin)
 
 
 @functools.cache
@@ -240,14 +237,7 @@ def _atoms_clash(instances, others):
     """Some position and feature that both instance tuples restrict to atoms
     admits no common atom, so neither covers the other: every expansion of
     every disjunct there keeps its atoms apart from the other's."""
-    a, b = _root_atoms(instances), _root_atoms(others)
-    if len(b) < len(a):
-        a, b = b, a
-    for key, mask in a.items():
-        other = b.get(key)
-        if other is not None and not mask & other:
-            return True
-    return False
+    return fsmod.masks_clash(_root_atoms(instances), _root_atoms(others))
 
 
 def max_bar_of(registry):
@@ -366,35 +356,39 @@ def _alternative(inst, arity, registry):
 
 
 def parse_rule_line(line, registry, origin=ORIGINAL):
+    """The rule of a line: the instances of its '|' alternatives in order,
+    which must share one arity."""
     if not line.startswith("rule "):
         raise MalformedSyntax("rule lines start with 'rule': %r" % line)
     head, _, body = line[5:].partition(":")
     name = head.strip()
     if not name:
         raise MalformedSyntax("rule needs a name: %r" % line)
-    parsed = [_parse_alternative(text, registry, line) for text in body.split("|")]
-    if len(parsed) == 1 and parsed[0][2] is None:
-        # disjunctive rules have no cross-position sharing in the text format
-        lhs, rhs, _ = parsed[0]
-        return make_rule(name, lhs, rhs, origin)
-    wrappers = tuple(wrapper for _, _, wrapper in parsed)
-    if any(w is None for w in wrappers) or len({len(rhs) for _, rhs, _ in parsed}) > 1:
-        raise MalformedSyntax("rule alternatives need one arity and no disjunction: %r" % line)
-    return rule_of(name, len(parsed[0][1]), wrappers, origin)
+    arities = set()
+    instances = []
+    for text in body.split("|"):
+        arity, found = _parse_alternative(text, registry, line)
+        arities.add(arity)
+        instances.extend(found)
+    if len(arities) > 1:
+        raise MalformedSyntax("rule alternatives need one arity: %r" % line)
+    return rule_of(name, arity, tuple(instances), origin)
 
 
 def _parse_alternative(text, registry, line):
-    """(LHS, RHS categories, wrapper instance or None if any is disjunctive)."""
+    """(arity, instances) of one alternative, its own tag scope."""
     left, arrow, right = text.partition("->")
     if not arrow:
         raise MalformedSyntax("rule needs '->': %r" % line)
     positions = itertools.chain([LHS], map(slot, itertools.count(1)))
-    (lhs, rhs), wrapper = parse_cats([left, right], registry, joint=positions)
-    if len(lhs) != 1:
+    (n_lhs, arity), instances = parse_instances([left, right], positions, registry)
+    if n_lhs != 1:
         raise MalformedSyntax("rule needs one LHS category: %r" % line)
-    if not rhs:
+    if not arity:
         raise MalformedSyntax("rule needs at least one RHS category: %r" % line)
-    return lhs[0], rhs, wrapper
+    if not instances:
+        raise GrammarError("rule has an inconsistent category: %r" % line)
+    return arity, instances
 
 
 class Lexicon:

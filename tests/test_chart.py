@@ -1052,14 +1052,14 @@ class _OneKindParser(ChartParser):
                 chart.inactives_by_start[start].append(edge)
             else:
                 chart.actives_by_end[end].append(edge)
-            self.agenda.append(edge)
         if self.trace:
             self.trace(edge)
         if edge.is_inactive and not edge.bad:
             self._note_parse(edge)
         max_edges = self.limits.max_edges
         if max_edges is not None and eid + 1 >= max_edges:
-            raise chart_module._Bounded("edges")
+            self.resource_bounded = True
+            raise chart_module._Bounded()
 
 
 class _PerRuleParser(_OneKindParser):
@@ -1149,10 +1149,10 @@ class _PairCountingParser(ChartParser):
 
 
 class _AllPairsParser(_OneKindParser, _PairCountingParser):
-    """Runs the agenda as the chart did before the pair-once rule: a popped
+    """Walks the edges as the chart did before the pair-once rule: a reached
     edge tries every partner indexed so far, from a copy of the index list,
-    so a pair whose edges were both created before either was popped is
-    tried at both pops.  Its own key set drops the repeats that makes.
+    so a pair whose edges were both created before either was reached is
+    tried at both visits.  Its own key set drops the repeats that makes.
     Its edges are made as `_OneKindParser` makes them."""
 
     def parse(self, tokens):
@@ -1165,9 +1165,10 @@ class _AllPairsParser(_OneKindParser, _PairCountingParser):
             self.keys.add(key)
             super()._add_edge(rule_id, start, end, arity, nfound, instances, children, token)
 
-    def _run(self):
-        while self.agenda:
-            edge = self.agenda.popleft()
+    def _run(self, start=0):
+        for edge in itertools.islice(self.chart.edges, start, None):
+            if edge.bad:
+                continue
             if edge.is_inactive:
                 self.propose(edge)
                 for active in list(self.chart.actives_by_end[edge.start]):

@@ -144,7 +144,13 @@ def test_reading_printed_values_gives_the_same_objects():
     parts = zip([LHS, slot(1), slot(2)], ("[A 1]", "[B [C {x, y}]]", "[]"))
     assert tag_free.instances == (fs_from_pairs([(f, parse_fs(t).disjuncts[0]) for f, t in parts]),)
     registry, grammar, _, _, _ = load_bundle("demo")
-    for rule in grammar.rules:
+    # a disjunctive category with a tag across positions, and alternatives
+    # with a disjunction, read through a rule line's instances
+    lines = [
+        "rule X : {[N +, PER #1], [N -, PER #1]} -> [BAR 0, PER #1]",
+        "rule W : [N +] -> {[BAR 0], [BAR 1]} | [N -] -> [BAR 2]",
+    ]
+    for rule in grammar.rules + [parse_rule_line(line, registry) for line in lines]:
         again = parse_rule_line(format_rule(rule, registry), registry)
         assert len(again.instances) == len(rule.instances)
         assert all(a is b for a, b in zip(again.instances, rule.instances)), rule.id

@@ -12,6 +12,7 @@ from gramgrow.fs import (
     equal_cat,
     parse_cats,
     parse_fs,
+    parse_instances,
     print_fs,
     unify,
 )
@@ -29,6 +30,7 @@ from gramgrow.grammar import (
     slot,
     super_rule,
 )
+from gramgrow import fs as fs_module
 from gramgrow import grammar as grammar_module
 from gramgrow.model import load_model
 from gramgrow.resources import data_path, load_bundle
@@ -45,6 +47,12 @@ def demo():
 
 def cat(text, reg):
     return parse_fs(text, reg)
+
+
+# a disjunctive category whose tag is shared across positions, and '|'
+# alternatives that hold a disjunction
+RULE_X = "rule X : {[N +, PER #1], [N -, PER #1]} -> [BAR 0, PER #1]"
+RULE_W = "rule W : [N +] -> {[BAR 0], [BAR 1]} | [N -] -> [BAR 2]"
 
 
 # -- loading -----------------------------------------------------------------
@@ -394,30 +402,26 @@ def test_load_rules_adds_all_or_nothing(tmp_path, demo):
         assert g.original == original and g.learnt == learnt and "*u9" not in g
 
 
-def test_parse_cats_joint_shares_tags_across_positions():
-    # each category is frozen as soon as it is parsed, so a tag bound later
-    # in the sequence does not reach back into an earlier category; the joint
-    # structure is frozen last and sees every binding
+def test_parse_instances_shares_tags_across_positions():
+    # the categories of an alternative are one tag scope, and each instance
+    # is frozen from the one graph after the last category, so it sees every
+    # binding; a disjunctive category gives one instance per disjunct
     cases = [
-        (
-            "[CAT #1] [CAT #1 = n] [X #1]",
-            ["[CAT []]", "[CAT N]", "[X N]"],
-            "[*LHS* [CAT #1=N], *R1* [CAT #1], *R2* [X #1]]",
-        ),
+        ("[CAT #1] [CAT #1 = n] [X #1]", 3, ["[*LHS* [CAT #1=N], *R1* [CAT #1], *R2* [X #1]]"]),
         (
             "[CAT #1, Y #2 = {a, b}] [CAT #2] [X #1 = [Z #2]]",
-            ["[CAT [], Y {A, B}]", "[CAT {A, B}]", "[X [Z {A, B}]]"],
-            "[*LHS* [CAT #1=[Z #2={A, B}], Y #2], *R1* [CAT #2], *R2* [X #1]]",
+            3,
+            ["[*LHS* [CAT #1=[Z #2={A, B}], Y #2], *R1* [CAT #2], *R2* [X #1]]"],
         ),
-        ("{[A 1], [B #1]} [C #1 = 2]", ["{[A 1], [B []]}", "[C 2]"], None),
+        ("{[A 1], [B #1]} [C #1 = 2]", 2, ["[*LHS* [A 1], *R1* [C 2]]", "[*LHS* [B #1=2], *R1* [C #1]]"]),
     ]
-    for text, cats, joint in cases:
-        got, wrapper = parse_cats(text, joint=[LHS, slot(1), slot(2)])
-        assert [print_fs(c) for c in got] == cats
-        assert (wrapper if wrapper is None else print_fs(wrapper)) == joint
+    for text, count, want in cases:
+        counts, instances = parse_instances([text], [LHS, slot(1), slot(2)])
+        assert counts == [count]
+        assert [print_fs(inst) for inst in instances] == want
     rule = parse_rule_line("rule r : [CAT #1] -> [CAT #1 = n] [X #1]", None)
-    assert print_fs(rule.instances[0]) == cases[0][2]
-    # without a joint structure every disjunct is its own tag scope
+    assert print_fs(rule.instances[0]) == cases[0][2][0]
+    # apart from a rule line every disjunct is its own tag scope
     assert [print_fs(c) for c in parse_cats("[CAT #1 = n] [X #1]")] == ["[CAT N]", "[X []]"]
 
 
@@ -427,9 +431,54 @@ def test_rule_line_parses_each_category_once():
     with pytest.warns(UserWarning) as caught:
         parse_rule_line("rule r : [A {x}] -> [B #1] [C {y}]", None)
     assert len(caught) == 2
-    (lhs, rhs), wrapper = parse_cats(["[A #1]", "[B #1 = x] [C 2]"], joint=[LHS, slot(1), slot(2)])
-    assert [len(lhs), len(rhs)] == [1, 2]
-    assert print_fs(wrapper) == "[*LHS* [A #1=X], *R1* [B #1], *R2* [C 2]]"
+    counts, instances = parse_instances(["[A #1]", "[B #1 = x] [C 2]"], [LHS, slot(1), slot(2)])
+    assert counts == [1, 2]
+    assert [print_fs(inst) for inst in instances] == ["[*LHS* [A #1=X], *R1* [B #1], *R2* [C 2]]"]
+
+
+def test_a_disjunctive_rule_line_keeps_its_shared_tags():
+    rule = parse_rule_line(RULE_X, None)
+    assert rule.arity == 1
+    assert [print_fs(inst) for inst in rule.instances] == [
+        "[*LHS* [N +, PER #1], *R1* [BAR 0, PER #1]]",
+        "[*LHS* [N -, PER #1], *R1* [BAR 0, PER #1]]",
+    ]
+
+
+def test_rule_alternatives_may_hold_disjunctions():
+    rule = parse_rule_line(RULE_W, None)
+    assert rule.arity == 1
+    assert [print_fs(inst) for inst in rule.instances] == [
+        "[*LHS* [N +], *R1* [BAR 0]]",
+        "[*LHS* [N +], *R1* [BAR 1]]",
+        "[*LHS* [N -], *R1* [BAR 2]]",
+    ]
+
+
+def test_a_bottom_category_refuses_the_rule_line():
+    for line in (
+        "rule b : ⊥ -> [BAR 0]",
+        "rule b : [N +] -> [BAR 0] ⊥",
+        "rule b : ⊥ -> [BAR 0] | [N -] -> [BAR 2]",
+        "rule b : [N +] -> [BAR 0] | [N -] -> {[BAR 1], [BAR 2]} ⊥",
+    ):
+        with pytest.raises(GrammarError):
+            parse_rule_line(line, None)
+
+
+def test_reading_the_demo_grammar_freezes_each_instance_once(monkeypatch):
+    calls = []
+    plain = fs_module._Graph.freeze
+
+    def counting(graph, root):
+        calls.append(root)
+        return plain(graph, root)
+
+    monkeypatch.setattr(fs_module._Graph, "freeze", counting)
+    g = Grammar(load_bundle("demo")[0])
+    calls.clear()
+    g.load_rules(data_path("demo.grammar"))
+    assert len(calls) == sum(len(rule.instances) for rule in g.rules) == 6
 
 
 def test_rule_needs_one_lhs_category():
