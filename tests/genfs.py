@@ -76,3 +76,51 @@ def denotation(c, registry=None, cap=64):
         if not drop and d not in kept:
             kept.append(d)
     return kept
+
+
+# the reader's alphabet: every kind of token, some malformed ones, atoms of
+# the demo registry and some it lacks, and whitespace
+READER_PIECES = (
+    "[", "]", "{", "}", ",", "=", "#1", "#12", "#", "#x", "⊥", "*", "é", ";", "~",
+    "N", "bar", "PER", "X", "+", "-", "1", "2", "nom", "y", " ", "\n",
+)
+_READER_FEATURES = ("N", "BAR", "PER", "CASE", "X")
+_READER_ATOMS = ("+", "-", "1", "2", "nom", "*", "y")
+
+
+def random_text(rng):
+    """A short text over the reader's alphabet: a random category, most of
+    them well formed, with one piece changed or put in half the time."""
+    tokens = _text_category(rng, 2)
+    if rng.random() < 0.5:
+        at = rng.randrange(len(tokens) + 1)
+        tokens[at:at + rng.randrange(2)] = [rng.choice(READER_PIECES)]
+    return "".join(tok + rng.choice(("", " ", " ", "\n")) for tok in tokens)
+
+
+def _text_category(rng, depth):
+    roll = rng.random()
+    if roll < 0.1:
+        return ["⊥"]
+    if roll < 0.3:
+        return ["{"] + _text_fs(rng, depth) + [","] + _text_fs(rng, depth) + ["}"]
+    return _text_fs(rng, depth)
+
+
+def _text_fs(rng, depth):
+    out = ["["]
+    for k, feat in enumerate(rng.sample(_READER_FEATURES, rng.randrange(3))):
+        out += ([","] if k else []) + [feat] + _text_value(rng, depth)
+    return out + ["]"]
+
+
+def _text_value(rng, depth):
+    roll = rng.random()
+    if roll < 0.25:
+        tag = [rng.choice(("#1", "#2"))]
+        return tag + ["="] + _text_value(rng, depth) if rng.random() < 0.5 else tag
+    if roll < 0.4 and depth:
+        return _text_fs(rng, depth - 1)
+    if roll < 0.55:
+        return ["{", rng.choice(_READER_ATOMS), ",", rng.choice(_READER_ATOMS), "}"]
+    return [rng.choice(_READER_ATOMS)]

@@ -37,8 +37,8 @@ def test_digests_agree_under_two_hash_seeds_and_equal_the_pinned_file(tmp_path):
     tool = _tool()
     assert tool.compare(first, second) == []
     assert tool.compare(first, pinned) == []
-    assert len(pinned) == 78 and "eval/s1/r0/tsv" in pinned and "learn/s1/r2/edges" in pinned
-    assert "bundle/demo/printed" in pinned and "bundle/claws/printed" in pinned
+    assert len(pinned) == 79 and "eval/s1/r0/tsv" in pinned and "learn/s1/r2/edges" in pinned
+    assert "bundle/demo/printed" in pinned and "bundle/claws/printed" in pinned and "reader/values" in pinned
     for name in ("learn", "eval", "sbl-train"):
         assert "%s/s1/r2/scores" % name in pinned
     for what in ("repl", "learnt_ids", "save_learnt", "support"):
@@ -63,7 +63,7 @@ def test_compare_names_the_entries_that_differ(tmp_path):
     assert out.getvalue().splitlines() == [
         "differs: eval/s1/r1/tsv",
         "differs: learn/s1/r0/repl",
-        "2 of 78 entries differ",
+        "2 of 79 entries differ",
     ]
     with redirect_stdout(io.StringIO()):
         assert tool.main(["--compare", str(paths[0]), str(paths[0])]) == 0

@@ -1,14 +1,17 @@
 import hashlib
 import random
+import re
 import warnings
 
 import pytest
 
+from gramgrow import fs as fs_module
 from gramgrow.fs import (
     BOTTOM,
     Category,
     EMPTY_CAT,
     FS,
+    FSError,
     FeatureRegistry,
     MalformedSyntax,
     UndeclaredFeature,
@@ -18,6 +21,7 @@ from gramgrow.fs import (
     expand,
     fs_from_pairs,
     matches,
+    parse_cats,
     parse_fs,
     print_fs,
     print_parts,
@@ -33,7 +37,7 @@ from gramgrow.fs import (
 from gramgrow.grammar import LHS, format_rule, parse_rule_line, slot
 from gramgrow.resources import load_bundle
 
-from genfs import GEN_REGISTRY, denotation, random_category, random_extension, random_fs
+from genfs import GEN_REGISTRY, READER_PIECES, denotation, random_category, random_extension, random_fs, random_text
 
 REG = FeatureRegistry.from_text(
     """
@@ -126,6 +130,9 @@ def test_parse_error_messages_are_pinned():
         (cat, "[N", MalformedSyntax, "expected a value, got None"),
         (cat, "", MalformedSyntax, "expected lbrack, got None"),
         (cat, "[N +,]", MalformedSyntax, "expected atom, got ']'"),
+        (cat, "[N #a]", MalformedSyntax, "cannot tokenize '#a]'"),
+        (cat, "[N +]]", MalformedSyntax, "trailing input after category: ']'"),
+        (parse_fs, "[A 1] ⊥x", MalformedSyntax, "trailing input after category: '⊥'"),
     ]
     for parse, text, error, message in cases:
         with pytest.raises(error) as caught:
@@ -136,6 +143,60 @@ def test_parse_error_messages_are_pinned():
             warnings.simplefilter("always")
             cat(text)
         assert [str(w.message) for w in caught] == ["singleton value disjunction collapsed to '1'"], text
+
+
+# the named-group token pattern the reader had, kept as the reference for
+# the token texts and the tokenizing errors
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<lbrack>\[)|(?P<rbrack>\])|(?P<lbrace>\{)|(?P<rbrace>\})"
+    r"|(?P<comma>,)|(?P<eq>=)|(?P<tag>#\d+)|(?P<bottom>⊥)"
+    r"|(?P<atom>[A-Za-z0-9_+\-$'*][A-Za-z0-9_+\-$'*]*)|(?P<bad>\S[\s\S]*))"
+)
+
+
+def _reference_tokens(text):
+    """The token texts of text, or the message of its tokenizing error."""
+    tokens = [(m.lastgroup, m[m.lastgroup]) for m in _REFERENCE_TOKEN_RE.finditer(text)]
+    if tokens and tokens[-1][0] == "bad":
+        return "cannot tokenize %r" % tokens[-1][1].rstrip()[:20]
+    return [tok for _, tok in tokens]
+
+
+def test_tokens_match_the_named_group_reference_random():
+    rng = random.Random(3)
+    for _ in range(3000):
+        text = "".join(rng.choice(READER_PIECES + ("\t", "$x", "a_b")) for _ in range(rng.randrange(12)))
+        try:
+            tokens = fs_module._tokenize(text)
+        except MalformedSyntax as err:
+            got = str(err)
+        else:
+            assert tokens[-1] is fs_module._END
+            got = tokens[:-1]
+        assert got == _reference_tokens(text), text
+
+
+def test_the_reader_raises_only_fs_errors_random():
+    # no text, however malformed, raises anything but an FSError
+    registry = load_bundle("demo")[0]
+    readers = (
+        parse_fs,
+        lambda text: parse_fs(text, registry),
+        parse_cats,
+        lambda text: parse_rule_line("rule r : " + text, None),
+    )
+    rng = random.Random(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(2000):
+            text = random_text(rng)
+            if rng.random() < 0.5:
+                text += rng.choice((" -> ", "->", " | ")) + random_text(rng)
+            for read in readers:
+                try:
+                    read(text)
+                except FSError:
+                    pass
 
 
 def test_reading_printed_values_gives_the_same_objects():

@@ -32,7 +32,10 @@ entry, model pattern and label, in the order the bundle holds them; and
 (unary super rules on, `limits off off`, "the happy cat chases Sam", then
 `!*parses*` and `save-learnt`): its `repl` text, `learnt_ids`,
 `save_learnt` bytes and `support` records, from a parse that extracts
-every tree of a learning chart.
+every tree of a learning chart.  `reader/values` covers the text reader:
+over 2,000 seeded random texts (`tests/genfs.py` `random_text`), what
+`parse_fs` and `parse_cats` make of each, with and without the demo
+registry: the printed categories, or the error's class and message.
 
 FILE maps `<workload>/s<seed>/r<round>/<artefact>` to a hex digest.  DIR
 defaults to the checkout holding this script, and gramgrow is imported
@@ -48,9 +51,11 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import sys
 import tempfile
+import warnings
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUNDLES = ("demo", "claws")
@@ -214,6 +219,33 @@ def _unary():
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def _reader():
+    """The digest of what the text reader makes of random texts."""
+    from gramgrow.fs import FeatureRegistry, FSError, parse_cats, parse_fs, print_fs
+    from gramgrow.resources import data_path
+
+    sys.path.insert(0, os.path.join(HERE, "tests"))
+    from genfs import random_text
+
+    demo = FeatureRegistry.load(data_path("demo.features"))
+    rng = random.Random(1)
+    lines = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(2000):
+            text = random_text(rng)
+            for registry in (None, demo):
+                for read in (parse_fs, parse_cats):
+                    try:
+                        value = read(text, registry)
+                    except FSError as err:
+                        lines.append("%s: %s" % (type(err).__name__, err))
+                        continue
+                    cats = value if isinstance(value, list) else [value]
+                    lines.append(" ".join(print_fs(cat, registry) for cat in cats))
+    return _sha("\n".join(lines))
+
+
 def digest(checkout, seeds, rounds, check=False):
     """{entry: sha256} over every workload, seed and round."""
     sys.path.insert(0, os.path.join(checkout, "bench"))
@@ -238,6 +270,7 @@ def digest(checkout, seeds, rounds, check=False):
         entries["bundle/%s/printed" % name] = _bundle(name)
     for what, value in _unary().items():
         entries["unary/%s" % what] = value
+    entries["reader/values"] = _reader()
     return entries
 
 
