@@ -700,22 +700,33 @@ def expand(c, registry=None, cap=DEFAULT_EXPANSION_CAP, on_cap=None):
 
 # -- concrete syntax ---------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lbrack>\[)|(?P<rbrack>\])|(?P<lbrace>\{)|(?P<rbrace>\})"
-    r"|(?P<comma>,)|(?P<eq>=)|(?P<tag>#\d+)|(?P<bottom>⊥)"
-    r"|(?P<atom>[A-Za-z0-9_+\-$'*][A-Za-z0-9_+\-$'*]*)|(?P<bad>\S[\s\S]*))"
-)
+_GOOD_TOKEN_RE = re.compile(r"[\[\]{},=⊥]|#\d+|[A-Za-z0-9_+\-$'*]+")
+_TOKEN_RE = re.compile(r"\s*(%s|\S[\s\S]*)" % _GOOD_TOKEN_RE.pattern)  # a bad token takes the rest
 
-_END = (None, None)  # the token after the last one
+_END = None  # the token after the last one
+_NOT_ATOM = "[]{},=#⊥"  # the first characters of the tokens that are not atoms
+_KINDS = {None: "atom", "[": "lbrack", "]": "rbrack", "}": "rbrace"}  # token -> its name in errors
 
 
 def _tokenize(text):
-    """The (kind, text) tokens of text, then _END."""
-    tokens = [(m.lastgroup, m[m.lastgroup]) for m in _TOKEN_RE.finditer(text)]
-    if tokens and tokens[-1][0] == "bad":
-        raise MalformedSyntax("cannot tokenize %r" % tokens[-1][1].rstrip()[:20])
+    """The tokens of text, as strings, then _END."""
+    tokens = _TOKEN_RE.findall(text)
+    if tokens and not _GOOD_TOKEN_RE.fullmatch(tokens[-1]):
+        raise MalformedSyntax("cannot tokenize %r" % tokens[-1].rstrip()[:20])
     tokens.append(_END)
     return tokens
+
+
+@functools.cache
+def _atom_node(registry, feature, text, pattern):
+    """The node of the atom value text of feature, both checked against the
+    registry (an interned value); an error is raised again on every read."""
+    value = text.upper()
+    if registry is not None:
+        registry.check(feature, value)
+    if value == WILDCARD and not pattern:
+        raise UndeclaredValue("wildcard only allowed in patterns")
+    return _node(_mask((value,)), ())
 
 
 class _Parser:
@@ -723,26 +734,28 @@ class _Parser:
     is built as its node at once; only a tag, or a structure with a tag
     below it, is a node id of the scratch graph, which `frozen` freezes."""
 
-    def __init__(self, text, registry, pattern, shared):
+    def __init__(self, text, registry, pattern, shared, warn=True):
         self.tokens = _tokenize(text)
         self.i = 0
         self.registry = registry
         self.pattern = pattern
         self.graph = _Graph()
         # tag text -> node id; shared: one scope for the whole text, otherwise
-        # each disjunct is its own scope
+        # each disjunct is its own scope.  starts: each category's list of the
+        # (tokens, i) where each of its disjuncts starts
         self.shared = shared
         self.tags = {}
+        self.starts = []
+        self.warn = warn  # of a singleton value disjunction
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.i]
-        if kind and tok[0] != kind:
-            raise MalformedSyntax("expected %s, got %r" % (kind, tok[1]))
+    def take(self, token=None):
+        """Step over the next token, which must be token (None: an atom);
+        the token, upper-cased."""
+        got = self.tokens[self.i]
+        if got != token if token else got is None or got[0] in _NOT_ATOM:
+            raise MalformedSyntax("expected %s, got %r" % (_KINDS[token], got))
         self.i += 1
-        return tok
+        return got.upper()
 
     def node_id(self, value):
         """The graph id of a value: a node enters as a loaded one."""
@@ -750,20 +763,23 @@ class _Parser:
 
     def category(self):
         """The disjunct roots of the next category, unfrozen: nodes, or graph
-        ids of structures with a tag below them ([] for bottom)."""
-        kind, _ = self.peek()
-        if kind == "bottom":
-            self.take()
+        ids of structures with a tag below them ([] for bottom).  From a
+        category disjunction on, each disjunct is its own scope."""
+        self.starts.append([])
+        token = self.tokens[self.i]
+        if token == "⊥":
+            self.i += 1
             return []
         try:
-            if kind != "lbrace":
+            if token != "{":
                 return [self._scoped_fs()]
-            self.take()
+            self.i += 1
+            self.shared = False
             roots = [self._scoped_fs()]
-            while self.peek()[0] == "comma":
-                self.take()
+            while self.tokens[self.i] == ",":
+                self.i += 1
                 roots.append(self._scoped_fs())
-            self.take("rbrace")
+            self.take("}")
             return roots
         except _Bottom:
             raise MalformedSyntax("a tag is bound to clashing or cyclic values") from None
@@ -778,23 +794,28 @@ class _Parser:
     def _scoped_fs(self):
         if not self.shared:
             self.tags = {}
+        self.starts[-1].append((self.tokens, self.i))
         return self.fs()
 
     def fs(self):
-        self.take("lbrack")
+        self.take("[")
+        tokens, registry = self.tokens, self.registry
         feats = {}
-        if self.peek()[0] != "rbrack":
+        if tokens[self.i] != "]":
             while True:
-                feat = self.take("atom")[1].upper()
-                if self.registry is not None:
-                    self.registry.check(feat)
+                feat = self.take()
                 if feat in feats:
                     raise MalformedSyntax("duplicate feature %r" % feat)
-                feats[feat] = self.value(feat)
-                if self.peek()[0] != "comma":
+                token = tokens[self.i]
+                if token is not None and token[0] not in _NOT_ATOM:  # an atom value, as most are
+                    self.i += 1
+                    feats[feat] = _atom_node(registry, feat, token, self.pattern)
+                else:
+                    feats[feat] = self.value(feat)
+                if tokens[self.i] != ",":
                     break
-                self.take()
-        self.take("rbrack")
+                self.i += 1
+        self.take("]")
         if int not in map(type, feats.values()):  # no tag below
             return _node(None, tuple(sorted(feats.items())))
         root = self.graph.add()
@@ -803,48 +824,43 @@ class _Parser:
 
     def value(self, feat):
         """The next value: its node, or the graph id of one with a tag."""
-        kind, text = self.peek()
-        if kind == "atom":
-            self.take()
-            value = text.upper()
-            if value == WILDCARD and not self.pattern:
-                raise UndeclaredValue("wildcard only allowed in patterns")
-            if self.registry is not None:
-                self.registry.check(feat, value)
-            return _node(_mask((value,)), ())
-        if kind == "lbrace":
-            self.take()
-            values = [self.take("atom")[1].upper()]
-            while self.peek()[0] == "comma":
-                self.take()
-                values.append(self.take("atom")[1].upper())
-            self.take("rbrace")
+        if self.registry is not None:
+            self.registry.check(feat)
+        token = self.tokens[self.i]
+        if token == "[":
+            return self.fs()
+        if token is None or token[0] in "]},=⊥":
+            raise MalformedSyntax("expected a value, got %r" % (token,))
+        self.i += 1
+        if token == "{":
+            values = [self.take()]
+            while self.tokens[self.i] == ",":
+                self.i += 1
+                values.append(self.take())
+            self.take("}")
             if self.registry is not None:
                 for v in values:
                     self.registry.check(feat, v)
-            if len(set(values)) == 1:
+            if len(set(values)) == 1 and self.warn:
                 warnings.warn("singleton value disjunction collapsed to %r" % values[0])
             return _node(_mask(values), ())
-        if kind == "lbrack":
-            return self.fs()
-        if kind == "tag":
-            self.take()
-            node = self.tags.get(text)
-            if node is None:
-                node = self.tags[text] = self.graph.add()
-            if self.peek()[0] == "eq":
-                self.take()
-                self.graph.merge(node, self.node_id(self.value(feat)))
-            return node
-        raise MalformedSyntax("expected a value, got %r" % (text,))
+        if token[0] != "#":
+            return _atom_node(self.registry, feat, token, self.pattern)
+        node = self.tags.get(token)
+        if node is None:
+            node = self.tags[token] = self.graph.add()
+        if self.tokens[self.i] == "=":
+            self.i += 1
+            self.graph.merge(node, self.node_id(self.value(feat)))
+        return node
 
 
 def parse_fs(text, registry=None, pattern=False):
     """Parse one category literal; each disjunct is its own tag scope."""
     parser = _Parser(text, registry, pattern, shared=False)
     cat = parser.frozen(parser.category())
-    if parser.peek() is not _END:
-        raise MalformedSyntax("trailing input after category: %r" % (parser.peek()[1],))
+    if parser.tokens[parser.i] is not _END:
+        raise MalformedSyntax("trailing input after category: %r" % (parser.tokens[parser.i],))
     return cat
 
 
@@ -852,32 +868,36 @@ def parse_cats(text, registry=None):
     """Parse a sequence of categories; each disjunct is its own tag scope."""
     parser = _Parser(text, registry, False, shared=False)
     cats = []
-    while parser.peek() is not _END:
+    while parser.tokens[parser.i] is not _END:
         cats.append(parser.frozen(parser.category()))
     return cats
 
 
 def parse_instances(texts, features, registry=None):
-    """Read the category sequences `texts` of one rule alternative in one tag
-    scope: (the number of categories in each text, one instance [features[0]
-    d0, features[1] d1, ...] per choice of a disjunct d at each position,
-    the first varying slowest, each frozen once from the one graph).  A
-    bottom category leaves no instance."""
+    """Read the category sequences `texts` of one rule alternative: (the
+    number of categories in each text, one instance [features[0] d0,
+    features[1] d1, ...] per choice of a disjunct d at each position, the
+    first varying slowest, each frozen once).  An instance is one tag scope
+    of the disjuncts it chooses.  A bottom category leaves no instance."""
     parser = _Parser("", registry, False, shared=True)
-    counts = []
-    roots = []
+    counts, roots = [], []
     for text in texts:
         parser.tokens, parser.i = _tokenize(text), 0
         before = len(roots)
-        while parser.peek() is not _END:
+        while parser.tokens[parser.i] is not _END:
             roots.append(parser.category())
         counts.append(len(roots) - before)
     names = list(itertools.islice(features, len(roots)))
+    disjunctive = not parser.shared
     tops = []
-    for combo in itertools.product(*roots):
-        tops.append(parser.graph.add())
-        parser.graph.feats[tops[-1]].update(zip(names, map(parser.node_id, combo)))
-    return counts, parser.frozen(tops).disjuncts
+    for combo in itertools.product(*(parser.starts if disjunctive else roots)):
+        if disjunctive:  # read the chosen disjuncts again, in one scope of their own
+            parser = _Parser("", registry, False, shared=True, warn=False)
+            combo = [parser.category()[0] for parser.tokens, parser.i in combo]
+        top = parser.graph.add()
+        parser.graph.feats[top].update(zip(names, map(parser.node_id, combo)))
+        tops += parser.frozen([top]).disjuncts
+    return counts, tuple(tops)
 
 
 class _Printer:

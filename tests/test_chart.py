@@ -536,6 +536,7 @@ CACHED = (
     chart_module._leaf_cat,
     scoring_module._compatible,
     scoring_module._images,
+    fs_module._atom_node,
 )
 # caches that make one object per value: transparency is not theirs to show,
 # since `is` and `==` coincide on what they make
@@ -571,7 +572,8 @@ def _uncache(m):
     """Bind each cached function's plain body in its place, at every binding,
     so that every value is computed afresh."""
     modules = (
-        grammar_module, chart_module, constructor_module, model_module, refine_module, scoring_module
+        fs_module, grammar_module, chart_module, constructor_module, model_module, refine_module,
+        scoring_module,
     )
     for module in modules:
         for name, value in list(vars(module).items()):

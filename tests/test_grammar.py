@@ -455,6 +455,24 @@ def test_rule_alternatives_may_hold_disjunctions():
     ]
 
 
+def test_a_disjunct_binds_its_tags_in_the_instances_that_choose_it_only():
+    # a disjunction distributes over the rule: each instance is one tag scope
+    # holding only the disjuncts it chooses
+    cases = [
+        ("{[A #1], [B #1 = y]} -> [C #1]", ["[*LHS* [A #1], *R1* [C #1]]", "[*LHS* [B #1=Y], *R1* [C #1]]"]),
+        ("{[A #1=x], [B #1=y]} -> [C 1]", ["[*LHS* [A X], *R1* [C 1]]", "[*LHS* [B Y], *R1* [C 1]]"]),
+    ]
+    for text, want in cases:
+        assert [print_fs(inst) for inst in parse_rule_line("rule r : " + text, None).instances] == want
+    # a clash inside one instance still refuses the line, and each written
+    # singleton value disjunction warns once
+    with pytest.raises(MalformedSyntax):
+        parse_rule_line("rule r : {[A #1=x], [B #1=y]} -> [C #1=x]", None)
+    with pytest.warns(UserWarning) as caught:
+        parse_rule_line("rule r : {[A {x}], [B 1]} -> [C {y}] {[D 1], [D 2]}", None)
+    assert len(caught) == 2
+
+
 def test_a_bottom_category_refuses_the_rule_line():
     for line in (
         "rule b : ⊥ -> [BAR 0]",
