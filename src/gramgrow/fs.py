@@ -752,7 +752,7 @@ class _Parser:
         """Step over the next token, which must be token (None: an atom);
         the token, upper-cased."""
         got = self.tokens[self.i]
-        if got != token if token else got is None or got[0] in _NOT_ATOM:
+        if (got != token) if token else (got is None or got[0] in _NOT_ATOM):
             raise MalformedSyntax("expected %s, got %r" % (_KINDS[token], got))
         self.i += 1
         return got.upper()

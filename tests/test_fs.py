@@ -37,7 +37,9 @@ from gramgrow.fs import (
 from gramgrow.grammar import LHS, format_rule, parse_rule_line, slot
 from gramgrow.resources import load_bundle
 
-from genfs import GEN_REGISTRY, READER_PIECES, denotation, random_category, random_extension, random_fs, random_text
+from genfs import (
+    GEN_REGISTRY, READER_PIECES, denotation, random_category, random_extension, random_fs, random_text
+)
 
 REG = FeatureRegistry.from_text(
     """
